@@ -382,6 +382,10 @@ func (h *Hierarchy) Levels() []*Cache { return h.levels }
 // LLC returns the last-level cache.
 func (h *Hierarchy) LLC() *Cache { return h.levels[len(h.levels)-1] }
 
+// Latencies returns the hit latency of every level in CPU cycles,
+// innermost first. The slice is shared; callers must not modify it.
+func (h *Hierarchy) Latencies() []uint64 { return h.lats }
+
 // MissLatencyBase returns the cycles spent traversing all levels before a
 // request reaches memory (sum of hit latencies — the lookup path).
 func (h *Hierarchy) MissLatencyBase() uint64 {

@@ -88,6 +88,12 @@ func (h *Hierarchy) EnablePrefetch(li int, p *StridePrefetcher, sink func(addr.A
 	h.pfSink = sink
 }
 
+// DisablePrefetch detaches the prefetcher and its sink; the lines it
+// already installed stay resident.
+func (h *Hierarchy) DisablePrefetch() {
+	h.pf, h.pfSink = nil, nil
+}
+
 // prefetch runs the prefetcher for a demand access.
 func (h *Hierarchy) prefetch(a addr.Addr) {
 	if h.pf == nil {

@@ -23,10 +23,14 @@ const (
 	// remapping set, mixing in out-of-range addresses to exercise
 	// clamping.
 	FamilyAlias Family = "alias"
+	// FamilyLLC is the stream the figures execute: a Table II profile,
+	// picked by the seed, filtered through the SRAM hierarchy; LLC misses
+	// become demand ops and LLC writebacks WB ops, in issue order.
+	FamilyLLC Family = "llc"
 )
 
 // Families is every generator, in the order suites run them.
-var Families = []Family{FamilyZipf, FamilyScan, FamilyPhase, FamilyAlias}
+var Families = []Family{FamilyZipf, FamilyScan, FamilyPhase, FamilyAlias, FamilyLLC}
 
 // rng is splitmix64: tiny, seedable, and stable across Go releases
 // (unlike math/rand's unspecified stream).
@@ -60,6 +64,9 @@ func (r *rng) f64() float64 {
 // paths (eviction writeback, retirement relocation of dirty frames) see
 // real traffic.
 func GenOps(family Family, seed uint64, n int, sys config.System) []Op {
+	if family == FamilyLLC {
+		return llcOps(seed, n, sys)
+	}
 	r := &rng{s: seed}
 	total := sys.DRAM.CapacityBytes + sys.HBM.CapacityBytes
 	ops := make([]Op, 0, n)

@@ -9,6 +9,7 @@ package cpu
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/addr"
 	"repro/internal/cache"
@@ -72,7 +73,8 @@ type runCfg struct {
 const batchSize = 4096
 
 // WithAccessBuffer supplies a reusable trace ingestion buffer, so sweep
-// drivers running many cells don't allocate one per Run call.
+// drivers running many cells don't allocate one per Run call. It is the
+// storage of Run's chunk: the filter reads batches straight into it.
 func WithAccessBuffer(buf []trace.Access) RunOption {
 	return func(c *runCfg) { c.accBuf = buf }
 }
@@ -89,112 +91,163 @@ func WithPrefetch(entries, degree int) RunOption {
 	return func(c *runCfg) { c.pfEntries, c.pfDegree = entries, degree }
 }
 
+// chunkPool holds Run's chunk without its access storage, which is the
+// caller's WithAccessBuffer buffer, so serial callers running many cells
+// do not allocate a chunk per call.
+var chunkPool = sync.Pool{New: func() any { return &Chunk{} }}
+
 // Run drives the access stream through the hierarchy and memory system
-// until the stream ends. The hierarchy and memory retain their state, so
-// callers can warm up with one stream and measure with another.
+// until the stream ends: the hierarchy half and the core half composed
+// for one consumer. The hierarchy and memory retain their state, so
+// callers can warm up with one stream and measure with another; a
+// prefetcher attached by WithPrefetch lasts only for this call.
 func Run(core config.Core, hier *cache.Hierarchy, mem Memory, st trace.Stream, opts ...RunOption) (Result, error) {
-	if core.MLP <= 0 || core.CPIBase <= 0 {
-		return Result{}, fmt.Errorf("cpu: invalid core config %+v", core)
+	c, err := NewCore(core, mem)
+	if err != nil {
+		return Result{}, err
 	}
 	var cfg runCfg
 	for _, o := range opts {
 		o(&cfg)
 	}
-	var pfPending []addr.Addr
-	if cfg.pfEntries > 0 {
-		level := 1
-		if n := len(hier.Levels()); n < 2 {
-			level = 0
-		}
-		hier.EnablePrefetch(level, cache.NewStridePrefetcher(cfg.pfEntries, cfg.pfDegree),
-			func(a addr.Addr) { pfPending = append(pfPending, a) })
-	}
-	var res Result
-	time := 0.0 // CPU cycles; float to accumulate fractional CPI exactly
-	missBase := float64(hier.MissLatencyBase())
-
-	// Outstanding miss completion times (bounded by MLP).
-	outstanding := make([]float64, 0, core.MLP)
-
-	// Trace accesses are ingested in batches (one stream dispatch per
-	// batchSize accesses); miss issue times depend on completions of
-	// earlier misses through the MLP window, so the memory side below
-	// stays scalar by construction.
 	buf := cfg.accBuf
 	if len(buf) == 0 {
 		buf = make([]trace.Access, batchSize)
 	}
+	f := NewFilter(hier, st, opts...)
+	defer f.Close()
+	ch := chunkPool.Get().(*Chunk)
+	ch.use(buf)
+	defer func() {
+		ch.acc = nil
+		chunkPool.Put(ch)
+	}()
 	for {
-		n := trace.FillBatch(st, buf)
-		if n == 0 {
-			// A stream can end because it is exhausted or because its
-			// backing trace file is damaged; a short replay would poison
-			// every metric, so decode damage fails the run.
-			if err := trace.Err(st); err != nil {
-				return res, fmt.Errorf("cpu: trace stream failed after %d accesses: %w", res.Accesses, err)
-			}
-			break
+		ok, err := f.Next(ch)
+		if err != nil {
+			return c.Partial(), err
 		}
-		for _, acc := range buf[:n] {
-			res.Accesses++
-			res.Instructions += uint64(acc.Gap)
-			time += float64(acc.Gap) * core.CPIBase
+		if !ok {
+			return c.Finish(), nil
+		}
+		c.Replay(ch)
+	}
+}
 
-			r := hier.Access(acc.Addr, acc.Write)
-			// Prefetch fills fetch from memory without stalling the core.
-			for _, pa := range pfPending {
-				mem.Access(uint64(time), pa, false)
-			}
-			pfPending = pfPending[:0]
-			for _, wb := range r.Writebacks {
-				res.Writebacks++
-				mem.Writeback(uint64(time), wb)
-			}
-			if r.HitLevel > 0 {
-				// Inner-cache hits beyond L1 stall for a fraction of their
-				// latency; out-of-order execution hides the rest.
-				time += float64(r.HitLatency) / float64(core.MLP)
-				continue
-			}
-			if r.HitLevel == 0 {
-				continue // L1 hits are covered by CPIBase
-			}
+// Core is the core half of the model: an interval core replaying
+// filtered chunks into one memory system. Instructions retire at the
+// base CPI, inner-cache hits stall for a fraction of their latency, and
+// LLC misses overlap up to the MLP window.
+type Core struct {
+	cfg    config.Core
+	mem    Memory
+	res    Result
+	time   float64 // CPU cycles; float to accumulate fractional CPI exactly
+	window missWindow
+}
 
-			// LLC miss. If the MLP window is full, the core stalls until the
-			// oldest outstanding miss returns.
-			if len(outstanding) >= core.MLP {
-				min, idx := outstanding[0], 0
-				for i, c := range outstanding {
-					if c < min {
-						min, idx = c, i
-					}
-				}
-				if min > time {
-					time = min
-				}
-				outstanding[idx] = outstanding[len(outstanding)-1]
-				outstanding = outstanding[:len(outstanding)-1]
+// NewCore returns a core that charges mem for the misses, prefetch fills
+// and writebacks of the chunks it replays.
+func NewCore(core config.Core, mem Memory) (*Core, error) {
+	if core.MLP <= 0 || core.CPIBase <= 0 {
+		return nil, fmt.Errorf("cpu: invalid core config %+v", core)
+	}
+	return &Core{cfg: core, mem: mem, window: make(missWindow, 0, core.MLP)}, nil
+}
+
+// Replay advances the core over every access of ch, in order. Per access
+// the time update order is fixed — the gap at the base CPI, then prefetch
+// fills and writebacks issued at that time, then the inner-hit stall or
+// the miss — which is what keeps results independent of how the stream
+// was chunked.
+func (c *Core) Replay(ch *Chunk) {
+	cpi, mlp := c.cfg.CPIBase, float64(c.cfg.MLP)
+	missBase := float64(ch.missBase)
+	time := c.time
+	level := ch.level[:ch.n]
+	ev := 0
+	for i, acc := range ch.acc[:ch.n] {
+		c.res.Instructions += uint64(acc.Gap)
+		time += float64(acc.Gap) * cpi
+		// Prefetch fills fetch from memory without stalling the core.
+		for ; ev < len(ch.evAt) && int(ch.evAt[ev]) == i; ev++ {
+			if ch.evFill[ev] {
+				c.mem.Access(uint64(time), ch.evAddr[ev], false)
+			} else {
+				c.res.Writebacks++
+				c.mem.Writeback(uint64(time), ch.evAddr[ev])
 			}
-			issue := time + missBase
-			done := float64(mem.Access(uint64(issue), acc.Addr, acc.Write))
-			if done < issue {
-				done = issue
-			}
-			res.LLCMisses++
-			res.TotalMissLatency += uint64(done - time)
-			outstanding = append(outstanding, done)
+		}
+		// L1 hits (level 0) are covered by CPIBase.
+		switch lv := level[i]; {
+		case lv > 0:
+			// Inner-cache hits beyond L1 stall for a fraction of their
+			// latency; out-of-order execution hides the rest.
+			time += float64(ch.lats[lv]) / mlp
+		case lv < 0:
+			var lat uint64
+			time, lat = c.window.issue(time, c.cfg.MLP, missBase, c.mem, acc.Addr, acc.Write)
+			c.res.LLCMisses++
+			c.res.TotalMissLatency += lat
 		}
 	}
+	c.res.Accesses += uint64(ch.n)
+	c.time = time
+}
 
-	// Drain: the run ends when the last miss returns.
-	for _, c := range outstanding {
+// Partial returns the counts accumulated so far, without the final
+// drain: what a run that fails mid-stream reports.
+func (c *Core) Partial() Result { return c.res }
+
+// Finish drains the MLP window and returns the run's result: the run
+// ends when the last miss returns.
+func (c *Core) Finish() Result {
+	res := c.res
+	res.Cycles = uint64(c.window.drain(c.time))
+	if res.Cycles == 0 {
+		res.Cycles = 1
+	}
+	return res
+}
+
+// missWindow holds the completion times of outstanding LLC misses,
+// bounded by the core's MLP.
+type missWindow []float64
+
+// issue sends one LLC miss to mem. If the window is full the core first
+// stalls until the oldest outstanding miss returns; the miss then issues
+// after the lookup path. It returns the updated core time and the miss
+// latency as seen from that time.
+func (w *missWindow) issue(time float64, mlp int, lookup float64, mem Memory, a addr.Addr, write bool) (float64, uint64) {
+	o := *w
+	if len(o) >= mlp {
+		min, idx := o[0], 0
+		for i, c := range o {
+			if c < min {
+				min, idx = c, i
+			}
+		}
+		if min > time {
+			time = min
+		}
+		o[idx] = o[len(o)-1]
+		o = o[:len(o)-1]
+	}
+	issue := time + lookup
+	done := float64(mem.Access(uint64(issue), a, write))
+	if done < issue {
+		done = issue
+	}
+	*w = append(o, done)
+	return time, uint64(done - time)
+}
+
+// drain returns the time at which every outstanding miss has returned.
+func (w missWindow) drain(time float64) float64 {
+	for _, c := range w {
 		if c > time {
 			time = c
 		}
 	}
-	res.Cycles = uint64(time)
-	if res.Cycles == 0 {
-		res.Cycles = 1
-	}
-	return res, nil
+	return time
 }

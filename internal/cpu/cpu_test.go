@@ -196,3 +196,95 @@ func stream1(t *testing.T, p trace.Profile, n uint64) trace.Stream {
 	}
 	return &trace.Limit{S: g, N: n}
 }
+
+// countMem counts the reads memory serves.
+type countMem struct{ reads uint64 }
+
+func (m *countMem) Access(now uint64, a addr.Addr, write bool) uint64 {
+	m.reads++
+	return now + 200
+}
+
+func (m *countMem) Writeback(now uint64, a addr.Addr) {}
+
+// TestPrefetchEndsWithRun: a prefetcher attached by WithPrefetch lasts
+// for that Run only. Warming up with prefetch and then measuring without
+// must equal the same warm-up followed by an explicit detach: no
+// prefetched lines installed, and every memory read a demand miss.
+func TestPrefetchEndsWithRun(t *testing.T) {
+	core := config.Default().Core
+	p := trace.Profile{Name: "stream", FootprintBytes: 64 * addr.MiB, AvgGap: 4,
+		RunMean: 128, HotFraction: 0.5, HotProbability: 0.1, WriteFraction: 0.1}
+	measure := func(detach bool) (Result, *countMem) {
+		g, err := trace.NewSynthetic(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := hier(t)
+		if _, err := Run(core, h, &countMem{}, &trace.Limit{S: g, N: 50000}, WithPrefetch(256, 4)); err != nil {
+			t.Fatal(err)
+		}
+		if detach {
+			h.DisablePrefetch()
+		}
+		mem := &countMem{}
+		res, err := Run(core, h, mem, &trace.Limit{S: g, N: 50000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, mem
+	}
+	got, mem := measure(false)
+	want, _ := measure(true)
+	if got != want {
+		t.Errorf("measure run after a prefetching warm-up:\n got %+v\nwant %+v", got, want)
+	}
+	if mem.reads != got.LLCMisses {
+		t.Errorf("memory served %d reads for %d demand misses: prefetches outlived their run",
+			mem.reads, got.LLCMisses)
+	}
+}
+
+// TestRunEqualsHalves: Run is the filter and core halves composed, so
+// replaying one filtered stream into several cores must give each the
+// result of its own Run, at every chunking the access buffer allows.
+func TestRunEqualsHalves(t *testing.T) {
+	core := config.Default().Core
+	for _, bufLen := range []int{1, 7, AccessBufferSize()} {
+		want, err := Run(core, hier(t), &fixedMem{lat: 300}, stream(t, memHeavy, 20000),
+			WithAccessBuffer(make([]trace.Access, bufLen)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := NewFilter(hier(t), stream(t, memHeavy, 20000))
+		cores := make([]*Core, 3)
+		for i := range cores {
+			if cores[i], err = NewCore(core, &fixedMem{lat: 300}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ch := &Chunk{}
+		ch.use(make([]trace.Access, bufLen))
+		for {
+			ok, err := f.Next(ch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if ch.Len() > bufLen {
+				t.Fatalf("chunk of %d accesses from a %d-access buffer", ch.Len(), bufLen)
+			}
+			for _, c := range cores {
+				c.Replay(ch)
+			}
+		}
+		f.Close()
+		for i, c := range cores {
+			if got := c.Finish(); got != want {
+				t.Errorf("buffer %d, core %d: %+v, want %+v", bufLen, i, got, want)
+			}
+		}
+	}
+}

@@ -23,10 +23,10 @@ type Thread struct {
 	Stream  trace.Stream
 
 	// internal state
-	time        float64
-	outstanding []float64
-	res         Result
-	done        bool
+	time   float64
+	window missWindow
+	res    Result
+	done   bool
 }
 
 // NewThread builds a thread with private cache levels from cfgs.
@@ -84,12 +84,7 @@ func RunMulti(core config.Core, threads []*Thread, llc *SharedLLC, mem Memory) (
 	}
 	out := make([]Result, len(threads))
 	for i, th := range threads {
-		for _, c := range th.outstanding {
-			if c > th.time {
-				th.time = c
-			}
-		}
-		th.res.Cycles = uint64(th.time)
+		th.res.Cycles = uint64(th.window.drain(th.time))
 		if th.res.Cycles == 0 {
 			th.res.Cycles = 1
 		}
@@ -133,27 +128,10 @@ func stepThread(core config.Core, th *Thread, llc *SharedLLC, mem Memory) bool {
 	}
 
 	// LLC miss: bounded-MLP overlap, like the single-core model.
-	if len(th.outstanding) >= core.MLP {
-		min, idx := th.outstanding[0], 0
-		for i, c := range th.outstanding {
-			if c < min {
-				min, idx = c, i
-			}
-		}
-		if min > th.time {
-			th.time = min
-		}
-		th.outstanding[idx] = th.outstanding[len(th.outstanding)-1]
-		th.outstanding = th.outstanding[:len(th.outstanding)-1]
-	}
-	issue := th.time + float64(llc.Lat)
-	done := float64(mem.Access(uint64(issue), acc.Addr, acc.Write))
-	if done < issue {
-		done = issue
-	}
+	var lat uint64
+	th.time, lat = th.window.issue(th.time, core.MLP, float64(llc.Lat), mem, acc.Addr, acc.Write)
 	th.res.LLCMisses++
-	th.res.TotalMissLatency += uint64(done - th.time)
-	th.outstanding = append(th.outstanding, done)
+	th.res.TotalMissLatency += lat
 	return true
 }
 

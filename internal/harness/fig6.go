@@ -53,29 +53,31 @@ func (h *Harness) Fig6() ([]Fig6Result, error) {
 		return nil, err
 	}
 	cfgs := Fig6Configs()
-	speedups, err := sweepGrid(h, cfgs, bs, 1,
-		func(ci, bi int) cell {
-			cfg, b := cfgs[ci], bs[bi].Profile.Name
-			return cell{ID: cellID("fig6", cfg.Label(), b), Seed: runner.Seed(string(config.DesignBumblebee), b)}
-		},
-		func(ci, bi int) (float64, error) {
-			cfg, b := cfgs[ci], bs[bi]
+	// Every configuration runs Bumblebee on the same per-benchmark trace,
+	// so each benchmark's nine cells share one filtered stream.
+	cells := gridCells(cfgs, bs, func(ci, bi int) cell {
+		cfg, b := cfgs[ci], bs[bi].Profile.Name
+		return cell{ID: cellID("fig6", cfg.Label(), b), Seed: runner.Seed(string(config.DesignBumblebee), b)}
+	})
+	flat, err := sweepShared(h, cells,
+		func(i int) shared {
+			cfg := cfgs[i/len(bs)]
 			sys := h.System()
 			sys.BlockBytes = cfg.BlockKB * addr.KiB
 			sys.PageBytes = cfg.PageKB * addr.KiB
-			mem, err := Build(config.DesignBumblebee, sys)
+			return h.syntheticCell(config.DesignBumblebee, string(config.DesignBumblebee), sys, bs[i%len(bs)])
+		},
+		func(i int, r RunResult, err error) (float64, error) {
+			cfg, b := cfgs[i/len(bs)], bs[i%len(bs)].Profile.Name
 			if err != nil {
-				return 0, fmt.Errorf("fig6 %s: %w", cfg.Label(), err)
+				return 0, fmt.Errorf("fig6 %s/%s: %w", cfg.Label(), b, err)
 			}
-			r, err := h.Run(sys, mem, b)
-			if err != nil {
-				return 0, fmt.Errorf("fig6 %s/%s: %w", cfg.Label(), b.Profile.Name, err)
-			}
-			return r.CPU.IPC() / base.ipc[b.Profile.Name], nil
+			return r.CPU.IPC() / base.ipc[b], nil
 		})
 	if err != nil {
 		return nil, err
 	}
+	speedups := byRow(flat, len(cfgs), len(bs))
 	var out []Fig6Result
 	for ci, cfg := range cfgs {
 		gm, err := metrics.Geomean(speedups[ci])

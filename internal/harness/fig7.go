@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"repro/internal/config"
 	"repro/internal/metrics"
 	"repro/internal/runner"
 )
@@ -27,28 +28,40 @@ func (h *Harness) Fig7() ([]Fig7Result, error) {
 		return nil, err
 	}
 	vs := Fig7Variants()
-	speedups, err := sweepGrid(h, vs, bs, 1,
-		func(vi, bi int) cell {
-			v, b := vs[vi], bs[bi].Profile.Name
-			return cell{ID: cellID("fig7", v.Label, b), Seed: runner.Seed("bumblebee", b)}
+	// A variant's trace is seeded by its design's Name(), so the variants
+	// that keep the name "bumblebee" share each benchmark's filtered
+	// stream; the fixed-ratio ones each replay their own.
+	syss := make([]config.System, len(vs))
+	names := make([]string, len(vs))
+	for vi, v := range vs {
+		syss[vi] = h.System()
+		v.Apply(&syss[vi])
+		mem, err := Build(config.DesignBumblebee, syss[vi])
+		if err != nil {
+			return nil, fmt.Errorf("fig7 %s: %w", v.Label, err)
+		}
+		names[vi] = mem.Name()
+	}
+	cells := gridCells(vs, bs, func(vi, bi int) cell {
+		v, b := vs[vi], bs[bi].Profile.Name
+		return cell{ID: cellID("fig7", v.Label, b), Seed: runner.Seed("bumblebee", b)}
+	})
+	flat, err := sweepShared(h, cells,
+		func(i int) shared {
+			vi := i / len(bs)
+			return h.syntheticCell(config.DesignBumblebee, names[vi], syss[vi], bs[i%len(bs)])
 		},
-		func(vi, bi int) (float64, error) {
-			v, b := vs[vi], bs[bi]
-			sys := h.System()
-			v.Apply(&sys)
-			mem, err := Build("bumblebee", sys)
+		func(i int, r RunResult, err error) (float64, error) {
+			v, b := vs[i/len(bs)], bs[i%len(bs)].Profile.Name
 			if err != nil {
-				return 0, fmt.Errorf("fig7 %s: %w", v.Label, err)
+				return 0, fmt.Errorf("fig7 %s/%s: %w", v.Label, b, err)
 			}
-			r, err := h.Run(sys, mem, b)
-			if err != nil {
-				return 0, fmt.Errorf("fig7 %s/%s: %w", v.Label, b.Profile.Name, err)
-			}
-			return r.CPU.IPC() / base.ipc[b.Profile.Name], nil
+			return r.CPU.IPC() / base.ipc[b], nil
 		})
 	if err != nil {
 		return nil, err
 	}
+	speedups := byRow(flat, len(vs), len(bs))
 	var out []Fig7Result
 	for vi, v := range vs {
 		gm, err := metrics.Geomean(speedups[vi])

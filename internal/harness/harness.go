@@ -14,12 +14,21 @@
 // assembled in matrix order and each cell seeds its trace generator from a
 // stable hash of the design and benchmark names, so a sweep's output is
 // bit-identical at any Parallel setting.
+//
+// Cells that replay the same trace through the same caches are filtered
+// once and fanned out (see fanout.go): the core model splits at the LLC
+// (cpu.Filter, cpu.Core), one producer decodes the trace and walks the
+// SRAM hierarchy, and every cell's core replays the post-LLC chunks into
+// its own design. ReplaySweep groups all its designs, Fig6 all nine
+// configurations of a benchmark, and Fig7 the variants that keep
+// Bumblebee's name (and so its trace seed); every other sweep still seeds
+// each design's trace separately, so its cells run alone. Grouping is
+// invisible in the results: every cell's bytes equal its solo run.
 package harness
 
 import (
 	"fmt"
 	"log/slog"
-	"strconv"
 	"sync"
 	"time"
 
@@ -57,7 +66,9 @@ type Harness struct {
 
 	// CellTimeout is the per-cell deadline for every sweep; a cell that
 	// overruns it fails with a runner.CellError instead of hanging the
-	// sweep. <= 0 (the default) disables the deadline.
+	// sweep. <= 0 (the default) disables the deadline. Cells that share
+	// a trace run as one group (see fanout.go), so a grouped cell's clock
+	// runs while the whole group shares the workers.
 	CellTimeout time.Duration
 
 	// TelemetryEpoch enables per-run telemetry (latency histograms, event
@@ -79,7 +90,9 @@ type Harness struct {
 	// Interrupt, when closed, drains every sweep gracefully: in-flight
 	// cells finish (and checkpoint), unstarted cells never run, and the
 	// sweep returns an error matching runner.ErrInterrupted so callers
-	// can exit with the resumable status instead of failing.
+	// can exit with the resumable status instead of failing. A group in
+	// flight finishes all its cells; those the sweep had not reached are
+	// not checkpointed.
 	Interrupt <-chan struct{}
 
 	// Journal is the checkpoint journal (see internal/ckpt): when set,
@@ -194,11 +207,23 @@ func (h *Harness) Run(sys config.System, mem hmm.MemSystem, b trace.Benchmark) (
 	if p.Seed == 0 {
 		p.Seed = runner.Seed(mem.Name(), p.Name)
 	}
-	gen, err := trace.NewSynthetic(p)
+	st, err := h.synthetic(p)()
 	if err != nil {
 		return RunResult{}, err
 	}
-	return h.runStream(sys, mem, p.Name, &trace.Limit{S: gen, N: h.Accesses}, p.Seed)
+	return h.runStream(sys, mem, p.Name, st, p.Seed)
+}
+
+// synthetic returns a source of p's generated stream, capped at
+// h.Accesses.
+func (h *Harness) synthetic(p trace.Profile) func() (trace.Stream, error) {
+	return func() (trace.Stream, error) {
+		gen, err := trace.NewSynthetic(p)
+		if err != nil {
+			return nil, err
+		}
+		return &trace.Limit{S: gen, N: h.Accesses}, nil
+	}
 }
 
 // RunStream simulates one design over an externally supplied access
@@ -209,30 +234,33 @@ func (h *Harness) Run(sys config.System, mem hmm.MemSystem, b trace.Benchmark) (
 // of (design, stream), so identical trace bytes produce identical
 // results at any Parallel setting.
 func (h *Harness) RunStream(design config.Design, bench string, st trace.Stream) (RunResult, error) {
+	return h.runShared(h.replayCell(design, bench, func() (trace.Stream, error) { return st, nil }))
+}
+
+// replayCell describes one design's replay of a recorded trace: opened
+// by open, capped at h.Accesses, recorded under a simulate span.
+func (h *Harness) replayCell(design config.Design, bench string, open func() (trace.Stream, error)) shared {
 	sys := h.System()
-	mem, err := Build(design, sys)
-	if err != nil {
-		return RunResult{}, err
+	return shared{
+		key: cellID("replay", bench, fmt.Sprint(sys.Caches)),
+		open: func() (trace.Stream, error) {
+			st, err := open()
+			if err != nil || h.Accesses == 0 {
+				return st, err
+			}
+			return &trace.Limit{S: st, N: h.Accesses}, nil
+		},
+		sys: sys, design: design, build: builder(design, sys), bench: bench, span: true,
 	}
-	if h.Accesses > 0 {
-		st = &trace.Limit{S: st, N: h.Accesses}
-	}
-	sp := h.Spans.Start(h.SpanParent, "simulate/"+string(design))
-	r, err := h.runStream(sys, mem, bench, st, 0)
-	if err != nil {
-		h.Spans.Fail(sp, err)
-		return r, err
-	}
-	h.Spans.Annotate(sp, "accesses", strconv.FormatUint(r.CPU.Accesses, 10))
-	h.Spans.End(sp)
-	return r, nil
 }
 
 // ReplaySweep runs one recorded trace against every design in designs,
 // fanning out across the harness worker pool like every other sweep.
-// Each cell consumes its own stream, so open must return a fresh reader
-// over the same trace bytes per call (reopen the file); it is called
-// from worker goroutines and must be safe for concurrent use.
+// All designs share one filtered stream (see sweepShared), so open is
+// called once per group — plus once per cell a transient failure
+// retries alone — and must return a fresh reader over the same trace
+// bytes per call (reopen the file). It is called from worker goroutines
+// and must be safe for concurrent use.
 func (h *Harness) ReplaySweep(designs []config.Design, bench string, open func() (trace.Stream, error)) ([]RunResult, error) {
 	cells := make([]cell, len(designs))
 	for i, d := range designs {
@@ -241,30 +269,56 @@ func (h *Harness) ReplaySweep(designs []config.Design, bench string, open func()
 			Seed: runner.Seed(string(d), bench),
 		}
 	}
-	return sweepCells(h, cells, 1, func(i int) (RunResult, error) {
-		st, err := open()
-		if err != nil {
-			return RunResult{}, fmt.Errorf("replay %s/%s: %w", designs[i], bench, err)
-		}
-		r, err := h.RunStream(designs[i], bench, st)
-		if err != nil {
-			return RunResult{}, err
-		}
-		h.log("replay", "design", r.Design, "bench", bench, "ipc", r.CPU.IPC())
-		return r, nil
-	})
+	return sweepShared(h, cells,
+		func(i int) shared { return h.replayCell(designs[i], bench, open) },
+		func(i int, r RunResult, err error) (RunResult, error) {
+			if err != nil {
+				return RunResult{}, err
+			}
+			h.log("replay", "design", r.Design, "bench", bench, "ipc", r.CPU.IPC())
+			return r, nil
+		})
 }
 
-// runStream is the shared back half of Run and RunStream: it builds the
-// cache hierarchy, attaches fault injection and telemetry, feeds the
-// stream through cpu.Run's batch ingestion path, and assembles the
-// result. seed is recorded in failure messages for replayability (0 for
-// external traces, whose identity is the trace file itself).
+// runStream is the single-consumer path shared by Run, RunStream and
+// every cell that replays its trace alone: it builds the cache hierarchy
+// and the design side (see newSim), runs cpu.Run — the hierarchy and
+// core halves composed — over the stream, and assembles the result. seed
+// is recorded in failure messages for replayability (0 for external
+// traces, whose identity is the trace file itself).
 func (h *Harness) runStream(sys config.System, mem hmm.MemSystem, bench string, st trace.Stream, seed uint64) (RunResult, error) {
 	hier, err := cache.NewHierarchy(sys.Caches)
 	if err != nil {
 		return RunResult{}, err
 	}
+	sim := h.newSim(sys, mem, bench, seed)
+	// Trace ingestion buffers are pooled across cells (workers return them
+	// when the cell finishes), so sweeps do not allocate one per cell. The
+	// buffer is scratch space fully rewritten each batch — sharing cannot
+	// leak state between cells.
+	accBuf := accBufPool.Get().(*[]trace.Access)
+	res, err := cpu.Run(sys.Core, hier, mem, st, cpu.WithAccessBuffer(*accBuf))
+	accBufPool.Put(accBuf)
+	return sim.finish(res, err)
+}
+
+// sim is the design side of one cell: its memory system with fault
+// injection, telemetry and the live alert feed attached, ready to
+// consume a post-LLC stream.
+type sim struct {
+	h      *Harness
+	sys    config.System
+	mem    hmm.MemSystem
+	bench  string
+	seed   uint64
+	probe  *telemetry.Probe
+	runTel *RunTelemetry
+	cm     *alert.CellMon
+}
+
+// newSim attaches fault injection, telemetry and the alert feed to mem.
+func (h *Harness) newSim(sys config.System, mem hmm.MemSystem, bench string, seed uint64) *sim {
+	s := &sim{h: h, sys: sys, mem: mem, bench: bench, seed: seed}
 	// Fault injection follows the same cell-identity seeding rule: the
 	// injector's schedule depends only on (design, benchmark) plus the
 	// configured fault seed, never on scheduling. faults.New returns nil
@@ -277,44 +331,41 @@ func (h *Harness) runStream(sys config.System, mem hmm.MemSystem, bench string, 
 	// Telemetry is per-cell: each run owns one probe, and everything it
 	// records is a pure function of the cell's access stream, so the
 	// assembled sweep output stays byte-identical at any Parallel setting.
-	var runTel *RunTelemetry
-	var probe *telemetry.Probe
-	cm := h.Alerts.StartCell(mem.Name(), bench)
+	s.cm = h.Alerts.StartCell(mem.Name(), bench)
 	if h.TelemetryEpoch > 0 {
-		probe = telemetry.NewProbe(h.TelemetryEpoch, h.TraceDepth)
-		runTel = &RunTelemetry{Epoch: h.TelemetryEpoch, FreqMHz: sys.Core.FreqMHz}
+		s.probe = telemetry.NewProbe(h.TelemetryEpoch, h.TraceDepth)
+		s.runTel = &RunTelemetry{Epoch: h.TelemetryEpoch, FreqMHz: sys.Core.FreqMHz}
 		reporter, _ := mem.(hmm.StateReporter)
-		probe.OnEpoch = func(access, cycle uint64) {
+		s.probe.OnEpoch = func(access, cycle uint64) {
 			pt := TimelinePoint{Access: access, Cycle: cycle, Counters: mem.Counters()}
 			if reporter != nil {
 				pt.State = reporter.TelemetryState()
 				pt.HasState = true
 			}
-			runTel.Timeline = append(runTel.Timeline, pt)
-			cm.ObserveEpoch(epochSample(pt))
+			s.runTel.Timeline = append(s.runTel.Timeline, pt)
+			s.cm.ObserveEpoch(epochSample(pt))
 		}
-		mem.Devices().AttachTelemetry(probe)
+		mem.Devices().AttachTelemetry(s.probe)
 	}
-	// Trace ingestion buffers are pooled across cells (workers return them
-	// when the cell finishes), so sweeps do not allocate one per cell. The
-	// buffer is scratch space fully rewritten each batch — sharing cannot
-	// leak state between cells.
-	accBuf := accBufPool.Get().(*[]trace.Access)
-	res, err := cpu.Run(sys.Core, hier, mem, st, cpu.WithAccessBuffer(*accBuf))
-	accBufPool.Put(accBuf)
+	return s
+}
+
+// finish assembles the cell's result from its core's outcome.
+func (s *sim) finish(res cpu.Result, err error) (RunResult, error) {
+	h, mem, bench := s.h, s.mem, s.bench
 	if err != nil {
 		// Include the cell's replay identity: the seed pins the workload
 		// and fault streams, the epoch pins the sampling cadence, so the
 		// failure reproduces from the log alone.
 		h.Obs.CellFailed(mem.Name(), bench, err)
 		return RunResult{}, fmt.Errorf("%s/%s (%s): %w",
-			mem.Name(), bench, runner.CellInfo(seed, h.TelemetryEpoch), err)
+			mem.Name(), bench, runner.CellInfo(s.seed, h.TelemetryEpoch), err)
 	}
-	if runTel != nil {
-		runTel.Lat = probe.Lat
-		runTel.Events = probe.Tracer.Events()
-		runTel.EventsTotal = probe.Tracer.Total()
-		runTel.EventsDropped = probe.Tracer.Dropped()
+	if s.runTel != nil {
+		s.runTel.Lat = s.probe.Lat
+		s.runTel.Events = s.probe.Tracer.Events()
+		s.runTel.EventsTotal = s.probe.Tracer.Total()
+		s.runTel.EventsDropped = s.probe.Tracer.Dropped()
 	}
 	dev := mem.Devices()
 	hbm, ddr := dev.HBM.Stats(), dev.DRAM.Stats()
@@ -322,8 +373,8 @@ func (h *Harness) runStream(sys config.System, mem hmm.MemSystem, bench string, 
 		dev.HBM.BackgroundEnergyPJ(res.Cycles),
 		dev.DRAM.BackgroundEnergyPJ(res.Cycles))
 	var lat *[telemetry.NumTiers]telemetry.Histogram
-	if probe != nil {
-		lat = &probe.Lat
+	if s.probe != nil {
+		lat = &s.probe.Lat
 	}
 	cnt := mem.Counters()
 	h.obsDone(mem.Name(), bench, res.Accesses, cnt, lat)
@@ -335,12 +386,12 @@ func (h *Harness) runStream(sys config.System, mem hmm.MemSystem, bench string, 
 		Energy:    e,
 		HBMBytes:  hbm.TotalBytes(),
 		DRAMBytes: ddr.TotalBytes(),
-		Telemetry: runTel,
+		Telemetry: s.runTel,
 	}
 	// The final feed evaluates the full rule set over the completed
 	// cell — latency summaries included — so the monitor's firing set
 	// for this cell is exactly what post-hoc analysis computes.
-	cm.Done(runSample(rr), latencySamples(rr))
+	s.cm.Done(runSample(rr), latencySamples(rr))
 	return rr, nil
 }
 

@@ -146,18 +146,28 @@ func sweepCells[T any](h *Harness, cells []cell, per int, run func(i int) (T, er
 // [row][col]. id(r, c) names the cell at (rows[r], cols[c]).
 func sweepGrid[R, C, T any](h *Harness, rows []R, cols []C, per int,
 	id func(ri, ci int) cell, run func(ri, ci int) (T, error)) ([][]T, error) {
+	flat, err := sweepCells(h, gridCells(rows, cols, id), per, func(i int) (T, error) {
+		return run(i/len(cols), i%len(cols))
+	})
+	return byRow(flat, len(rows), len(cols)), err
+}
+
+// gridCells lists a rows × cols cross product's cells row-major.
+func gridCells[R, C any](rows []R, cols []C, id func(ri, ci int) cell) []cell {
 	cells := make([]cell, 0, len(rows)*len(cols))
 	for ri := range rows {
 		for ci := range cols {
 			cells = append(cells, id(ri, ci))
 		}
 	}
-	flat, err := sweepCells(h, cells, per, func(i int) (T, error) {
-		return run(i/len(cols), i%len(cols))
-	})
-	out := make([][]T, len(rows))
-	for ri := range rows {
-		out[ri] = flat[ri*len(cols):(ri+1)*len(cols)]
+	return cells
+}
+
+// byRow reshapes a row-major flat result slice to [row][col].
+func byRow[T any](flat []T, rows, cols int) [][]T {
+	out := make([][]T, rows)
+	for ri := range out {
+		out[ri] = flat[ri*cols : (ri+1)*cols]
 	}
-	return out, err
+	return out
 }

@@ -717,10 +717,11 @@ func (s *Server) runJob(j *job) error {
 		designs = []config.Design{config.Design(j.Design)}
 	}
 
-	// Each sweep cell consumes its own reader over the spooled trace;
-	// handles are collected and closed when the sweep finishes (a cell
-	// capped by Accesses does not drain its stream, so close-on-EOF
-	// would leak).
+	// The sweep opens one reader over the spooled trace for all its
+	// designs — one decode span, one decode sample — plus one per cell a
+	// retry replays alone; handles are collected and closed when the
+	// sweep finishes (a run capped by Accesses does not drain its
+	// stream, so close-on-EOF would leak).
 	var fmu sync.Mutex
 	var files []*os.File
 	defer func() {

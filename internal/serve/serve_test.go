@@ -562,6 +562,44 @@ func TestEventsAndServiceTrace(t *testing.T) {
 	}
 }
 
+// TestDesignAllDecodesOnce: a design=all job replays every design from
+// one filtered stream, so its span tree holds exactly one decode span and
+// the decode histogram one sample, while simulate spans stay per design.
+func TestDesignAllDecodesOnce(t *testing.T) {
+	srv, ts := newTestServer(t, nil)
+	st, resp := submit(t, ts, "design=all&bench=fixture", fixtureTrace(t))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d, want 202", resp.StatusCode)
+	}
+	waitDone(t, ts, st.ID)
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(fetch(t, ts, st.ID, ServiceTraceName), &doc); err != nil {
+		t.Fatal(err)
+	}
+	count := map[string]int{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" {
+			count[ev.Name]++
+		}
+	}
+	if count["decode"] != 1 {
+		t.Errorf("design=all recorded %d decode spans, want 1", count["decode"])
+	}
+	for _, d := range harness.AllDesigns {
+		if n := count["simulate/"+string(d)]; n != 1 {
+			t.Errorf("simulate/%s spans = %d, want 1", d, n)
+		}
+	}
+	if n := srv.Obs.PhaseHistogram(obs.PhaseDecode).Count; n != 1 {
+		t.Errorf("decode histogram count = %d, want 1", n)
+	}
+}
+
 // TestLivezReadyz pins the probe split: liveness is unconditional,
 // readiness tracks the fleet accepting jobs (503 before Start and
 // during drain), and /healthz stays a readiness alias.
