@@ -13,14 +13,11 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/check"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/harness"
-	"repro/internal/hmm"
 	"repro/internal/metrics"
-	"repro/internal/runner"
 	"repro/internal/trace"
 )
 
@@ -302,50 +299,6 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 				b.ReportMetric(res.IPC(), tag)
 			}
 		}
-	}
-}
-
-// BenchmarkAccessBatch measures every design's devirtualized batch
-// demand path in isolation — no CPU model, no cache hierarchy, just
-// AccessBatch over a reused 4096-op slice — and reports ns/access. The
-// steady-state path must not allocate: the completion buffer is owned by
-// the design and reused across batches, so any allocation is a
-// regression and fails the bench before timing starts.
-func BenchmarkAccessBatch(b *testing.B) {
-	sys := config.Default().Scaled(256)
-	for _, d := range harness.AllDesigns {
-		b.Run(string(d), func(b *testing.B) {
-			mem, err := harness.Build(d, sys)
-			if err != nil {
-				b.Fatal(err)
-			}
-			bsys, ok := mem.(hmm.BatchMemSystem)
-			if !ok {
-				b.Fatalf("%s does not implement hmm.BatchMemSystem", d)
-			}
-			raw := check.GenOps(check.FamilyZipf, runner.Seed("bench-batch", string(d)), 4096, sys)
-			ops := make([]hmm.Op, 0, len(raw))
-			for _, op := range raw {
-				if !op.WB {
-					ops = append(ops, hmm.Op{Addr: op.Addr, Write: op.Write})
-				}
-			}
-			var now uint64
-			if allocs := testing.AllocsPerRun(10, func() {
-				out := bsys.AccessBatch(now, ops)
-				now = out[len(out)-1]
-			}); allocs != 0 {
-				b.Fatalf("steady-state AccessBatch allocates: %v allocs/run", allocs)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out := bsys.AccessBatch(now, ops)
-				now = out[len(out)-1]
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(len(ops))), "ns/access")
-		})
 	}
 }
 

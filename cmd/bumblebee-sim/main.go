@@ -7,7 +7,12 @@
 //	bumblebee-sim -design bumblebee -bench mcf
 //	bumblebee-sim -design hybrid2 -bench roms -scale 64 -accesses 2000000
 //	bumblebee-sim -design bumblebee,hybrid2 -bench mcf,wrf,xz -parallel 8
-//	bumblebee-sim -design bumblebee -trace run.bbtr
+//	bumblebee-sim -design bumblebee -trace run.bbt1.gz
+//
+// -trace replays a recorded trace in any encoding bbserve accepts (BBT1
+// binary, text, or a .bbtr recording, each optionally gzipped) instead
+// of a benchmark. Its first access gets an instruction gap of 1, as in
+// bbserve.
 //
 // Designs: bumblebee, hybrid2, chameleon, banshee, alloy, unison, c-only,
 // m-only, no-hbm.
@@ -24,19 +29,17 @@ import (
 	"time"
 
 	"repro/internal/alert"
-	"repro/internal/cache"
 	"repro/internal/ckpt"
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/energy"
-	"repro/internal/faults"
 	"repro/internal/harness"
 	"repro/internal/hmm"
 	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/tracecodec"
 )
 
 // writeTrace creates path and streams the Chrome trace into it. The close
@@ -58,7 +61,7 @@ func main() {
 	var (
 		design    = flag.String("design", "bumblebee", "memory design to simulate (comma-separated list runs a matrix)")
 		bench     = flag.String("bench", "mcf", "Table II benchmark name (comma-separated list runs a matrix)")
-		traceFile = flag.String("trace", "", "replay a recorded .bbtr trace instead of a benchmark")
+		traceFile = flag.String("trace", "", "replay a recorded trace (BBT1, text or .bbtr, optionally gzipped) instead of a benchmark")
 		scale     = flag.Uint64("scale", 128, "capacity scale factor versus Table I")
 		accesses  = flag.Uint64("accesses", 1_000_000, "memory references to simulate")
 		blockKB   = flag.Uint64("block", 2, "Bumblebee block size in KB")
@@ -94,9 +97,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("bumblebee-sim: -rules: %v", err)
 	}
-	// Matrix sweeps get the live monitor (firing transitions log to
-	// stderr and surface as bb_alerts_* gauges on /metrics); single runs
-	// evaluate the rule set once, post-run, when -rules is given.
+	// Every run feeds the live monitor: firing transitions log to stderr
+	// and surface as bb_alerts_* gauges on /metrics.
 	mon := alert.NewMonitor(rules)
 	mon.Log = stderrLog
 	h.Alerts = mon
@@ -186,86 +188,27 @@ func main() {
 		log.Fatalf("bumblebee-sim: %v", err)
 	}
 
-	var stream trace.Stream
-	var label string
+	var r harness.RunResult
 	if *traceFile != "" {
-		f, err := os.Open(*traceFile)
-		if err != nil {
-			log.Fatalf("bumblebee-sim: %v", err)
-		}
-		defer f.Close()
-		r, err := trace.NewReader(f)
-		if err != nil {
-			log.Fatalf("bumblebee-sim: %v", err)
-		}
-		stream = &trace.Limit{S: r, N: *accesses}
-		label = *traceFile
+		r, err = replay(h, sys, mem, *traceFile)
 	} else {
-		b, err := trace.ByName(*bench)
-		if err != nil {
+		b, berr := trace.ByName(*bench)
+		if berr != nil {
 			log.Fatalf("bumblebee-sim: unknown benchmark %q (known: %s)",
 				*bench, strings.Join(trace.Names(), ", "))
 		}
-		// Same seed-derivation rule as the harness sweeps, so a single run
-		// reproduces the corresponding matrix cell exactly.
-		p := b.Scale(h.Scale).Profile
-		p.Seed = runner.Seed(mem.Name(), p.Name)
-		gen, err := trace.NewSynthetic(p)
-		if err != nil {
-			log.Fatalf("bumblebee-sim: %v", err)
-		}
-		stream = &trace.Limit{S: gen, N: *accesses}
-		label = b.Profile.Name
+		r, err = h.Run(sys, mem, b.Scale(h.Scale))
 	}
-
-	// Same fault-seeding rule as harness.Run, so a single faulted run
-	// reproduces its figfault matrix cell exactly.
-	if sys.Faults.Enabled {
-		dev := mem.Devices()
-		dev.AttachFaults(faults.New(sys.Faults, dev.Geom.HBMPages(),
-			runner.Seed("faults", mem.Name(), label)))
-	}
-
-	// Same per-cell probe wiring as harness.Run, so a single telemetry run
-	// matches the corresponding sweep cell's timeline and trace exactly.
-	var runTel *harness.RunTelemetry
-	var probe *telemetry.Probe
-	if of.TelemetryEpoch > 0 {
-		probe = telemetry.NewProbe(of.TelemetryEpoch, of.TraceDepth)
-		runTel = &harness.RunTelemetry{Epoch: of.TelemetryEpoch, FreqMHz: sys.Core.FreqMHz}
-		reporter, _ := mem.(hmm.StateReporter)
-		probe.OnEpoch = func(access, cycle uint64) {
-			pt := harness.TimelinePoint{Access: access, Cycle: cycle, Counters: mem.Counters()}
-			if reporter != nil {
-				pt.State = reporter.TelemetryState()
-				pt.HasState = true
-			}
-			runTel.Timeline = append(runTel.Timeline, pt)
-		}
-		mem.Devices().AttachTelemetry(probe)
-	}
-
-	hier, err := cache.NewHierarchy(sys.Caches)
 	if err != nil {
 		log.Fatalf("bumblebee-sim: %v", err)
 	}
-	res, err := cpu.Run(sys.Core, hier, mem, stream)
-	if err != nil {
-		log.Fatalf("bumblebee-sim: %v", err)
-	}
-	if runTel != nil {
-		runTel.Lat = probe.Lat
-		runTel.Events = probe.Tracer.Events()
-		runTel.EventsTotal = probe.Tracer.Total()
-		runTel.EventsDropped = probe.Tracer.Dropped()
-	}
+	res, cnt, runTel := r.CPU, r.Counters, r.Telemetry
 
-	cnt := mem.Counters()
 	hbm := mem.Devices().HBM.Stats()
 	ddr := mem.Devices().DRAM.Stats()
 	e := energy.FromStats(hbm, ddr)
 
-	fmt.Printf("design %s, workload %s, scale 1/%d\n\n", mem.Name(), label, *scale)
+	fmt.Printf("design %s, workload %s, scale 1/%d\n\n", r.Design, r.Bench, *scale)
 	fmt.Printf("instructions    %12d\n", res.Instructions)
 	fmt.Printf("cycles          %12d\n", res.Cycles)
 	fmt.Printf("IPC             %12.3f\n", res.IPC())
@@ -303,8 +246,7 @@ func main() {
 		fmt.Printf("  epochs %d   events %d recorded (%d beyond ring depth)\n",
 			len(runTel.Timeline), runTel.EventsTotal, runTel.EventsDropped)
 		if of.TraceOut != "" {
-			rr := harness.RunResult{Design: mem.Name(), Bench: label, Telemetry: runTel}
-			if err := writeTrace(of.TraceOut, []harness.RunResult{rr}); err != nil {
+			if err := writeTrace(of.TraceOut, []harness.RunResult{r}); err != nil {
 				log.Fatalf("bumblebee-sim: %v", err)
 			}
 			fmt.Printf("  trace written to %s\n", of.TraceOut)
@@ -320,17 +262,6 @@ func main() {
 			cnt.RetireMigrations, cnt.RetireDrops, cnt.RetireDeferred)
 	}
 
-	// A single run is not a sweep cell, so the monitor never saw it;
-	// evaluate the rule set directly when one was supplied, keeping the
-	// default stdout contract untouched.
-	if of.Rules != "" {
-		rr := harness.RunResult{Design: mem.Name(), Bench: label, Counters: cnt, Telemetry: runTel}
-		for _, a := range alert.Evaluate(harness.AlertInput([]harness.RunResult{rr}), rules) {
-			stderrLog.Warn("alert firing", "rule", a.Rule, "severity", string(a.Severity),
-				"design", a.Design, "bench", a.Bench, "detail", a.Detail)
-		}
-	}
-
 	if bb, ok := mem.(*core.Bumblebee); ok {
 		fmt.Println()
 		bb.Summary(os.Stdout)
@@ -343,6 +274,21 @@ func main() {
 	} else if *inspect >= 0 {
 		log.Fatalf("bumblebee-sim: -inspect needs a Bumblebee-family design")
 	}
+}
+
+// replay runs the trace at path, in whichever encoding tracecodec.Open
+// sniffs, on mem through the harness.
+func replay(h *harness.Harness, sys config.System, mem hmm.MemSystem, path string) (harness.RunResult, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return harness.RunResult{}, err
+	}
+	defer f.Close()
+	rd, err := tracecodec.Open(f)
+	if err != nil {
+		return harness.RunResult{}, err
+	}
+	return h.RunStream(sys, mem, path, tracecodec.NewStream(rd))
 }
 
 // runMatrix fans a (design × benchmark) matrix out across the harness

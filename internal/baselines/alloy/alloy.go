@@ -24,8 +24,6 @@ type line struct {
 
 // Cache is the Alloy Cache design.
 type Cache struct {
-	batch hmm.BatchBuf // reusable AccessBatch completion buffer
-
 	dev   *hmm.Devices
 	cnt   hmm.Counters
 	os    *hmm.OSMem
@@ -134,18 +132,4 @@ func (c *Cache) Writeback(now uint64, a addr.Addr) {
 		return
 	}
 	c.dev.DRAM.Access(now, addr.Addr(lineNo*64), 64, true)
-}
-
-// AccessBatch implements hmm.BatchMemSystem: the ops issue back to back
-// (each at the completion cycle of the previous one) through the scalar
-// kernel, with one interface dispatch and one completion buffer for the
-// whole batch. The returned slice is reused by the next call.
-func (c *Cache) AccessBatch(now uint64, ops []hmm.Op) []uint64 {
-	out := c.batch.Take(len(ops))
-	t := now
-	for _, op := range ops {
-		t = c.Access(t, op.Addr, op.Write)
-		out = append(out, t)
-	}
-	return c.batch.Keep(out)
 }

@@ -32,8 +32,6 @@ type group struct {
 
 // System is the Chameleon POM design.
 type System struct {
-	batch hmm.BatchBuf // reusable AccessBatch completion buffer
-
 	dev    *hmm.Devices
 	cnt    hmm.Counters
 	meta   *hmm.Meta
@@ -200,18 +198,4 @@ func (s *System) Writeback(now uint64, a addr.Addr) {
 	} else {
 		s.dev.WriteDRAM(now, s.dramSeg(grp, uint64(loc)), off64, 64)
 	}
-}
-
-// AccessBatch implements hmm.BatchMemSystem: the ops issue back to back
-// (each at the completion cycle of the previous one) through the scalar
-// kernel, with one interface dispatch and one completion buffer for the
-// whole batch. The returned slice is reused by the next call.
-func (s *System) AccessBatch(now uint64, ops []hmm.Op) []uint64 {
-	out := s.batch.Take(len(ops))
-	t := now
-	for _, op := range ops {
-		t = s.Access(t, op.Addr, op.Write)
-		out = append(out, t)
-	}
-	return s.batch.Keep(out)
 }

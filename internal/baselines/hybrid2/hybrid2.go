@@ -47,8 +47,6 @@ type pomSet struct {
 
 // System is the Hybrid2 design.
 type System struct {
-	batch hmm.BatchBuf // reusable AccessBatch completion buffer
-
 	dev  *hmm.Devices
 	cnt  hmm.Counters
 	geom *addr.Geometry // 2 KB pages over DRAM + POM region
@@ -432,18 +430,4 @@ func (s *System) Writeback(now uint64, a addr.Addr) {
 		return
 	}
 	s.dev.AccessDRAM(now, s.geom.DRAMFrameOfSlot(setIdx, uint64(slot)), off64, 64, true)
-}
-
-// AccessBatch implements hmm.BatchMemSystem: the ops issue back to back
-// (each at the completion cycle of the previous one) through the scalar
-// kernel, with one interface dispatch and one completion buffer for the
-// whole batch. The returned slice is reused by the next call.
-func (s *System) AccessBatch(now uint64, ops []hmm.Op) []uint64 {
-	out := s.batch.Take(len(ops))
-	t := now
-	for _, op := range ops {
-		t = s.Access(t, op.Addr, op.Write)
-		out = append(out, t)
-	}
-	return s.batch.Keep(out)
 }

@@ -13,8 +13,6 @@ import (
 
 // System routes every request to off-chip DRAM.
 type System struct {
-	batch hmm.BatchBuf // reusable AccessBatch completion buffer
-
 	dev *hmm.Devices
 	cnt hmm.Counters
 	os  *hmm.OSMem
@@ -69,18 +67,4 @@ func (s *System) Access(now uint64, a addr.Addr, write bool) uint64 {
 func (s *System) Writeback(now uint64, a addr.Addr) {
 	s.cnt.Writebacks++
 	s.dev.DRAM.Access(now, s.local(a), 64, true)
-}
-
-// AccessBatch implements hmm.BatchMemSystem: the ops issue back to back
-// (each at the completion cycle of the previous one) through the scalar
-// kernel, with one interface dispatch and one completion buffer for the
-// whole batch. The returned slice is reused by the next call.
-func (s *System) AccessBatch(now uint64, ops []hmm.Op) []uint64 {
-	out := s.batch.Take(len(ops))
-	t := now
-	for _, op := range ops {
-		t = s.Access(t, op.Addr, op.Write)
-		out = append(out, t)
-	}
-	return s.batch.Keep(out)
 }

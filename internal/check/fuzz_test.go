@@ -58,67 +58,6 @@ func FuzzLockstepBumblebee(f *testing.F) {
 	})
 }
 
-// batchFuzzSizes is the batch-size selector table for FuzzBatchBoundary:
-// degenerate single-op batches, the smallest pair, odd ragged sizes that
-// straddle telemetry epochs, and the production slice size (larger than
-// any fuzz op stream, so the whole stream lands in one batch).
-var batchFuzzSizes = []int{1, 2, 3, 7, 33, 97, 256, 4096}
-
-// batchFuzzEpochs is the telemetry-epoch selector table: off, every
-// access, and odd periods that land epoch boundaries mid-batch.
-var batchFuzzEpochs = []uint64{0, 1, 97, 13}
-
-// FuzzBatchBoundary fuzzes the scalar-vs-batch differential across batch
-// sizes and telemetry epochs: data[0] selects design and fault injection,
-// data[1] the batch size, data[2] the telemetry epoch, and data[3:]
-// decodes as op records. The committed seed corpus
-// (testdata/fuzz/FuzzBatchBoundary, regenerate with
-// cmd/genbatchcorpus) pins the interesting boundaries: batch sizes 1,
-// 2, odd, and 4096, epochs straddling batch boundaries, and fault windows
-// on and off.
-func FuzzBatchBoundary(f *testing.F) {
-	sys := config.Default().Scaled(1024)
-	for i, fam := range Families {
-		raw := BytesFromOps(GenOps(fam, runner.Seed("fuzz-batch", string(fam)), 64, sys))
-		f.Add(append([]byte{byte(i * 5), byte(i), byte(i)}, raw...))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 3 {
-			return
-		}
-		sel := data[0]
-		ops := OpsFromBytes(data[3:], fuzzOps)
-		if len(ops) == 0 {
-			return
-		}
-		d := harness.AllDesigns[int(sel>>1)%len(harness.AllDesigns)]
-		s := sys
-		if sel&1 != 0 {
-			s.Faults = harness.FaultsAtRate(500)
-		}
-		mk := func() (hmm.MemSystem, error) {
-			mem, err := harness.Build(d, s)
-			if err != nil {
-				return nil, err
-			}
-			if sel&1 != 0 {
-				dev := mem.Devices()
-				dev.AttachFaults(faults.New(s.Faults, dev.Geom.HBMPages(), uint64(sel)+1))
-			}
-			return mem, nil
-		}
-		cfg := BatchConfig{
-			BatchSize: batchFuzzSizes[int(data[1])%len(batchFuzzSizes)],
-			Epoch:     batchFuzzEpochs[int(data[2])%len(batchFuzzEpochs)],
-		}
-		if v := BatchLockstep(mk, ops, cfg); v != nil {
-			t.Fatalf("design=%s faults=%v batch=%d epoch=%d: %v\nrepro: %s",
-				d, sel&1 != 0, cfg.BatchSize, cfg.Epoch, v,
-				EncodeOps(ops[:v.OpIndex+1]))
-		}
-	})
-}
-
 // FuzzLockstepBaselines drives one baseline, selected by the first byte,
 // through the oracle with arbitrary op streams.
 func FuzzLockstepBaselines(f *testing.F) {

@@ -20,31 +20,22 @@ type Factory func() (hmm.MemSystem, error)
 const maxShrinkRuns = 600
 
 // Shrink minimizes ops to a small subsequence that still violates the
-// scalar lockstep oracle. See ShrinkWith for the reduction strategy.
-func Shrink(mk Factory, ops []Op, cfg Config) ([]Op, *Violation) {
-	return ShrinkWith(func(cand []Op) *Violation {
-		mem, err := mk()
-		if err != nil {
-			return nil
-		}
-		return RunOps(mem, cand, cfg)
-	}, ops)
-}
-
-// ShrinkWith minimizes ops to a small subsequence for which check still
-// returns a violation; check must be deterministic and replay candidates
-// from scratch (the batch differential in batch.go and the scalar oracle
-// both fit). It first truncates at the violating op, then runs ddmin
+// scalar lockstep oracle, replaying every candidate on a fresh instance
+// from mk. It first truncates at the violating op, then runs ddmin
 // (complement reduction with increasing granularity). Any violation — not
 // just the original kind — accepts a candidate, which is standard for
 // delta debugging and keeps repros as short as possible. Returns the
 // minimized ops and the violation they produce, or (nil, nil) if ops
 // pass.
-func ShrinkWith(check func([]Op) *Violation, ops []Op) ([]Op, *Violation) {
+func Shrink(mk Factory, ops []Op, cfg Config) ([]Op, *Violation) {
 	runs := 0
 	replay := func(cand []Op) *Violation {
 		runs++
-		return check(cand)
+		mem, err := mk()
+		if err != nil {
+			return nil
+		}
+		return RunOps(mem, cand, cfg)
 	}
 	v := replay(ops)
 	if v == nil {

@@ -44,21 +44,7 @@ type Suite struct {
 	FaultRate  float64       // frame failures per 1M HBM accesses when faulting
 	Parallel   int           // worker count; <= 0 = all CPUs
 	Timeout    time.Duration // per-cell timeout; 0 = none
-
-	// BatchSizes are the AccessBatch slice sizes the scalar-vs-batch
-	// differential (BatchLockstep) replays each cell's ops at once the
-	// scalar oracle passes. nil picks DefaultBatchSizes; an empty non-nil
-	// slice disables the batch differential.
-	BatchSizes []int
-	// BatchEpoch is the telemetry epoch attached during the batch
-	// differential; 0 picks 97 — odd and smaller than every default batch
-	// size, so epoch boundaries land mid-batch.
-	BatchEpoch uint64
 }
-
-// DefaultBatchSizes exercises the degenerate single-op batch, a ragged
-// odd size, and the full production slice size.
-var DefaultBatchSizes = []int{1, 7, 4096}
 
 // DefaultSuite is the full matrix at the given scale: every design, every
 // family, faults off and on.
@@ -143,43 +129,8 @@ func (s Suite) RunCell(c Cell) (Result, error) {
 		}
 		res.Violation = sv
 		res.Repro = EncodeOps(shrunk)
-		return res, nil
-	}
-	// Scalar oracle passed; now run the scalar-vs-batch differential at
-	// every configured batch size, shrinking any divergence with the same
-	// ddmin machinery.
-	for _, bs := range s.batchSizes() {
-		bcfg := BatchConfig{BatchSize: bs, Epoch: s.batchEpoch()}
-		v := BatchLockstep(mk, ops, bcfg)
-		if v == nil {
-			continue
-		}
-		shrunk, sv := ShrinkWith(BatchReplay(mk, bcfg), ops)
-		if sv == nil {
-			sv = v
-			shrunk = ops[:v.OpIndex+1]
-		}
-		res.Violation = sv
-		res.Repro = EncodeOps(shrunk)
-		break
 	}
 	return res, nil
-}
-
-// batchSizes resolves the suite's batch-differential sizes.
-func (s Suite) batchSizes() []int {
-	if s.BatchSizes == nil {
-		return DefaultBatchSizes
-	}
-	return s.BatchSizes
-}
-
-// batchEpoch resolves the telemetry epoch used by the batch differential.
-func (s Suite) batchEpoch() uint64 {
-	if s.BatchEpoch == 0 {
-		return 97
-	}
-	return s.BatchEpoch
 }
 
 // Run sweeps all cells in parallel. Results come back in Cells() order

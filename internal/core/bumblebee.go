@@ -15,8 +15,6 @@ import (
 // mHBM / cHBM / off-chip DRAM) and may trigger asynchronous caching,
 // migration, mode switches and evictions per Section III-E.
 type Bumblebee struct {
-	batch hmm.BatchBuf // reusable AccessBatch completion buffer
-
 	sys   config.System
 	opt   config.BumblebeeOptions
 	dev   *hmm.Devices
@@ -385,18 +383,4 @@ func (b *Bumblebee) handleDRAMPop(now uint64, setIdx uint64, s *pset, e hotEntry
 		return b.evictCachedWay(now, setIdx, s, w)
 	}
 	return now
-}
-
-// AccessBatch implements hmm.BatchMemSystem: the ops issue back to back
-// (each at the completion cycle of the previous one) through the scalar
-// kernel, with one interface dispatch and one completion buffer for the
-// whole batch. The returned slice is reused by the next call.
-func (b *Bumblebee) AccessBatch(now uint64, ops []hmm.Op) []uint64 {
-	out := b.batch.Take(len(ops))
-	t := now
-	for _, op := range ops {
-		t = b.Access(t, op.Addr, op.Write)
-		out = append(out, t)
-	}
-	return b.batch.Keep(out)
 }

@@ -73,12 +73,17 @@ func bytesOpener(raw []byte, opens *atomic.Int64) func() (trace.Stream, error) {
 func soloRuns(t *testing.T, h *Harness, open func() (trace.Stream, error)) []RunResult {
 	t.Helper()
 	out := make([]RunResult, len(AllDesigns))
+	sys := h.System()
 	for i, d := range AllDesigns {
 		st, err := open()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out[i], err = h.RunStream(d, "fanout", st); err != nil {
+		mem, err := Build(d, sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[i], err = h.RunStream(sys, mem, "fanout", st); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -226,15 +226,25 @@ func (h *Harness) synthetic(p trace.Profile) func() (trace.Stream, error) {
 	}
 }
 
-// RunStream simulates one design over an externally supplied access
-// stream — a replayed trace file (see internal/tracecodec) rather than
-// a synthetic generator. When h.Accesses > 0 the replay is capped at
+// RunStream simulates one memory system built for sys over an
+// externally supplied access stream — a replayed trace file (see
+// internal/tracecodec) rather than a synthetic generator — the way Run
+// simulates a benchmark. When h.Accesses > 0 the replay is capped at
 // that many accesses; otherwise the trace's length defines the run.
 // The same determinism contract applies: the result is a pure function
 // of (design, stream), so identical trace bytes produce identical
 // results at any Parallel setting.
-func (h *Harness) RunStream(design config.Design, bench string, st trace.Stream) (RunResult, error) {
-	return h.runShared(h.replayCell(design, bench, func() (trace.Stream, error) { return st, nil }))
+func (h *Harness) RunStream(sys config.System, mem hmm.MemSystem, bench string, st trace.Stream) (RunResult, error) {
+	return h.runStream(sys, mem, bench, h.capped(st), 0)
+}
+
+// capped limits a recorded trace to h.Accesses accesses; 0 leaves it
+// whole.
+func (h *Harness) capped(st trace.Stream) trace.Stream {
+	if h.Accesses == 0 {
+		return st
+	}
+	return &trace.Limit{S: st, N: h.Accesses}
 }
 
 // replayCell describes one design's replay of a recorded trace: opened
@@ -245,10 +255,10 @@ func (h *Harness) replayCell(design config.Design, bench string, open func() (tr
 		key: cellID("replay", bench, fmt.Sprint(sys.Caches)),
 		open: func() (trace.Stream, error) {
 			st, err := open()
-			if err != nil || h.Accesses == 0 {
-				return st, err
+			if err != nil {
+				return nil, err
 			}
-			return &trace.Limit{S: st, N: h.Accesses}, nil
+			return h.capped(st), nil
 		},
 		sys: sys, design: design, build: builder(design, sys), bench: bench, span: true,
 	}
