@@ -16,7 +16,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -85,40 +84,29 @@ func main() {
 	of.RegisterAll(flag.CommandLine)
 	flag.Parse()
 
-	h := harness.New()
-	h.Scale = *scale
-	h.Accesses = *accesses
-	h.Parallel = of.Parallel
-	h.CellTimeout = of.CellTimeout
-	h.TelemetryEpoch = of.TelemetryEpoch
-	h.TraceDepth = of.TraceDepth
-	h.Retry = of.RetryPolicy()
 	if err := of.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "bbrepro: %v\n", err)
 		os.Exit(2)
 	}
-	stderrLog := of.Logger(os.Stderr)
-	if *verbose {
-		h.Log = stderrLog
-	}
-	rules, err := alert.Load(of.Rules)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bbrepro: -rules: %v\n", err)
-		os.Exit(2)
-	}
-	// The live monitor mirrors what the written alerts.json will hold:
-	// firing transitions log to stderr as the sweep runs and surface as
-	// bb_alerts_* gauges on /metrics.
-	mon := alert.NewMonitor(rules)
-	mon.Log = stderrLog
-	h.Alerts = mon
-
 	if *resume != "" {
 		if *csvDir != "" && *csvDir != *resume {
 			fmt.Fprintf(os.Stderr, "bbrepro: -resume %s conflicts with -csv %s (resume implies the CSV directory)\n", *resume, *csvDir)
 			os.Exit(2)
 		}
 		*csvDir = *resume
+	}
+	// With -csv the run is checkpointed and owns its signal lifecycle:
+	// the first SIGINT/SIGTERM drains in-flight cells so they reach the
+	// journal, then main flushes a partial manifest and exits resumable.
+	cli, err := harness.StartCLI(&of, harness.CLIConfig{Tool: "bbrepro", Sweep: *experiment,
+		Scale: *scale, Accesses: *accesses, Dir: *csvDir, Resume: *resume != ""})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bbrepro: %v\n", err)
+		os.Exit(2)
+	}
+	h := cli.Harness
+	if *verbose {
+		h.Log = cli.Log
 	}
 	if *shardSpec != "" {
 		shd, err := runner.ParseShard(*shardSpec)
@@ -134,26 +122,6 @@ func main() {
 			os.Exit(2)
 		}
 		h.Shard = shd
-	}
-
-	// The sweep tracker feeds /metrics; it is live even without an HTTP
-	// endpoint so that attaching one costs nothing but the flag.
-	sweep := obs.NewSweep(*experiment)
-	sweep.Alerts = mon
-	h.Obs = sweep
-	var srv *obs.Server
-	if *csvDir != "" {
-		// Checkpointed runs own their signal lifecycle: the first
-		// SIGINT/SIGTERM drains in-flight cells so they reach the journal,
-		// then main flushes a partial manifest and exits resumable.
-		h.Interrupt = obs.DrainOnSignal(stderrLog)
-		srv, err = of.StartServerManaged(sweep, stderrLog)
-	} else {
-		srv, err = of.StartServer(context.Background(), sweep, stderrLog)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bbrepro: %v\n", err)
-		os.Exit(2)
 	}
 
 	if err := h.System().Validate(); err != nil {
@@ -211,39 +179,16 @@ func main() {
 	// manifest output: attempt counts legitimately differ between an
 	// interrupted-and-resumed run and a clean one.
 	var man *report.Manifest
-	var jn *ckpt.Journal
 	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "bbrepro: %v\n", err)
-			os.Exit(1)
-		}
 		man = report.New("bbrepro", *experiment, *scale, *accesses, of.TelemetryEpoch)
 		man.Flags = map[string]string{"faults": *faults}
 		if *shardSpec != "" {
 			man.Flags["shard"] = *shardSpec
 		}
-		meta := ckpt.Meta{Tool: "bbrepro", Experiment: *experiment, Scale: *scale,
-			Accesses: *accesses, TelemetryEpoch: of.TelemetryEpoch, Shard: *shardSpec}
-		if *resume != "" {
-			var loaded *ckpt.Loaded
-			jn, loaded, err = ckpt.Resume(*csvDir, meta)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bbrepro: -resume: %v\n", err)
-				os.Exit(1)
-			}
-			if loaded == nil {
-				fmt.Fprintf(os.Stderr, "bbrepro: -resume: no checkpoint journal in %s; starting fresh\n", *csvDir)
-			} else {
-				if loaded.Warning != "" {
-					fmt.Fprintf(os.Stderr, "bbrepro: -resume: %s\n", loaded.Warning)
-				}
-				fmt.Fprintf(os.Stderr, "bbrepro: resuming %s: %d checkpointed cells will replay\n", *csvDir, len(loaded.Records))
-			}
-		} else if jn, err = ckpt.Create(*csvDir, meta); err != nil {
+		if err := cli.OpenJournal(*experiment, *shardSpec); err != nil {
 			fmt.Fprintf(os.Stderr, "bbrepro: %v\n", err)
 			os.Exit(1)
 		}
-		h.Journal = jn
 	}
 	record := func(name, kind string) error {
 		if man == nil {
@@ -256,8 +201,8 @@ func main() {
 	// at any -parallel value — the live monitor's firing set is proven to
 	// match this evaluation by the harness tests.
 	writeAlerts := func(runs []harness.RunResult) error {
-		if err := alert.WriteJSONFile(*csvDir+"/alerts.json", rules,
-			alert.Evaluate(harness.AlertInput(runs), rules)); err != nil {
+		if err := alert.WriteJSONFile(*csvDir+"/alerts.json", cli.Rules,
+			alert.Evaluate(harness.AlertInput(runs), cli.Rules)); err != nil {
 			return err
 		}
 		return record("alerts.json", "alerts")
@@ -480,11 +425,9 @@ func main() {
 	// Flush everything even after an interrupt: the journal's tail, a
 	// partial manifest (outputs of the experiments that completed) and the
 	// session record make the directory a self-describing resume point.
-	if jn != nil {
-		if err := jn.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "bbrepro: checkpoint journal: %v\n", err)
-			os.Exit(1)
-		}
+	if err := cli.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "bbrepro: %v\n", err)
+		os.Exit(1)
 	}
 	if man != nil {
 		if err := man.Write(*csvDir); err != nil {
@@ -501,12 +444,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "bbrepro: %v\n", err)
 			os.Exit(1)
 		}
-	}
-	if srv != nil {
-		// Drain any in-flight scrape before the process exits.
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		_ = srv.Shutdown(ctx)
-		cancel()
 	}
 	if interrupted {
 		os.Exit(ckpt.ExitResumable)

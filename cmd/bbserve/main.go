@@ -1,5 +1,5 @@
 // Command bbserve is the trace-replay simulation service: POST a memory
-// trace (zsim-style text, BBT1 binary, a .bbtr recording, or any of
+// trace (zsim-style text, BBT1 binary, a legacy .bbtr recording, or any of
 // those gzipped — chunked bodies are fine) and get back a
 // manifest-verified run directory simulated on the design matrix.
 //

@@ -1,12 +1,12 @@
 // Command bbtrace generates, inspects, converts, and characterizes
-// memory access traces. Generation and conversion speak every encoding
-// internal/tracecodec knows: the repo's compact .bbtr recording,
-// zsim-style text, BBT1 framed binary, and gzip over any of them.
+// memory access traces. It writes the encodings internal/tracecodec
+// writes: BBT1 framed binary (the default) and zsim-style text, either
+// optionally gzipped. It reads those and the legacy .bbtr recording.
 //
-//	bbtrace gen -bench mcf -n 1000000 -o mcf.bbtr     # record a synthetic stream
-//	bbtrace gen -bench mcf -format binary -gz -o mcf.bbt1.gz
-//	bbtrace convert -to text mcf.bbt1.gz mcf.txt      # any format -> any format
-//	bbtrace info mcf.bbtr                             # characterize a trace
+//	bbtrace gen -bench mcf -n 1000000                 # record a synthetic stream to mcf.bbt1
+//	bbtrace gen -bench mcf -format text -gz -o mcf.txt.gz
+//	bbtrace convert -to text mcf.bbt1 mcf.txt         # any format -> text or binary
+//	bbtrace info mcf.bbt1                             # characterize a trace in any encoding
 //	bbtrace bench                                     # characterize all Table II profiles
 package main
 
@@ -14,7 +14,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"strings"
@@ -56,19 +55,12 @@ func usage() {
 	os.Exit(2)
 }
 
-// accessSink is where generated accesses land: the .bbtr writer and the
-// tracecodec adapter both satisfy it.
-type accessSink interface {
-	Write(trace.Access) error
-	Count() uint64
-}
-
 // pump streams st into sink in trace.FillBatch batches over one
 // reusable buffer — the same bounded-memory ingestion shape cpu.Run
 // uses, so generating a 10M-access trace allocates the buffer, the
 // writer, and nothing per access. each (optional) observes every access
 // after it is written.
-func pump(st trace.Stream, sink accessSink, each func(trace.Access)) error {
+func pump(st trace.Stream, sink *tracecodec.AccessWriter, each func(trace.Access)) error {
 	buf := make([]trace.Access, 4096)
 	for {
 		n := trace.FillBatch(st, buf)
@@ -86,43 +78,13 @@ func pump(st trace.Stream, sink accessSink, each func(trace.Access)) error {
 	}
 }
 
-// openSink builds the access sink for one output format. finish flushes
-// framing (the caller still closes the file).
-func openSink(w io.Writer, format string, gz bool) (sink accessSink, finish func() error, err error) {
-	if format == "bbtr" {
-		if gz {
-			return nil, nil, fmt.Errorf("-gz applies to text/binary output, not bbtr")
-		}
-		tw, err := trace.NewWriter(w)
-		if err != nil {
-			return nil, nil, err
-		}
-		return tw, tw.Flush, nil
-	}
-	kind, err := tracecodec.ParseKind(format)
-	if err != nil {
-		return nil, nil, err
-	}
-	aw := tracecodec.NewAccessWriter(tracecodec.NewWriter(w, tracecodec.Format{Kind: kind, Gzip: gz}))
-	return aw, aw.Close, nil
-}
-
-// sinkExt is the conventional file extension for a format.
-func sinkExt(format string, gz bool) string {
-	ext := map[string]string{"bbtr": ".bbtr", "text": ".txt", "binary": ".bbt1"}[format]
-	if gz {
-		ext += ".gz"
-	}
-	return ext
-}
-
 func gen(args []string) {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	bench := fs.String("bench", "mcf", "Table II benchmark name")
 	n := fs.Uint64("n", 1_000_000, "accesses to record")
 	scale := fs.Uint64("scale", 128, "footprint scale factor")
-	format := fs.String("format", "bbtr", "output encoding: bbtr, text, or binary")
-	gz := fs.Bool("gz", false, "gzip the output (text/binary only)")
+	format := fs.String("format", "binary", "output encoding: binary (BBT1) or text")
+	gz := fs.Bool("gz", false, "gzip the output")
 	out := fs.String("o", "", "output file (default <bench> + format extension)")
 	var of obs.Flags
 	of.RegisterTelemetry(fs)
@@ -153,18 +115,25 @@ func gen(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	kind, err := tracecodec.ParseKind(*format)
+	if err != nil {
+		log.Fatalf("bbtrace gen: %v", err)
+	}
 	path := *out
 	if path == "" {
-		path = *bench + sinkExt(*format, *gz)
+		path = *bench + ".txt"
+		if kind == tracecodec.KindBinary {
+			path = *bench + ".bbt1"
+		}
+		if *gz {
+			path += ".gz"
+		}
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sink, finish, err := openSink(f, *format, *gz)
-	if err != nil {
-		log.Fatalf("bbtrace gen: %v", err)
-	}
+	sink := tracecodec.NewAccessWriter(tracecodec.NewWriter(f, tracecodec.Format{Kind: kind, Gzip: *gz}))
 	// The generator has no cycle clock, so the Chrome trace uses the access
 	// index as its timebase (FreqMHz 1000 renders access i at i ns).
 	const pageShift = 12
@@ -197,7 +166,7 @@ func gen(args []string) {
 	if err := pump(&trace.Limit{S: gen, N: *n}, sink, each); err != nil {
 		log.Fatal(err)
 	}
-	if err := finish(); err != nil {
+	if err := sink.Close(); err != nil {
 		log.Fatal(err)
 	}
 	if of.TraceOut != "" {
@@ -229,17 +198,22 @@ func gen(args []string) {
 		sink.Count(), path, float64(st.Size())/1e6, float64(st.Size())/float64(sink.Count()))
 }
 
-// convert re-encodes a trace file: the input format (including .bbtr
-// recordings and gzip) is sniffed from its bytes, the output format is
-// chosen with -to/-gz. Conversion is streaming and bounded-memory, and
-// refuses damaged input rather than writing a short output.
+// convert re-encodes a trace file: the input format (including legacy
+// .bbtr recordings and gzip) is sniffed from its bytes, the output
+// format is chosen with -to/-gz. Conversion is streaming and
+// bounded-memory, and refuses damaged input rather than writing a short
+// output.
 func convert(args []string) {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	to := fs.String("to", "binary", "output encoding: bbtr, text, or binary")
-	gz := fs.Bool("gz", false, "gzip the output (text/binary only)")
+	to := fs.String("to", "binary", "output encoding: binary (BBT1) or text")
+	gz := fs.Bool("gz", false, "gzip the output")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		log.Fatal("bbtrace convert: need input and output files (use - for stdin/stdout)")
+	}
+	kind, err := tracecodec.ParseKind(*to)
+	if err != nil {
+		log.Fatalf("bbtrace convert: %v", err)
 	}
 	in := os.Stdin
 	if fs.Arg(0) != "-" {
@@ -269,37 +243,13 @@ func convert(args []string) {
 		}()
 		out = f
 	}
-	// A .bbtr output goes through the Stream adapter (cycle deltas become
-	// instruction gaps); the codec formats convert record-for-record.
-	var n uint64
-	if *to == "bbtr" {
-		if *gz {
-			log.Fatal("bbtrace convert: -gz applies to text/binary output, not bbtr")
-		}
-		w, err := trace.NewWriter(out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := pump(tracecodec.NewStream(r), w, nil); err != nil {
-			log.Fatalf("bbtrace convert: %v", err)
-		}
-		if err := w.Flush(); err != nil {
-			log.Fatal(err)
-		}
-		n = w.Count()
-	} else {
-		kind, err := tracecodec.ParseKind(*to)
-		if err != nil {
-			log.Fatalf("bbtrace convert: %v", err)
-		}
-		w := tracecodec.NewWriter(out, tracecodec.Format{Kind: kind, Gzip: *gz})
-		n, err = tracecodec.Convert(r, w)
-		if err != nil {
-			log.Fatalf("bbtrace convert: %v", err)
-		}
-		if err := w.Close(); err != nil {
-			log.Fatal(err)
-		}
+	w := tracecodec.NewWriter(out, tracecodec.Format{Kind: kind, Gzip: *gz})
+	n, err := tracecodec.Convert(r, w)
+	if err != nil {
+		log.Fatalf("bbtrace convert: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "converted %d accesses\n", n)
 }
@@ -311,20 +261,29 @@ func info(args []string) {
 	if fs.NArg() != 1 {
 		log.Fatal("bbtrace info: need one trace file")
 	}
-	f, err := os.Open(fs.Arg(0))
+	c, err := characterizeFile(fs.Arg(0), *max)
 	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	r, err := trace.NewReader(f)
-	if err != nil {
-		log.Fatal(err)
-	}
-	c := trace.Characterize(r, *max)
-	if err := r.Err(); err != nil {
-		log.Fatalf("bbtrace: %v", err)
+		log.Fatalf("bbtrace info: %v", err)
 	}
 	printChar(fs.Arg(0), c)
+}
+
+// characterizeFile summarizes up to max accesses of the trace at path,
+// in any encoding tracecodec.Open sniffs. Records become accesses the
+// way replay sees them (tracecodec.Stream), so the first gap is 1.
+func characterizeFile(path string, max uint64) (trace.Characteristics, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return trace.Characteristics{}, err
+	}
+	defer f.Close()
+	r, err := tracecodec.Open(f)
+	if err != nil {
+		return trace.Characteristics{}, err
+	}
+	st := tracecodec.NewStream(r)
+	c := trace.Characterize(st, max)
+	return c, st.Err()
 }
 
 func benchTable(args []string) {

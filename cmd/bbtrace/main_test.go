@@ -22,12 +22,10 @@ func TestGenStreamsBoundedMemory(t *testing.T) {
 	const accesses = 10_000_000
 	for _, tc := range []struct {
 		name   string
-		format string
-		gz     bool
+		format tracecodec.Format
 	}{
-		{"bbtr", "bbtr", false},
-		{"binary", "binary", false},
-		{"text+gz", "text", true},
+		{"binary", tracecodec.Format{Kind: tracecodec.KindBinary}},
+		{"text+gz", tracecodec.Format{Kind: tracecodec.KindText, Gzip: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b, err := trace.ByName("mcf")
@@ -38,10 +36,7 @@ func TestGenStreamsBoundedMemory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sink, finish, err := openSink(io.Discard, tc.format, tc.gz)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sink := tracecodec.NewAccessWriter(tracecodec.NewWriter(io.Discard, tc.format))
 
 			runtime.GC()
 			var before runtime.MemStats
@@ -49,7 +44,7 @@ func TestGenStreamsBoundedMemory(t *testing.T) {
 			if err := pump(&trace.Limit{S: gen, N: accesses}, sink, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := finish(); err != nil {
+			if err := sink.Close(); err != nil {
 				t.Fatal(err)
 			}
 			var after runtime.MemStats
@@ -69,9 +64,9 @@ func TestGenStreamsBoundedMemory(t *testing.T) {
 	}
 }
 
-// TestConvertRoundTripViaSinks: gen -> convert -> convert back at the
-// function level (the CI smoke covers the CLI binary): bbtr and the
-// codec formats all carry the identical access stream.
+// TestConvertRoundTripViaSinks: gen's pump -> BBT1 bytes -> replay
+// Stream at the function level (the CI smoke covers the CLI binary)
+// carries the identical access stream.
 func TestConvertRoundTripViaSinks(t *testing.T) {
 	b, err := trace.ByName("mcf")
 	if err != nil {
@@ -82,28 +77,19 @@ func TestConvertRoundTripViaSinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want []trace.Access
-	st := &trace.Limit{S: gen, N: 5000}
-	for {
-		a, ok := st.Next()
-		if !ok {
-			break
-		}
-		want = append(want, a)
-	}
+	record := func(a trace.Access) { want = append(want, a) }
 
 	// accesses -> binary codec bytes -> Stream -> accesses.
 	var buf writerBuffer
-	sink, finish, err := openSink(&buf, "binary", false)
-	if err != nil {
+	sink := tracecodec.NewAccessWriter(tracecodec.NewWriter(&buf, tracecodec.Format{Kind: tracecodec.KindBinary}))
+	if err := pump(&trace.Limit{S: gen, N: 5000}, sink, record); err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range want {
-		if err := sink.Write(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := finish(); err != nil {
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if len(want) != 5000 {
+		t.Fatalf("pumped %d accesses, want 5000", len(want))
 	}
 	r, err := tracecodec.Open(&buf)
 	if err != nil {
@@ -124,6 +110,28 @@ func TestConvertRoundTripViaSinks(t *testing.T) {
 	}
 	if err := trace.Err(back); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInfoReadsEveryEncoding: info characterizes the committed fixture
+// identically whichever encoding holds it, including the legacy .bbtr.
+func TestInfoReadsEveryEncoding(t *testing.T) {
+	const dir = "../../internal/tracecodec/testdata/"
+	want, err := characterizeFile(dir+"fixture.txt", 1<<62)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Accesses != 6000 {
+		t.Fatalf("fixture.txt: %d accesses, want 6000", want.Accesses)
+	}
+	for _, name := range []string{"fixture.bbt1", "fixture.bbt1.gz", "fixture.bbtr"} {
+		got, err := characterizeFile(dir+name, 1<<62)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got != want {
+			t.Errorf("%s: %+v, want %+v", name, got, want)
+		}
 	}
 }
 

@@ -19,16 +19,13 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"strings"
-	"time"
 
-	"repro/internal/alert"
 	"repro/internal/ckpt"
 	"repro/internal/config"
 	"repro/internal/core"
@@ -75,14 +72,6 @@ func main() {
 	of.RegisterAll(flag.CommandLine)
 	flag.Parse()
 
-	h := harness.New()
-	h.Scale = *scale
-	h.Accesses = *accesses
-	h.Parallel = of.Parallel
-	h.CellTimeout = of.CellTimeout
-	h.TelemetryEpoch = of.TelemetryEpoch
-	h.TraceDepth = of.TraceDepth
-	h.Retry = of.RetryPolicy()
 	if err := of.Validate(); err != nil {
 		log.Fatalf("bumblebee-sim: %v", err)
 	}
@@ -92,38 +81,12 @@ func main() {
 		}
 		*ckptDir = *resumeDir
 	}
-	stderrLog := of.Logger(os.Stderr)
-	rules, err := alert.Load(of.Rules)
-	if err != nil {
-		log.Fatalf("bumblebee-sim: -rules: %v", err)
-	}
-	// Every run feeds the live monitor: firing transitions log to stderr
-	// and surface as bb_alerts_* gauges on /metrics.
-	mon := alert.NewMonitor(rules)
-	mon.Log = stderrLog
-	h.Alerts = mon
-	sweep := obs.NewSweep("sim")
-	sweep.Alerts = mon
-	h.Obs = sweep
-	var srv *obs.Server
-	if *ckptDir != "" {
-		// Checkpointed runs drain on the first signal so in-flight cells
-		// reach the journal; see bbrepro for the same lifecycle.
-		h.Interrupt = obs.DrainOnSignal(stderrLog)
-		srv, err = of.StartServerManaged(sweep, stderrLog)
-	} else {
-		srv, err = of.StartServer(context.Background(), sweep, stderrLog)
-	}
+	cli, err := harness.StartCLI(&of, harness.CLIConfig{Tool: "bumblebee-sim", Sweep: "sim",
+		Scale: *scale, Accesses: *accesses, Dir: *ckptDir, Resume: *resumeDir != ""})
 	if err != nil {
 		log.Fatalf("bumblebee-sim: %v", err)
 	}
-	if srv != nil {
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			_ = srv.Shutdown(ctx)
-			cancel()
-		}()
-	}
+	h := cli.Harness
 	sys := h.System()
 	sys.BlockBytes = *blockKB * 1024
 	sys.PageBytes = *pageKB * 1024
@@ -139,42 +102,15 @@ func main() {
 			log.Fatal("bumblebee-sim: -inspect needs a single design and benchmark")
 		}
 		if *ckptDir != "" {
-			if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
+			if err := cli.OpenJournal("matrix", ""); err != nil {
 				log.Fatalf("bumblebee-sim: %v", err)
 			}
-			meta := ckpt.Meta{Tool: "bumblebee-sim", Experiment: "matrix",
-				Scale: *scale, Accesses: *accesses, TelemetryEpoch: of.TelemetryEpoch}
-			var jn *ckpt.Journal
-			if *resumeDir != "" {
-				var loaded *ckpt.Loaded
-				jn, loaded, err = ckpt.Resume(*ckptDir, meta)
-				if err != nil {
-					log.Fatalf("bumblebee-sim: -resume: %v", err)
-				}
-				if loaded != nil {
-					if loaded.Warning != "" {
-						fmt.Fprintf(os.Stderr, "bumblebee-sim: -resume: %s\n", loaded.Warning)
-					}
-					fmt.Fprintf(os.Stderr, "bumblebee-sim: resuming %s: %d checkpointed cells will replay\n",
-						*ckptDir, len(loaded.Records))
-				}
-			} else if jn, err = ckpt.Create(*ckptDir, meta); err != nil {
-				log.Fatalf("bumblebee-sim: %v", err)
-			}
-			h.Journal = jn
 		}
 		interrupted := runMatrix(h, sys, designs, benches, of.TraceOut, *ckptDir)
-		if h.Journal != nil {
-			if err := h.Journal.Close(); err != nil {
-				log.Fatalf("bumblebee-sim: checkpoint journal: %v", err)
-			}
+		if err := cli.Close(); err != nil {
+			log.Fatalf("bumblebee-sim: %v", err)
 		}
 		if interrupted {
-			if srv != nil {
-				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				_ = srv.Shutdown(ctx)
-				cancel()
-			}
 			os.Exit(ckpt.ExitResumable)
 		}
 		return
@@ -274,6 +210,7 @@ func main() {
 	} else if *inspect >= 0 {
 		log.Fatalf("bumblebee-sim: -inspect needs a Bumblebee-family design")
 	}
+	cli.Close()
 }
 
 // replay runs the trace at path, in whichever encoding tracecodec.Open

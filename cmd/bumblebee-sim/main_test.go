@@ -27,17 +27,25 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// run runs the command with args and returns its stdout, its stderr,
+// and the error exec reports for a nonzero exit.
+func run(args ...string) (stdout, stderr string, err error) {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err = cmd.Run()
+	return out.String(), errOut.String(), err
+}
+
 // sim runs the command with args and returns its stdout.
 func sim(t *testing.T, args ...string) string {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("bumblebee-sim %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	stdout, stderr, err := run(args...)
+	if err != nil {
+		t.Fatalf("bumblebee-sim %s: %v\n%s", strings.Join(args, " "), err, stderr)
 	}
-	return stdout.String()
+	return stdout
 }
 
 // field returns the value printed on the single-run line labelled name.
@@ -103,5 +111,29 @@ func TestTraceRunMatchesReplaySweep(t *testing.T) {
 		if got := field(t, out, c.name); got != c.want {
 			t.Errorf("-trace %s = %s, ReplaySweep gives %s", c.name, got, c.want)
 		}
+	}
+}
+
+// TestCheckpointResume: a checkpointed matrix run and its resume print
+// the same table, with every cell replayed from the journal, and a
+// resume that names a different checkpoint directory is refused.
+func TestCheckpointResume(t *testing.T) {
+	dir := t.TempDir()
+	matrix := []string{"-design", "bumblebee,alloy", "-bench", "mcf", "-scale", "1024", "-accesses", "20000"}
+	first := sim(t, append(matrix, "-checkpoint", dir)...)
+
+	resumed, stderr, err := run(append(matrix, "-resume", dir)...)
+	if err != nil {
+		t.Fatalf("-resume: %v\n%s", err, stderr)
+	}
+	if resumed != first {
+		t.Errorf("resumed stdout differs from the checkpointed run\n--- resumed ---\n%s--- first ---\n%s", resumed, first)
+	}
+	if want := "2 checkpointed cells will replay"; !strings.Contains(stderr, want) {
+		t.Errorf("resume stderr lacks %q:\n%s", want, stderr)
+	}
+
+	if _, stderr, err := run(append(matrix, "-resume", dir, "-checkpoint", t.TempDir())...); err == nil {
+		t.Errorf("-resume A -checkpoint B succeeded:\n%s", stderr)
 	}
 }

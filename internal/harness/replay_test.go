@@ -11,15 +11,16 @@ import (
 )
 
 // Replay determinism: the committed trace fixture (one recording in
-// three encodings, see internal/tracecodec/testdata) must produce
+// four encodings, see internal/tracecodec/testdata) must produce
 // byte-identical runs CSVs on every design regardless of which encoding
 // supplied the stream and regardless of sweep parallelism — the same
 // contract the synthetic sweeps pin, extended to ingested traces. The
 // CSV is additionally pinned as a golden file so a behaviour change in
 // any design shows up as a reviewed diff.
 
-// fixtures is the same trace in every committed encoding.
-var fixtures = []string{"fixture.txt", "fixture.bbt1", "fixture.bbt1.gz"}
+// fixtures is the same trace in every committed encoding, including the
+// read-only legacy .bbtr recording.
+var fixtures = []string{"fixture.txt", "fixture.bbt1", "fixture.bbt1.gz", "fixture.bbtr"}
 
 func fixturePath(name string) string {
 	return filepath.Join("..", "tracecodec", "testdata", name)
@@ -54,7 +55,7 @@ func replayFixtureCSV(t *testing.T, file string, parallel int) []byte {
 
 func TestReplayFixtureDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("replays all designs six times")
+		t.Skip("replays all designs eight times")
 	}
 	ref := replayFixtureCSV(t, fixtures[0], 1)
 	for _, file := range fixtures {

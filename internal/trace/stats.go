@@ -2,8 +2,6 @@ package trace
 
 import "repro/internal/addr"
 
-func addrOf(a uint64) addr.Addr { return addr.Addr(a) }
-
 // Characteristics summarizes a stream, used by cmd/bbtrace and by tests to
 // check that generated streams actually show the locality class their
 // profile promises.

@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"bytes"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/addr"
 )
@@ -214,86 +212,6 @@ func TestConcatPhases(t *testing.T) {
 	}
 	if n != 120 {
 		t.Errorf("concat yielded %d, want 120", n)
-	}
-}
-
-func TestTraceIORoundTrip(t *testing.T) {
-	g, _ := NewSynthetic(Profile{Name: "io", FootprintBytes: 4 * addr.MiB, AvgGap: 3,
-		RunMean: 8, HotFraction: 0.1, HotProbability: 0.6, WriteFraction: 0.3})
-	var orig []Access
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5000; i++ {
-		a, _ := g.Next()
-		orig = append(orig, a)
-		if err := w.Write(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != 5000 {
-		t.Errorf("writer count = %d", w.Count())
-	}
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range orig {
-		got, ok := r.Next()
-		if !ok {
-			t.Fatalf("trace ended at %d: %v", i, r.Err())
-		}
-		if got != want {
-			t.Fatalf("record %d = %+v, want %+v", i, got, want)
-		}
-	}
-	if _, ok := r.Next(); ok {
-		t.Error("trace yielded extra record")
-	}
-	if r.Err() != nil {
-		t.Errorf("clean EOF reported error %v", r.Err())
-	}
-}
-
-func TestReaderRejectsGarbage(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("XXXX\x01"))); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if _, err := NewReader(bytes.NewReader([]byte("BBTR\x09"))); err == nil {
-		t.Error("bad version accepted")
-	}
-	if _, err := NewReader(bytes.NewReader(nil)); err == nil {
-		t.Error("empty input accepted")
-	}
-}
-
-func TestReaderTruncatedRecord(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Write(Access{Addr: 0x40, Gap: 2})
-	w.Flush()
-	full := buf.Bytes()
-	r, err := NewReader(bytes.NewReader(full[:len(full)-1]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.Next(); ok {
-		t.Error("truncated record decoded")
-	}
-	if r.Err() == nil {
-		t.Error("truncation not reported")
-	}
-}
-
-func TestZigzagRoundTrip(t *testing.T) {
-	f := func(v int64) bool { return unzigzag(zigzag(v)) == v }
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

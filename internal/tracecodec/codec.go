@@ -11,9 +11,10 @@
 //   - either of the above behind gzip, detected transparently by magic
 //     bytes.
 //
-// The repo's own .bbtr recording format (internal/trace) is also
-// detected on the read side, so every trace the toolchain has ever
-// written converts into the formats above.
+// The legacy .bbtr recording format, which older versions of bbtrace
+// wrote, is still detected and decoded on the read side (see bbtr.go),
+// so every trace the toolchain has ever written converts into the
+// formats above. Nothing writes it any more.
 //
 // Readers are bounded-memory: they decode one record (text) or one
 // framed block (binary) at a time regardless of trace size, and the
@@ -26,8 +27,6 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
-
-	"repro/internal/trace"
 )
 
 // Rec is one decoded trace record: the cycle the access was issued, its
@@ -143,7 +142,7 @@ func (g *gzipWriter) Close() error {
 // Magic bytes the sniffer distinguishes.
 const (
 	binaryMagic = "BBT1"
-	bbtrMagic   = "BBTR" // internal/trace recording format
+	bbtrMagic   = "BBTR" // legacy recording format, read-only
 )
 
 // Open sniffs r's leading bytes and returns a Reader for whichever
@@ -181,38 +180,11 @@ func openPlain(br *bufio.Reader) (Reader, error) {
 	case string(head) == binaryMagic:
 		return NewBinaryReader(br)
 	case string(head) == bbtrMagic:
-		tr, err := trace.NewReader(br)
-		if err != nil {
-			return nil, fmt.Errorf("tracecodec: %w", err)
-		}
-		return &bbtrReader{r: tr}, nil
+		return newBBTRReader(br)
 	default:
 		return NewTextReader(br), nil
 	}
 }
-
-// bbtrReader adapts the repo's .bbtr Access recording into Recs. The
-// format stores per-access instruction gaps, not cycles, so cycles are
-// reconstructed by accumulation — the inverse of AccessWriter.
-type bbtrReader struct {
-	r     *trace.Reader
-	cycle uint64
-	err   error
-}
-
-func (b *bbtrReader) Next() (Rec, bool) {
-	a, ok := b.r.Next()
-	if !ok {
-		if err := b.r.Err(); err != nil {
-			b.err = err
-		}
-		return Rec{}, false
-	}
-	b.cycle += uint64(a.Gap)
-	return Rec{Cycle: b.cycle, Addr: uint64(a.Addr), Write: a.Write}, true
-}
-
-func (b *bbtrReader) Err() error { return b.err }
 
 // Convert streams every record of in to out, returning the record
 // count. It fails on the first decode or encode error; out.Close is the

@@ -2,9 +2,12 @@ package tracecodec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -136,28 +139,25 @@ func TestConvertChainByteIdentical(t *testing.T) {
 	}
 }
 
-// TestOpenDetectsBBTR: the repo's .bbtr recordings (internal/trace) are
-// readable through the same Open door, with cycles rebuilt from gaps.
+// bbtrRecord appends one legacy .bbtr record (see bbtr.go): the zigzag
+// address delta, the instruction gap, and the flag byte.
+func bbtrRecord(b []byte, addrDelta int64, gap uint64, write bool) []byte {
+	b = binary.AppendUvarint(b, zigzag(addrDelta))
+	b = binary.AppendUvarint(b, gap)
+	if write {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+// TestOpenDetectsBBTR: legacy .bbtr recordings are readable through the
+// same Open door, with cycles rebuilt from gaps.
 func TestOpenDetectsBBTR(t *testing.T) {
-	var buf bytes.Buffer
-	tw, err := trace.NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	accs := []trace.Access{
-		{Addr: 0x1000, Write: false, Gap: 3},
-		{Addr: 0x1040, Write: true, Gap: 1},
-		{Addr: 0x40, Write: false, Gap: 250},
-	}
-	for _, a := range accs {
-		if err := tw.Write(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeAll(t, buf.Bytes())
+	raw := []byte(bbtrMagic + "\x01")
+	raw = bbtrRecord(raw, 0x1000, 3, false)
+	raw = bbtrRecord(raw, 0x40, 1, true)
+	raw = bbtrRecord(raw, 0x40-0x1040, 250, false)
+	got, err := decodeAll(t, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,6 +173,49 @@ func TestOpenDetectsBBTR(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("rec %d = %+v, want %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestReaderRejectsGarbage: a .bbtr header that is damaged, from a
+// future version, or missing is refused, at Open or on the first read.
+func TestReaderRejectsGarbage(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "fixture.bbtr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	badMagic := append([]byte(nil), fixture...)
+	badMagic[0] = 'X' // no longer sniffed as .bbtr; the text decoder must refuse it
+	for name, in := range map[string][]byte{
+		"bad magic":   badMagic,
+		"bad version": []byte(bbtrMagic + "\x09"),
+		"no version":  []byte(bbtrMagic),
+		"empty input": nil,
+	} {
+		if recs, err := decodeAll(t, in); err == nil {
+			t.Errorf("%s: decoded %d recs without error", name, len(recs))
+		}
+	}
+}
+
+// TestReaderTruncatedRecord: a .bbtr record torn at any byte, or one
+// whose gap does not fit the 32 bits an access carries, is an error,
+// never a shorter or silently truncated trace.
+func TestReaderTruncatedRecord(t *testing.T) {
+	full := bbtrRecord([]byte(bbtrMagic+"\x01"), 0x40, 2, false)
+	for cut := len(bbtrMagic) + 2; cut < len(full); cut++ {
+		if recs, err := decodeAll(t, full[:cut]); err == nil {
+			t.Errorf("cut at %d of %d: decoded %d recs without error", cut, len(full), len(recs))
+		}
+	}
+	for _, gap := range []uint64{math.MaxUint32 + 1, math.MaxUint64} {
+		in := bbtrRecord([]byte(bbtrMagic+"\x01"), 0x40, gap, false)
+		if _, err := decodeAll(t, in); err == nil || !strings.Contains(err.Error(), "gap") {
+			t.Errorf("gap %d: err = %v, want a gap error", gap, err)
+		}
+	}
+	ok := bbtrRecord([]byte(bbtrMagic+"\x01"), 0x40, math.MaxUint32, false)
+	if got, err := decodeAll(t, ok); err != nil || len(got) != 1 || got[0].Cycle != math.MaxUint32 {
+		t.Fatalf("largest gap: recs=%+v err=%v", got, err)
 	}
 }
 
@@ -335,10 +378,10 @@ func TestEmptyTraces(t *testing.T) {
 // first-access, non-monotonic, and overflow clamping.
 func TestStreamGapDerivation(t *testing.T) {
 	recs := []Rec{
-		{Cycle: 1_000_000, Addr: 0x40},             // first: gap 1 regardless of offset
-		{Cycle: 1_000_010, Addr: 0x80},             // +10
-		{Cycle: 1_000_005, Addr: 0xC0},             // backwards: 0
-		{Cycle: 1_000_005 + 1<<40, Addr: 0x100},    // overflow: clamp
+		{Cycle: 1_000_000, Addr: 0x40},                       // first: gap 1 regardless of offset
+		{Cycle: 1_000_010, Addr: 0x80},                       // +10
+		{Cycle: 1_000_005, Addr: 0xC0},                       // backwards: 0
+		{Cycle: 1_000_005 + 1<<40, Addr: 0x100},              // overflow: clamp
 		{Cycle: 1_000_006 + 1<<40, Addr: 0x140, Write: true}, // +1
 	}
 	s := NewStream(&sliceReader{recs: recs})

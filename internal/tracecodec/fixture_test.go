@@ -12,7 +12,8 @@ import (
 // The committed fixture under testdata/ is one short recording of the
 // scaled "roms" workload (footprint ~85 MiB at scale 128, an order of
 // magnitude over the scaled HBM, so replaying it makes every design
-// behave differently) committed in all three encodings. The replay
+// behave differently) committed in all three writable encodings, plus
+// the legacy .bbtr recording the old writer made of it. The replay
 // golden test in internal/harness runs these exact files through every
 // design and pins the runs CSV; this test pins the trace bytes
 // themselves, so either layer drifting is a reviewed change.
@@ -96,29 +97,36 @@ func TestFixtureFilesInSync(t *testing.T) {
 	}
 }
 
-// TestFixtureFilesDecodeIdentically proves the three committed files
-// are the same trace: every encoding decodes to the identical records.
+// decodeOnlyFixtures are committed encodings of the fixture that
+// nothing writes any more: fixture.bbtr is fixtureRecs recorded by the
+// retired .bbtr writer, with each gap the cycle delta to the previous
+// record. TestFixtureFilesInSync cannot regenerate them, so this test
+// is what pins them.
+var decodeOnlyFixtures = []string{"fixture.bbtr"}
+
+// TestFixtureFilesDecodeIdentically proves the committed files are the
+// same trace: every encoding decodes to the identical records.
 func TestFixtureFilesDecodeIdentically(t *testing.T) {
-	var ref []Rec
+	names := append([]string(nil), decodeOnlyFixtures...)
 	for _, ff := range fixtureFiles {
-		raw, err := os.ReadFile(filepath.Join("testdata", ff.name))
+		names = append(names, ff.name)
+	}
+	ref := fixtureRecs(t)
+	for _, name := range names {
+		raw, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
 		}
 		recs, err := decodeAll(t, raw)
 		if err != nil {
-			t.Fatalf("%s: %v", ff.name, err)
-		}
-		if ref == nil {
-			ref = recs
-			continue
+			t.Fatalf("%s: %v", name, err)
 		}
 		if len(recs) != len(ref) {
-			t.Fatalf("%s: %d recs, want %d", ff.name, len(recs), len(ref))
+			t.Fatalf("%s: %d recs, want %d", name, len(recs), len(ref))
 		}
 		for i := range ref {
 			if recs[i] != ref[i] {
-				t.Fatalf("%s: rec %d = %+v, want %+v", ff.name, i, recs[i], ref[i])
+				t.Fatalf("%s: rec %d = %+v, want %+v", name, i, recs[i], ref[i])
 			}
 		}
 	}

@@ -78,7 +78,7 @@ func (s *Stream) Count() uint64 { return s.n }
 func (s *Stream) Err() error { return s.r.Err() }
 
 // AccessWriter adapts a Writer into a sink for trace.Access streams
-// (what the synthetic generators and .bbtr recordings produce): cycles
+// (what the synthetic generators produce): cycles
 // are reconstructed by accumulating each access's instruction gap, the
 // exact inverse of Stream's gap derivation, so gen-then-replay presents
 // the generator's stream faithfully.
