@@ -66,10 +66,7 @@ func runReport(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	out := fs.String("o", "", "write the Markdown here instead of stdout")
 	session := fs.Bool("session", false, "include volatile session.json facts (breaks byte-determinism across invocations)")
-	modeSw := fs.Float64("mode-switch-per-1m", 0, "mode-switch thrashing threshold per 1M accesses (0 picks the default)")
-	plateau := fs.Float64("hot-plateau-share", 0, "hot-table saturation epoch share threshold (0 picks the default)")
-	slo := fs.Uint64("p99-slo", 0, "p99 service-latency SLO in cycles (0 picks the default)")
-	rulesFile := fs.String("rules", "", "alert rule file (JSON); overrides the threshold flags")
+	rulesFile := fs.String("rules", "", "alert rule file (JSON) setting the anomaly thresholds; empty uses the built-in rules")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -86,10 +83,7 @@ func runReport(args []string, stdout, stderr io.Writer) int {
 		}
 		runs = append(runs, r)
 	}
-	opts := report.Options{
-		Session: *session,
-		Rules:   report.Rules{ModeSwitchPer1M: *modeSw, HotPlateauShare: *plateau, P99SLOCycles: *slo},
-	}
+	opts := report.Options{Session: *session}
 	if *rulesFile != "" {
 		rs, err := alert.Load(*rulesFile)
 		if err != nil {

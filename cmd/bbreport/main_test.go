@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/alert"
 )
 
 const benchText = `goos: linux
@@ -79,6 +82,39 @@ func TestReportAndVerifySubcommands(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestReportRulesOneSource: the built-in anomaly thresholds are
+// alert.Defaults() and nothing else, so a -rules file holding exactly
+// those rules renders the same bytes as no -rules at all, and -rules is
+// the only threshold flag.
+func TestReportRulesOneSource(t *testing.T) {
+	fixtures := filepath.Join("..", "..", "internal", "report", "testdata")
+	runA, runB := filepath.Join(fixtures, "runA"), filepath.Join(fixtures, "runB")
+	raw, err := json.Marshal(alert.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules := filepath.Join(t.TempDir(), "rules.json")
+	if err := os.WriteFile(rules, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var builtin, fromFile, stderr bytes.Buffer
+	if code := run([]string{"report", runA, runB}, &builtin, &stderr); code != 0 {
+		t.Fatalf("report exit %d: %s", code, stderr.String())
+	}
+	if code := run([]string{"report", "-rules", rules, runA, runB}, &fromFile, &stderr); code != 0 {
+		t.Fatalf("report -rules exit %d: %s", code, stderr.String())
+	}
+	if !strings.Contains(builtin.String(), "p99-slo-breach") {
+		t.Fatal("fixture report fires no threshold rule; the comparison proves nothing")
+	}
+	if !bytes.Equal(builtin.Bytes(), fromFile.Bytes()) {
+		t.Error("report with alert.Defaults() as -rules differs from the built-in rules")
+	}
+	if code := run([]string{"report", "-p99-slo", "1", runA}, &fromFile, &stderr); code != 2 {
+		t.Errorf("-p99-slo: exit %d, want 2 (-rules is the only threshold flag)", code)
 	}
 }
 

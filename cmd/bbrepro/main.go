@@ -1,12 +1,10 @@
 // Command bbrepro regenerates the paper's evaluation: every figure and
-// table, printed as text series. Use -experiment to run one experiment or
-// "all" for the full evaluation.
+// table, printed as text series. Use -experiment to run one experiment
+// (bbrepro -h lists them) or "all" for the full evaluation; figfault (the
+// RAS fault sweep) and check (the deep lockstep differential-oracle
+// sweep) run only when requested by name.
 //
 //	bbrepro -experiment fig8 -scale 128 -accesses 1500000
-//
-// Experiments: table1, table2, fig1, fig6, fig7, fig8, metadata,
-// overfetch, all; figfault (the RAS fault sweep) and check (the deep
-// lockstep differential-oracle sweep) run only when requested by name.
 //
 // With -csv, the run directory also gets a manifest.json (deterministic
 // run identity: flags, toolchain, output SHA-256s) and a session.json
@@ -21,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -34,6 +33,29 @@ import (
 	"repro/internal/report"
 	"repro/internal/runner"
 )
+
+// experiments lists every -experiment name except "all", in the order
+// -h and the unknown-experiment error print them. namedOnly experiments
+// run only when requested by name: the fault sweep multiplies the
+// Figure 8 matrix by every rate, and the lockstep differential oracle is
+// a correctness sweep, not a paper figure.
+var experiments = []struct {
+	name      string
+	namedOnly bool
+}{
+	{"table1", false}, {"table2", false}, {"fig1", false}, {"fig6", false},
+	{"fig7", false}, {"fig8", false}, {"mal", false}, {"mix", false},
+	{"metadata", false}, {"overfetch", false}, {"figfault", true}, {"check", true},
+}
+
+// experimentNames returns every accepted -experiment value.
+func experimentNames() []string {
+	names := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return append(names, "all")
+}
 
 // metricsTable wraps a table pointer for the CSV panel map.
 type metricsTable struct{ t *metrics.Table }
@@ -70,7 +92,7 @@ func parseRates(s string) ([]float64, error) {
 func main() {
 	start := time.Now()
 	var (
-		experiment = flag.String("experiment", "all", "which experiment to run (table1,table2,fig1,fig6,fig7,fig8,mal,mix,metadata,overfetch,figfault,check,all)")
+		experiment = flag.String("experiment", "all", "which experiment to run ("+strings.Join(experimentNames(), ",")+")")
 		scale      = flag.Uint64("scale", 128, "capacity scale factor versus Table I")
 		accesses   = flag.Uint64("accesses", 1_500_000, "memory references per benchmark run")
 		verbose    = flag.Bool("v", false, "log per-run progress (structured, to stderr)")
@@ -144,12 +166,13 @@ func main() {
 	// journal, so main falls through to flush the partial manifest and
 	// exits with the distinct resumable status. Later experiments in an
 	// "all" run are skipped — the drain request covers them too.
+	selected := map[string]bool{}
+	for _, e := range experiments {
+		selected[e.name] = e.name == *experiment || *experiment == "all" && !e.namedOnly
+	}
 	interrupted := false
 	run := func(name string, fn func() error) {
-		if *experiment != "all" && *experiment != name {
-			return
-		}
-		if interrupted {
+		if !selected[name] || interrupted {
 			return
 		}
 		if err := fn(); err != nil {
@@ -163,12 +186,9 @@ func main() {
 		}
 	}
 
-	known := map[string]bool{"table1": true, "table2": true, "fig1": true, "fig6": true,
-		"fig7": true, "fig8": true, "mal": true, "mix": true, "metadata": true, "overfetch": true,
-		"figfault": true, "check": true, "all": true}
-	if !known[*experiment] {
+	if !slices.Contains(experimentNames(), *experiment) {
 		fmt.Fprintf(os.Stderr, "bbrepro: unknown experiment %q (want %s)\n",
-			*experiment, strings.Join([]string{"table1", "table2", "fig1", "fig6", "fig7", "fig8", "mal", "mix", "metadata", "overfetch", "figfault", "check", "all"}, ", "))
+			*experiment, strings.Join(experimentNames(), ", "))
 		os.Exit(2)
 	}
 
@@ -364,49 +384,41 @@ func main() {
 		fmt.Println(harness.MALTable(res))
 		return nil
 	})
-	// The fault sweep multiplies the Figure 8 matrix by every rate, so it
-	// runs only when requested by name, not as part of "all".
-	if *experiment == "figfault" {
-		run("figfault", func() error {
-			res, err := h.FigFaultWith(harness.Fig8Designs, rates)
-			if err != nil {
+	run("figfault", func() error {
+		res, err := h.FigFaultWith(harness.Fig8Designs, rates)
+		if err != nil {
+			return err
+		}
+		fmt.Println(res.Table().String())
+		if *csvDir != "" {
+			if err := writeCSV(*csvDir+"/figfault_sweep.csv", func(w *os.File) error {
+				return harness.WriteFigFaultCSV(w, res)
+			}); err != nil {
 				return err
 			}
-			fmt.Println(res.Table().String())
-			if *csvDir != "" {
-				if err := writeCSV(*csvDir+"/figfault_sweep.csv", func(w *os.File) error {
-					return harness.WriteFigFaultCSV(w, res)
-				}); err != nil {
-					return err
-				}
-				if err := record("figfault_sweep.csv", "sweep"); err != nil {
-					return err
-				}
-				return writeAlerts(res.PerRun)
-			}
-			return nil
-		})
-	}
-	// The lockstep differential oracle is a correctness sweep, not a paper
-	// figure, so like figfault it runs only when requested by name. Output
-	// is deterministic at any -parallel value; the process exits nonzero
-	// when any cell reports a violation.
-	if *experiment == "check" {
-		run("check", func() error {
-			s := check.DefaultSuite(h.System(), int(*accesses))
-			s.Parallel = of.Parallel
-			s.Timeout = of.CellTimeout
-			res, err := s.Run()
-			if err != nil {
+			if err := record("figfault_sweep.csv", "sweep"); err != nil {
 				return err
 			}
-			fmt.Print(check.Table(res))
-			if bad := check.Violations(res); len(bad) > 0 {
-				return fmt.Errorf("%d of %d cells reported violations", len(bad), len(res))
-			}
-			return nil
-		})
-	}
+			return writeAlerts(res.PerRun)
+		}
+		return nil
+	})
+	// The check sweep's output is deterministic at any -parallel value;
+	// the process exits nonzero when any cell reports a violation.
+	run("check", func() error {
+		s := check.DefaultSuite(h.System(), int(*accesses))
+		s.Parallel = of.Parallel
+		s.Timeout = of.CellTimeout
+		res, err := s.Run()
+		if err != nil {
+			return err
+		}
+		fmt.Print(check.Table(res))
+		if bad := check.Violations(res); len(bad) > 0 {
+			return fmt.Errorf("%d of %d cells reported violations", len(bad), len(res))
+		}
+		return nil
+	})
 	run("metadata", func() error {
 		fmt.Println(harness.MetadataReport())
 		return nil

@@ -256,12 +256,6 @@ type Journal struct {
 	// DefaultFsyncEvery. Change it before the first Append.
 	FsyncEvery int
 
-	// OnAppend and OnFsync observe durability events (for the obs
-	// gauges). Called with the journal lock held; keep them cheap. nil
-	// is ignored.
-	OnAppend func()
-	OnFsync  func()
-
 	// TraceAppend, when set, wraps every Append in a request-scoped
 	// span: it is called with the cell identity before the write and the
 	// closure it returns is called with the append's outcome afterwards,
@@ -276,7 +270,6 @@ type Journal struct {
 	cached  map[string]Record
 	resumed int // completed cells carried over from a previous invocation
 	pending int // appends since the last fsync
-	appends uint64
 	fsyncs  uint64
 }
 
@@ -399,11 +392,7 @@ func (j *Journal) Append(cell string, seed uint64, attempts int, payload any) (e
 		return fmt.Errorf("journal: append cell %q: %w", cell, err)
 	}
 	j.cached[cell] = rec
-	j.appends++
 	j.pending++
-	if j.OnAppend != nil {
-		j.OnAppend()
-	}
 	every := j.FsyncEvery
 	if every <= 0 {
 		every = DefaultFsyncEvery
@@ -430,9 +419,6 @@ func (j *Journal) syncLocked() error {
 		return fmt.Errorf("journal: fsync: %w", err)
 	}
 	j.fsyncs++
-	if j.OnFsync != nil {
-		j.OnFsync()
-	}
 	return nil
 }
 

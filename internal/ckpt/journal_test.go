@@ -325,24 +325,19 @@ func TestFsyncCadence(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.FsyncEvery = 3
-	var appends, fsyncs int
-	j.OnAppend = func() { appends++ }
-	j.OnFsync = func() { fsyncs++ }
+	header := j.Fsyncs() // Create syncs the header
 	appendCells(t, j, 7)
-	if appends != 7 {
-		t.Fatalf("OnAppend fired %d times, want 7", appends)
-	}
 	// 7 appends at cadence 3 → fsyncs after records 3 and 6.
-	if fsyncs != 2 {
-		t.Fatalf("OnFsync fired %d times, want 2", fsyncs)
+	if got := j.Fsyncs() - header; got != 2 {
+		t.Fatalf("%d fsyncs after 7 appends, want 2", got)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if fsyncs != 3 {
-		t.Fatalf("Close must fsync the remainder: %d fsyncs, want 3", fsyncs)
+	if got := j.Fsyncs() - header; got != 3 {
+		t.Fatalf("Close must fsync the remainder: %d fsyncs, want 3", got)
 	}
-	// Header sync + the three observed ones.
+	// Header sync + the three after it.
 	if got := j.Fsyncs(); got != 4 {
 		t.Fatalf("Fsyncs() = %d, want 4", got)
 	}

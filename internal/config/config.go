@@ -17,9 +17,6 @@ type Core struct {
 	MLP     int     // max overlapping LLC misses (interval model window)
 }
 
-// CycleNS returns the duration of one core cycle in nanoseconds.
-func (c Core) CycleNS() float64 { return 1e3 / float64(c.FreqMHz) }
-
 // CacheLevel describes one SRAM cache level.
 type CacheLevel struct {
 	Name       string

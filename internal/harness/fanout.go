@@ -35,7 +35,6 @@ type shared struct {
 	build  func() (hmm.MemSystem, error) // the cell's design, built for sys
 	bench  string
 	seed   uint64 // recorded in failure messages
-	span   bool   // record a simulate/<design> span
 }
 
 // builder returns the build function of design on sys.
@@ -79,8 +78,10 @@ func (h *Harness) runShared(s shared) (RunResult, error) {
 	return r, err
 }
 
+// startSpan opens the cell's simulate/<design> span when h.Spans is
+// set; the check comes first so the disabled path builds no span name.
 func (h *Harness) startSpan(s shared) obs.SpanID {
-	if !s.span {
+	if !h.Spans.Enabled() {
 		return 0
 	}
 	return h.Spans.Start(h.SpanParent, "simulate/"+string(s.design))

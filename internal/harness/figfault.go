@@ -18,11 +18,6 @@ import (
 // POM-heavy designs pay migrations — or, for the fault-oblivious
 // baselines, keep serving from dead frames, which RetiredServes counts.
 
-// FigFaultRates are the swept frame-failure rates (failures per million
-// HBM accesses). The first rate must be the fault-free baseline: every
-// design's IPC is normalized against its run at rates[0].
-var FigFaultRates = []float64{0, 2, 10, 50}
-
 // FaultsAtRate builds the fault configuration for one sweep point: frame
 // failures at `rate` per million HBM accesses, transient ECC events at
 // 20x that, and a mild thermal throttle window. rate <= 0 disables
@@ -65,20 +60,15 @@ type FigFaultResult struct {
 	PerRun []RunResult // every (design, rate, bench) run for drill-down
 }
 
-// FigFault runs the fault sweep over the Figure 8 designs at the default
-// rates.
-func (h *Harness) FigFault() (*FigFaultResult, error) {
-	return h.FigFaultWith(Fig8Designs, FigFaultRates)
-}
-
 // figFaultCell is one (design, rate) row of the sweep matrix.
 type figFaultCell struct {
 	design config.Design
 	rate   float64
 }
 
-// FigFaultWith runs the fault sweep over explicit designs and rates.
-// rates[0] is the normalization baseline (normally 0: fault-free).
+// FigFaultWith runs the fault sweep over explicit designs and
+// frame-failure rates (failures per million HBM accesses). rates[0] is
+// the normalization baseline (normally 0: fault-free).
 func (h *Harness) FigFaultWith(designs []config.Design, rates []float64) (*FigFaultResult, error) {
 	if len(rates) == 0 {
 		return nil, fmt.Errorf("figfault: no rates")

@@ -248,7 +248,7 @@ func (h *Harness) capped(st trace.Stream) trace.Stream {
 }
 
 // replayCell describes one design's replay of a recorded trace: opened
-// by open, capped at h.Accesses, recorded under a simulate span.
+// by open and capped at h.Accesses.
 func (h *Harness) replayCell(design config.Design, bench string, open func() (trace.Stream, error)) shared {
 	sys := h.System()
 	return shared{
@@ -260,7 +260,7 @@ func (h *Harness) replayCell(design config.Design, bench string, open func() (tr
 			}
 			return h.capped(st), nil
 		},
-		sys: sys, design: design, build: builder(design, sys), bench: bench, span: true,
+		sys: sys, design: design, build: builder(design, sys), bench: bench,
 	}
 }
 

@@ -131,7 +131,7 @@ func sweepCells[T any](h *Harness, cells []cell, per int, run func(i int) (T, er
 			if jerr := h.Journal.Append(c.ID, c.Seed, tracker.attempts(li), v); jerr != nil {
 				return zero, jerr
 			}
-			h.Obs.Checkpointed()
+			h.Obs.Checkpointed(h.Journal.Fsyncs())
 		}
 		return v, nil
 	})

@@ -6,9 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/config"
 	"repro/internal/hmm"
-	"repro/internal/runner"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -19,12 +17,7 @@ import (
 func telemetrySweep(parallel int) ([]RunResult, error) {
 	h := &Harness{Scale: 1024, Accesses: 12000, Parallel: parallel,
 		TelemetryEpoch: 500, TraceDepth: 256}
-	designs := []config.Design{"bumblebee", "hybrid2", "no-hbm"}
-	bs := h.Benchmarks()[:3]
-	rows, err := runner.Matrix(h.workers(), designs, bs,
-		func(d config.Design, b trace.Benchmark) (RunResult, error) {
-			return h.RunDesign(d, b)
-		})
+	rows, err := h.Matrix(h.System(), []string{"bumblebee", "hybrid2", "no-hbm"}, trace.Names()[:3])
 	if err != nil {
 		return nil, err
 	}

@@ -42,18 +42,6 @@ func Mean(vs []float64) float64 {
 	return sum / float64(len(vs))
 }
 
-// Normalize divides each value by base.
-func Normalize(vs []float64, base float64) ([]float64, error) {
-	if base == 0 {
-		return nil, fmt.Errorf("metrics: normalize by zero")
-	}
-	out := make([]float64, len(vs))
-	for i, v := range vs {
-		out[i] = v / base
-	}
-	return out, nil
-}
-
 // Series is one named row of values keyed by column label, e.g. one
 // design's normalized IPC across benchmark groups.
 type Series struct {

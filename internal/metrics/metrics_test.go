@@ -61,45 +61,6 @@ func TestGeomeanTable(t *testing.T) {
 	}
 }
 
-func TestNormalizeTable(t *testing.T) {
-	cases := []struct {
-		name    string
-		in      []float64
-		base    float64
-		want    []float64
-		wantErr bool
-	}{
-		{"identity", []float64{1, 2}, 1, []float64{1, 2}, false},
-		{"halve", []float64{2, 4, 6}, 2, []float64{1, 2, 3}, false},
-		{"negative base", []float64{2, -4}, -2, []float64{-1, 2}, false},
-		{"empty input", nil, 5, []float64{}, false},
-		{"zero base", []float64{1}, 0, nil, true},
-	}
-	for _, tc := range cases {
-		got, err := Normalize(tc.in, tc.base)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("%s: Normalize accepted, got %v", tc.name, got)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("%s: %v", tc.name, err)
-			continue
-		}
-		if len(got) != len(tc.want) {
-			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
-				break
-			}
-		}
-	}
-}
-
 func TestMeanAccumulation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -166,19 +127,6 @@ func TestMean(t *testing.T) {
 	}
 	if got := Mean(nil); got != 0 {
 		t.Errorf("Mean(nil) = %f, want 0", got)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out, err := Normalize([]float64{2, 4}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 1 || out[1] != 2 {
-		t.Errorf("Normalize = %v", out)
-	}
-	if _, err := Normalize([]float64{1}, 0); err == nil {
-		t.Error("divide by zero accepted")
 	}
 }
 

@@ -196,24 +196,17 @@ func (s *Sweep) CellResumed() {
 	s.notifyAndUnlock()
 }
 
-// JournalFsync records one fsync of the checkpoint journal.
-func (s *Sweep) JournalFsync() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.fsyncs++
-	s.mu.Unlock()
-}
-
 // Checkpointed records a checkpoint append at the current wall-clock
-// instant; the exporter reports the age of the latest one.
-func (s *Sweep) Checkpointed() {
+// instant, with fsyncs the journal's fsync count after it; the exporter
+// reports the age of the latest append and the highest count seen
+// (concurrent appends may report out of order).
+func (s *Sweep) Checkpointed(fsyncs uint64) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	s.lastCkpt = s.now()
+	s.fsyncs = max(s.fsyncs, fsyncs)
 	s.mu.Unlock()
 }
 

@@ -44,9 +44,8 @@ func fixedSweep() *Sweep {
 	// an fsync, and a checkpoint append 6 s before the snapshot instant.
 	s.CellRetried()
 	s.CellResumed()
-	s.JournalFsync()
 	now = t0.Add(4 * time.Second)
-	s.Checkpointed()
+	s.Checkpointed(1)
 	now = t0.Add(10 * time.Second)
 	return s
 }
@@ -108,6 +107,12 @@ func TestSnapshotProgress(t *testing.T) {
 	if !snap.Checkpointed || snap.CheckpointAge != 6*time.Second {
 		t.Fatalf("checkpoint age = %v (checkpointed=%v), want 6s", snap.CheckpointAge, snap.Checkpointed)
 	}
+	// A concurrent append that read an older journal count reports
+	// late; the counter must not go backwards.
+	s.Checkpointed(0)
+	if got := s.Snapshot().JournalFsyncs; got != 1 {
+		t.Fatalf("fsyncs = %d after a stale report, want 1", got)
+	}
 }
 
 // TestNoCheckpointAge: a sweep that never checkpointed must not report a
@@ -135,8 +140,7 @@ func TestNilSweepSafe(t *testing.T) {
 	s.CellFailed("d", "b", errors.New("x"))
 	s.CellRetried()
 	s.CellResumed()
-	s.JournalFsync()
-	s.Checkpointed()
+	s.Checkpointed(1)
 	if snap := s.Snapshot(); snap.Done != 0 {
 		t.Fatalf("nil sweep snapshot reports done=%d", snap.Done)
 	}

@@ -14,53 +14,6 @@ import (
 // engine the live sweep monitor and bbserve jobs run, so a flag in a
 // report is the same object as a firing gauge on /metrics.
 
-// Rules are the anomaly thresholds; zero values pick the defaults.
-type Rules struct {
-	// ModeSwitchPer1M flags a (design, bench) run whose HBM mode switches
-	// exceed this rate per million demand accesses: the cHBM/POM balancer
-	// oscillating instead of settling (mode-switch thrashing).
-	ModeSwitchPer1M float64
-	// HotPlateauShare flags a run whose hot-table occupancy sits at its
-	// maximum for at least this share of telemetry epochs: the hot set no
-	// longer fits, so promotions are fighting over entries (saturation).
-	HotPlateauShare float64
-	// P99SLOCycles flags a (design, bench, tier) whose p99 service
-	// latency exceeds this many cycles.
-	P99SLOCycles uint64
-}
-
-// defaults fills zero fields.
-func (r Rules) defaults() Rules {
-	if r.ModeSwitchPer1M == 0 {
-		r.ModeSwitchPer1M = 500
-	}
-	if r.HotPlateauShare == 0 {
-		r.HotPlateauShare = 0.5
-	}
-	if r.P99SLOCycles == 0 {
-		r.P99SLOCycles = 5000
-	}
-	return r
-}
-
-// RuleSet lowers the threshold knobs onto the declarative default rule
-// set — the bridge from bbreport's historical flags to the engine.
-func (r Rules) RuleSet() alert.RuleSet {
-	r = r.defaults()
-	rs := alert.Defaults()
-	for i := range rs.Rules {
-		switch rs.Rules[i].Metric {
-		case alert.MetricModeSwitchRate:
-			rs.Rules[i].Threshold = r.ModeSwitchPer1M
-		case alert.MetricHotPlateauShare:
-			rs.Rules[i].Threshold = r.HotPlateauShare
-		case alert.MetricP99Cycles:
-			rs.Rules[i].Threshold = float64(r.P99SLOCycles)
-		}
-	}
-	return rs
-}
-
 // Flag is one triggered anomaly rule.
 type Flag struct {
 	Rule   string // rule identifier, e.g. "mode-switch-thrashing"
@@ -144,14 +97,9 @@ func flagsFromAlerts(alerts []alert.Alert) []Flag {
 	return flags
 }
 
-// Analyze runs every rule over one loaded run and returns the triggered
-// flags sorted by (rule, design, bench) — deterministic report input.
-func Analyze(run *Run, rules Rules) []Flag {
-	return AnalyzeRules(run, rules.RuleSet())
-}
-
-// AnalyzeRules evaluates an arbitrary rule set (e.g. a -rules file)
-// over a loaded run directory.
+// AnalyzeRules evaluates a rule set over one loaded run directory and
+// returns the triggered flags sorted by (rule, design, bench) —
+// deterministic report input.
 func AnalyzeRules(run *Run, rs alert.RuleSet) []Flag {
 	return flagsFromAlerts(alert.Evaluate(AlertInput(run), rs))
 }

@@ -84,10 +84,8 @@ type Options struct {
 	// sweep is byte-identical across invocations — the determinism checks
 	// diff it.
 	Session bool
-	// Anomaly thresholds; zero values pick the defaults.
-	Rules Rules
-	// RuleSet, when non-nil, overrides Rules with a full declarative rule
-	// set (e.g. loaded from a -rules file).
+	// RuleSet, when non-nil, replaces the built-in alert.Defaults() rules
+	// (e.g. with a set loaded from a -rules file).
 	RuleSet *alert.RuleSet
 }
 
@@ -96,7 +94,7 @@ func (o Options) ruleSet() alert.RuleSet {
 	if o.RuleSet != nil {
 		return *o.RuleSet
 	}
-	return o.Rules.RuleSet()
+	return alert.Defaults()
 }
 
 // designAgg is the per-design rollup of a runs CSV.

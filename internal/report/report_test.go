@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/alert"
 )
 
 // The fixture run directories under testdata were produced by the real
@@ -131,7 +133,7 @@ func TestAnomalyRules(t *testing.T) {
 			{Design: "bumblebee", Bench: "mcf", Tier: "chbm", Count: 100, P99: 1915, Max: 1915},
 		},
 	}
-	flags := Analyze(run, Rules{})
+	flags := AnalyzeRules(run, alert.Defaults())
 	got := map[string]int{}
 	for _, f := range flags {
 		got[f.Rule]++

@@ -96,8 +96,9 @@ func SpanSamples(spans []TraceSpan) []alert.Span {
 	return out
 }
 
-// AnalyzeTrace applies the service-trace anomaly rules via the shared
-// alert engine (the same rules a live bbserve job evaluates):
+// AnalyzeTraceRules evaluates rs over a span tree via the shared alert
+// engine. The built-in service-trace rules in alert.Defaults(), which a
+// live bbserve job also evaluates, are:
 //
 //   - queue-dominated: the job waited in the queue longer than it
 //     simulated — the fleet is undersized for the offered load.
@@ -108,12 +109,8 @@ func SpanSamples(spans []TraceSpan) []alert.Span {
 //     path — would be slower than simulating a trivial job (the
 //     "cache-hit slower than miss" smell).
 //   - aborted/error spans: the tree records a drain abort or failure.
-func AnalyzeTrace(spans []TraceSpan) []TraceFlag {
-	return AnalyzeTraceRules(spans, alert.Defaults())
-}
-
-// AnalyzeTraceRules evaluates an arbitrary rule set over a span tree,
-// preserving the engine's rule order.
+//
+// Flags keep the engine's rule order.
 func AnalyzeTraceRules(spans []TraceSpan, rs alert.RuleSet) []TraceFlag {
 	alerts := alert.Evaluate(alert.Input{Spans: SpanSamples(spans)}, rs)
 	var flags []TraceFlag
@@ -160,15 +157,9 @@ func CriticalPath(spans []TraceSpan) []TraceSpan {
 	}
 }
 
-// WriteTraceMarkdown renders the span-tree analysis under the default
-// rules. Output is a pure function of spans — the golden test diffs it
-// bytewise.
-func WriteTraceMarkdown(w io.Writer, spans []TraceSpan) error {
-	return WriteTraceMarkdownRules(w, spans, alert.Defaults())
-}
-
-// WriteTraceMarkdownRules renders the same analysis under an arbitrary
-// rule set (e.g. a -rules file).
+// WriteTraceMarkdownRules renders the span-tree analysis under a rule
+// set (alert.Defaults() or a -rules file). Output is a pure function of
+// spans and rules — the golden test diffs it bytewise.
 func WriteTraceMarkdownRules(w io.Writer, spans []TraceSpan, rs alert.RuleSet) error {
 	b := &strings.Builder{}
 	var root *TraceSpan

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/alert"
 )
 
 // fixtureSpans loads the committed service_trace.json fixture: a
@@ -78,7 +80,7 @@ func TestCriticalPath(t *testing.T) {
 func TestAnalyzeTraceRules(t *testing.T) {
 	rules := func(spans []TraceSpan) []string {
 		var out []string
-		for _, f := range AnalyzeTrace(spans) {
+		for _, f := range AnalyzeTraceRules(spans, alert.Defaults()) {
 			out = append(out, f.Rule)
 		}
 		return out
@@ -108,7 +110,7 @@ func TestAnalyzeTraceRules(t *testing.T) {
 // with UPDATE_GOLDEN=1.
 func TestTraceMarkdownGolden(t *testing.T) {
 	var b strings.Builder
-	if err := WriteTraceMarkdown(&b, fixtureSpans(t)); err != nil {
+	if err := WriteTraceMarkdownRules(&b, fixtureSpans(t), alert.Defaults()); err != nil {
 		t.Fatal(err)
 	}
 	got := b.String()
@@ -130,14 +132,14 @@ func TestTraceMarkdownGolden(t *testing.T) {
 
 	// Determinism: a second render of the same spans is byte-identical.
 	var b2 strings.Builder
-	if err := WriteTraceMarkdown(&b2, fixtureSpans(t)); err != nil {
+	if err := WriteTraceMarkdownRules(&b2, fixtureSpans(t), alert.Defaults()); err != nil {
 		t.Fatal(err)
 	}
 	if b2.String() != got {
 		t.Error("two renders of the same trace differ")
 	}
 
-	if err := WriteTraceMarkdown(&b, []TraceSpan{{ID: 2, Parent: 1, Name: "orphan"}}); err == nil {
+	if err := WriteTraceMarkdownRules(&b, []TraceSpan{{ID: 2, Parent: 1, Name: "orphan"}}, alert.Defaults()); err == nil {
 		t.Error("rootless span list: want error")
 	}
 }

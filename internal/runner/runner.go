@@ -324,36 +324,3 @@ func MapPolicy[I, O any](workers int, pol Policy, items []I, fn func(i int, item
 	}
 	return out, agg.or()
 }
-
-// Matrix fans fn out over the rows × cols cross product — the (design,
-// benchmark) shape of every figure sweep — and returns results indexed
-// [row][col]. Cells are scheduled row-major but complete independently;
-// like Map, all cells run even when some fail, and the error aggregates
-// every failure.
-func Matrix[R, C, O any](workers int, rows []R, cols []C, fn func(r R, c C) (O, error)) ([][]O, error) {
-	return MatrixTimeout(workers, 0, rows, cols, fn)
-}
-
-// MatrixTimeout is Matrix with a per-cell deadline (see MapTimeout).
-func MatrixTimeout[R, C, O any](workers int, timeout time.Duration, rows []R, cols []C, fn func(r R, c C) (O, error)) ([][]O, error) {
-	return MatrixPolicy(workers, Policy{Timeout: timeout}, rows, cols, fn)
-}
-
-// MatrixPolicy is Matrix under a full execution policy (see MapPolicy).
-func MatrixPolicy[R, C, O any](workers int, pol Policy, rows []R, cols []C, fn func(r R, c C) (O, error)) ([][]O, error) {
-	type cell struct{ ri, ci int }
-	cells := make([]cell, 0, len(rows)*len(cols))
-	for ri := range rows {
-		for ci := range cols {
-			cells = append(cells, cell{ri, ci})
-		}
-	}
-	flat, err := MapPolicy(workers, pol, cells, func(_ int, c cell) (O, error) {
-		return fn(rows[c.ri], cols[c.ci])
-	})
-	out := make([][]O, len(rows))
-	for ri := range rows {
-		out[ri] = flat[ri*len(cols) : (ri+1)*len(cols)]
-	}
-	return out, err
-}

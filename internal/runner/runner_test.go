@@ -164,46 +164,6 @@ func TestMapBoundedConcurrency(t *testing.T) {
 	}
 }
 
-func TestMatrixShapeAndOrder(t *testing.T) {
-	rows := []string{"a", "b", "c"}
-	cols := []int{1, 2}
-	out, err := Matrix(4, rows, cols, func(r string, c int) (string, error) {
-		return fmt.Sprintf("%s%d", r, c), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 || len(out[0]) != 2 {
-		t.Fatalf("shape %dx%d", len(out), len(out[0]))
-	}
-	want := [][]string{{"a1", "a2"}, {"b1", "b2"}, {"c1", "c2"}}
-	for ri := range want {
-		for ci := range want[ri] {
-			if out[ri][ci] != want[ri][ci] {
-				t.Errorf("out[%d][%d] = %q, want %q", ri, ci, out[ri][ci], want[ri][ci])
-			}
-		}
-	}
-}
-
-func TestMatrixErrorIndexing(t *testing.T) {
-	rows := []int{0, 1}
-	cols := []int{0, 1, 2}
-	_, err := Matrix(2, rows, cols, func(r, c int) (int, error) {
-		if r == 1 && c == 2 {
-			return 0, errors.New("last cell")
-		}
-		return 0, nil
-	})
-	var agg Errors
-	if !errors.As(err, &agg) || len(agg) != 1 {
-		t.Fatalf("err = %v", err)
-	}
-	if agg[0].Index != 5 { // row-major flattening: 1*3+2
-		t.Errorf("failed cell index %d, want 5", agg[0].Index)
-	}
-}
-
 func TestMapTimeoutHungCell(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
@@ -266,25 +226,5 @@ func TestMapTimeoutPanicRecovered(t *testing.T) {
 	}
 	if out[0] != "ok" {
 		t.Errorf("surviving cell lost its result: %v", out)
-	}
-}
-
-func TestMatrixTimeoutHungCell(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
-	rows := []int{0, 1}
-	cols := []int{0, 1}
-	out, err := MatrixTimeout(2, 50*time.Millisecond, rows, cols, func(r, c int) (int, error) {
-		if r == 1 && c == 0 {
-			<-release
-		}
-		return r*10 + c, nil
-	})
-	var agg Errors
-	if !errors.As(err, &agg) || len(agg) != 1 || agg[0].Index != 2 {
-		t.Fatalf("err = %v", err)
-	}
-	if out[0][0] != 0 || out[0][1] != 1 || out[1][1] != 11 {
-		t.Errorf("out = %v", out)
 	}
 }

@@ -740,7 +740,12 @@ func TestPutSubmission(t *testing.T) {
 func TestAlertLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, func(s *Server) {
 		s.Harness.TelemetryEpoch = 64
-		s.Rules = report.Rules{P99SLOCycles: 1}.RuleSet()
+		s.Rules = alert.Defaults()
+		for i := range s.Rules.Rules {
+			if s.Rules.Rules[i].Metric == alert.MetricP99Cycles {
+				s.Rules.Rules[i].Threshold = 1
+			}
+		}
 	})
 	st, _ := submit(t, ts, "design=bumblebee&bench=fixture", fixtureTrace(t))
 	final := waitDone(t, ts, st.ID)

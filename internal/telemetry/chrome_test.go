@@ -114,10 +114,10 @@ func TestTsMicros(t *testing.T) {
 		want        string
 	}{
 		{0, 2000, "0.000"},
-		{2000, 2000, "1.000"},     // 2000 cycles at 2 GHz = 1000 ns
-		{1, 2000, "0.000"},        // sub-millinanosecond truncates
-		{3, 2000, "0.001"},        // 1.5 ns truncates to 1 millinano... (3*1000/2000 = 1 ns)
-		{4500, 1000, "4.500"},     // 1 GHz: cycle = 1 ns
+		{2000, 2000, "1.000"}, // 2000 cycles at 2 GHz = 1000 ns
+		{1, 2000, "0.000"},    // sub-millinanosecond truncates
+		{3, 2000, "0.001"},    // 1.5 ns truncates to 1 millinano... (3*1000/2000 = 1 ns)
+		{4500, 1000, "4.500"}, // 1 GHz: cycle = 1 ns
 		{123456, 1000, "123.456"},
 		{5, 0, "5.000"}, // freq 0 guards to 1 MHz: 5 cycles = 5000 ns
 	}

@@ -127,36 +127,6 @@ func (o *Offset) NextBatch(dst []Access) int {
 	return n
 }
 
-// Concat replays streams back to back, which models distinct program
-// phases (used by the adaptive-ratio example).
-type Concat struct {
-	Streams []Stream
-	idx     int
-}
-
-// Next implements Stream.
-func (c *Concat) Next() (Access, bool) {
-	for c.idx < len(c.Streams) {
-		a, ok := c.Streams[c.idx].Next()
-		if ok {
-			return a, true
-		}
-		c.idx++
-	}
-	return Access{}, false
-}
-
-// NextBatch implements BatchStream.
-func (c *Concat) NextBatch(dst []Access) int {
-	for c.idx < len(c.Streams) {
-		if n := FillBatch(c.Streams[c.idx], dst); n > 0 {
-			return n
-		}
-		c.idx++
-	}
-	return 0
-}
-
 // rng is a deterministic xorshift64* generator. The simulator must be
 // reproducible run to run, and a local implementation keeps streams stable
 // regardless of stdlib changes.

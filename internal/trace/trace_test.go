@@ -196,25 +196,6 @@ func TestLimitStream(t *testing.T) {
 	}
 }
 
-func TestConcatPhases(t *testing.T) {
-	g1, _ := NewSynthetic(Profile{Name: "p1", FootprintBytes: 1 * addr.MiB, AvgGap: 2,
-		RunMean: 4, HotFraction: 0.1, HotProbability: 0.5})
-	g2, _ := NewSynthetic(Profile{Name: "p2", FootprintBytes: 1 * addr.MiB, AvgGap: 2,
-		RunMean: 4, HotFraction: 0.1, HotProbability: 0.5})
-	c := &Concat{Streams: []Stream{&Limit{S: g1, N: 50}, &Limit{S: g2, N: 70}}}
-	n := 0
-	for {
-		_, ok := c.Next()
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != 120 {
-		t.Errorf("concat yielded %d, want 120", n)
-	}
-}
-
 func TestRNGGeometricMean(t *testing.T) {
 	r := newRNG(42)
 	const n = 100000

@@ -92,12 +92,6 @@ func (m *Mapper) rand() uint64 {
 // Stats returns a copy of the counters.
 func (m *Mapper) Stats() Stats { return m.stats }
 
-// Frames returns the physical frame count.
-func (m *Mapper) Frames() uint64 { return m.frames }
-
-// MappedFrames returns the number of allocated frames.
-func (m *Mapper) MappedFrames() uint64 { return uint64(len(m.table)) }
-
 // Translate maps a virtual address to a physical address, allocating a
 // frame at first touch. When physical memory is exhausted the virtual
 // page aliases an existing frame (the OS would swap; the memory designs
