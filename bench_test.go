@@ -182,20 +182,21 @@ func runVariant(b *testing.B, mutate func(*config.System)) float64 {
 			b.Fatal(err)
 		}
 		bench = bench.Scale(h.Scale)
-		base, err := h.RunDesign(config.DesignNoHBM, bench)
-		if err != nil {
-			b.Fatal(err)
+		run := func(d config.Design, sys config.System) harness.RunResult {
+			mem, err := harness.Build(d, sys)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r, err := h.Run(sys, mem, bench)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return r
 		}
+		base := run(config.DesignNoHBM, h.System())
 		sys := h.System()
 		mutate(&sys)
-		mem, err := harness.Build(config.DesignBumblebee, sys)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := h.Run(sys, mem, bench)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := run(config.DesignBumblebee, sys)
 		speedups = append(speedups, r.CPU.IPC()/base.CPU.IPC())
 	}
 	gm, err := metrics.Geomean(speedups)

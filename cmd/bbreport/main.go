@@ -276,8 +276,6 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 	compare := fs.String("compare", "", "current ledger JSON to gate (- for stdin)")
 	against := fs.String("against", "", "baseline ledger JSON to gate -compare against")
 	tol := fs.Float64("tolerance", 0, "relative tolerance for model metrics (0 picks the default 0.001)")
-	checkTime := fs.Bool("time", false, "also gate time metrics (ns/op, B/op, allocs/op, MB/s); off by default, CI timing is noisy")
-	timeTol := fs.Float64("time-tolerance", 0, "relative tolerance for time metrics with -time (0 picks the default 0.25)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -345,9 +343,7 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "bbreport bench: %v\n", err)
 			return 1
 		}
-		regs := report.Compare(base, cur, report.CompareOptions{
-			ModelTol: *tol, CheckTime: *checkTime, TimeTol: *timeTol,
-		})
+		regs := report.Compare(base, cur, report.CompareOptions{ModelTol: *tol})
 		if len(regs) > 0 {
 			for _, r := range regs {
 				fmt.Fprintf(stderr, "REGRESSION %s\n", r)

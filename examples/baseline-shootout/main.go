@@ -1,7 +1,11 @@
 // Baseline-shootout: runs one workload on all six memory designs
 // side by side — Bumblebee against Hybrid2, Chameleon, Banshee, Alloy
 // Cache and Unison Cache — plus the no-HBM baseline used for
-// normalization, printing the Figure 8 metrics for each.
+// normalization, printing the Figure 8 metrics for each. Each design is
+// built with harness.Build and run with Harness.Run, the single-run path
+// of bumblebee-sim, so every row equals the matching bumblebee-sim run.
+// Like the Figure 8 sweep, Run seeds each design's trace from its own
+// name, so the designs replay different draws of the same profile.
 //
 //	go run ./examples/baseline-shootout               # default: mcf
 //	go run ./examples/baseline-shootout -bench roms   # any Table II name
@@ -35,11 +39,20 @@ func main() {
 	h.Scale = *scale
 	h.Accesses = *accesses
 	scaled := b.Scale(h.Scale)
-
-	base, err := h.RunDesign(config.DesignNoHBM, scaled)
-	if err != nil {
-		log.Fatal(err)
+	sys := h.System()
+	run := func(d config.Design) harness.RunResult {
+		mem, err := harness.Build(d, sys)
+		if err != nil {
+			log.Fatal(err)
+		}
+		r, err := h.Run(sys, mem, scaled)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return r
 	}
+
+	base := run(config.DesignNoHBM)
 
 	fmt.Printf("benchmark %s (%s MPKI class, %.1f GB footprint), normalized to no-HBM\n\n",
 		b.Profile.Name, b.Class, b.PaperGB)
@@ -48,10 +61,7 @@ func main() {
 
 	designs := append([]config.Design{config.DesignNoHBM}, harness.Fig8Designs...)
 	for _, d := range designs {
-		r, err := h.RunDesign(d, scaled)
-		if err != nil {
-			log.Fatal(err)
-		}
+		r := run(d)
 		fmt.Printf("%-11s %7.2fx %9.1f%% %9.2fx %9.2fx %8.2fx %8d\n",
 			r.Design,
 			r.CPU.IPC()/base.CPU.IPC(),

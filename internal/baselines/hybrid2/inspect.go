@@ -20,6 +20,11 @@ func (s *System) pomPeek(p uint64) (setIdx uint64, slot int32) {
 // InspectGranularity implements hmm.Inspector.
 func (s *System) InspectGranularity() uint64 { return pageBytes }
 
+// InspectCacheFrames returns the number of block-cache frames. They sit
+// outside the POM geometry, so the lockstep checker (internal/check)
+// bounds cache copies by this count and page homes by the geometry.
+func (s *System) InspectCacheFrames() uint64 { return uint64(len(s.cacheSets)) * cacheWays }
+
 // InspectAddr implements hmm.Inspector. HBM frame identities reuse the
 // over-fetch tracker's keyspace (cache region first, then POM region) so
 // the two statically partitioned regions cannot collide.

@@ -17,7 +17,9 @@
 //     in the interval — relocations cannot happen "for free".
 //   - structural audit: every K operations the design's own
 //     CheckInvariants runs and the full residency map is rebuilt from
-//     fresh inspections, also bounding distinct HBM frames by capacity.
+//     fresh inspections, also bounding distinct HBM frames by capacity
+//     (page homes by the geometry and cache copies by the cache region
+//     when the design partitions HBM; see cacheRegion).
 //
 // Violations carry the index of the offending operation so the shrinker
 // (shrink.go) can minimize a failing workload to a short repro.
@@ -87,8 +89,20 @@ type Checker struct {
 	// Entries go stale as un-reobserved pages move; conflicts re-inspect
 	// the recorded holder before being ruled violations.
 	claims map[frameKey]uint64
-	// maxHBM bounds distinct HBM frame claims (capacity / granularity).
-	maxHBM uint64
+	// maxHBM bounds distinct HBM frame claims (capacity / granularity);
+	// with a cache region it bounds page homes alone, and maxCache bounds
+	// the cache copies.
+	maxHBM   uint64
+	maxCache uint64
+}
+
+// cacheRegion is implemented by designs whose HBM cache copies live in a
+// statically partitioned region beside the frames their geometry maps
+// (Hybrid2's block cache beside its POM region). InspectCacheFrames
+// returns the region's frame count at the InspectGranularity. For every
+// other design, page homes and cache copies share the geometry's frames.
+type cacheRegion interface {
+	InspectCacheFrames() uint64
 }
 
 // NewChecker wraps mem. If mem implements hmm.Inspector the full oracle
@@ -108,6 +122,9 @@ func NewChecker(mem hmm.MemSystem, cfg Config) *Checker {
 		c.insp = insp
 		if g := insp.InspectGranularity(); g > 0 {
 			c.maxHBM = mem.Devices().Geom.HBMBytes / g
+		}
+		if cr, ok := insp.(cacheRegion); ok {
+			c.maxCache = cr.InspectCacheFrames()
 		}
 	}
 	return c
@@ -374,7 +391,7 @@ func (c *Checker) fullAudit(ms uint64) *Violation {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	fresh := make(map[frameKey]uint64, len(c.claims))
-	var hbmClaims uint64
+	var homes, cached uint64 // HBM frames claimed by page homes and by cache copies
 	for _, p := range ids {
 		ps := c.pages[p]
 		info := c.insp.InspectAddr(ps.addr)
@@ -394,15 +411,25 @@ func (c *Checker) fullAudit(ms uint64) *Violation {
 					other, p, k.tier, k.frame)
 			}
 			fresh[k] = p
-			if k.tier == hmm.TierHBM {
-				hbmClaims++
-			}
+		}
+		if info.Allocated && info.Home == hmm.TierHBM {
+			homes++
+		}
+		if info.Allocated && info.HasCache {
+			cached++
 		}
 	}
 	c.claims = fresh
-	if c.maxHBM > 0 && hbmClaims > c.maxHBM {
+	switch {
+	case c.maxCache > 0 && c.maxHBM > 0 && homes > c.maxHBM:
+		return c.violation("capacity", "%d HBM home frames claimed but the geometry holds %d",
+			homes, c.maxHBM)
+	case c.maxCache > 0 && cached > c.maxCache:
+		return c.violation("capacity", "%d HBM cache frames claimed but the cache region holds %d",
+			cached, c.maxCache)
+	case c.maxCache == 0 && c.maxHBM > 0 && homes+cached > c.maxHBM:
 		return c.violation("capacity", "%d distinct HBM frames claimed but capacity holds %d",
-			hbmClaims, c.maxHBM)
+			homes+cached, c.maxHBM)
 	}
 	return nil
 }

@@ -139,7 +139,7 @@ func TestLiveAlertsMatchPostHoc(t *testing.T) {
 }
 
 // TestAlertsSurviveResume pins the checkpoint path: cells served from
-// the journal bypass runStream, so the monitor replays their recorded
+// the journal never simulate, so the monitor replays their recorded
 // results — a resumed sweep's firing set must equal an uninterrupted
 // sweep's.
 func TestAlertsSurviveResume(t *testing.T) {

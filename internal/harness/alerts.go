@@ -86,8 +86,8 @@ func AlertInput(runs []RunResult) alert.Input {
 }
 
 // feedAlerts replays one finished run into the live monitor — the
-// resume path: a cell served from the checkpoint journal never passes
-// through runStream, so without this the live firing set after a
+// resume path: a cell served from the checkpoint journal never
+// simulates, so without this the live firing set after a
 // resumed sweep would silently miss every resumed cell's alerts.
 func (h *Harness) feedAlerts(r RunResult) {
 	cm := h.Alerts.StartCell(r.Design, r.Bench)

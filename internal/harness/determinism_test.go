@@ -2,10 +2,15 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/ckpt"
+	"repro/internal/config"
 )
 
 // The sweep determinism contract: the same sweep produces byte-identical
@@ -130,20 +135,83 @@ func TestWriteFig7CSVGolden(t *testing.T) {
 func TestRunSeedReproducible(t *testing.T) {
 	h := tiny()
 	b := h.Benchmarks()[5] // mcf
-	r1, err := h.RunDesign("bumblebee", b)
+	r1, err := runDesign(h, "bumblebee", b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Interleave an unrelated run; it must not perturb the next one.
-	if _, err := h.RunDesign("hybrid2", b); err != nil {
+	if _, err := runDesign(h, "hybrid2", b); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := h.RunDesign("bumblebee", b)
+	r2, err := runDesign(h, "bumblebee", b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.CPU != r2.CPU || r1.Counters != r2.Counters ||
 		r1.HBMBytes != r2.HBMBytes || r1.DRAMBytes != r2.DRAMBytes {
 		t.Errorf("repeated cell not bit-identical:\n%+v\nvs\n%+v", r1, r2)
+	}
+}
+
+// Every journal record's seed is the seed of the trace its cell ran: the
+// Fig7 variants that Name() themselves c-only, m-only, 25%-c and 50%-c
+// must record their own trace seeds, not Bumblebee's. Each cell is
+// replayed alone from its recorded seed and must reproduce its journaled
+// speedup.
+func TestFig7JournalSeedsReplayCells(t *testing.T) {
+	h := &Harness{Scale: 1024, Accesses: 2000, Parallel: 2}
+	dir := t.TempDir()
+	j, err := ckpt.Create(dir, ckpt.Meta{Tool: "harness-test", Experiment: "fig7", Scale: 1024, Accesses: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Journal = j
+	if _, err := h.Fig7(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err := ckpt.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Journal = nil
+	for _, b := range h.Benchmarks() {
+		var base RunResult
+		rec := l.ByCell[cellID("baseline", string(config.DesignNoHBM), b.Profile.Name)]
+		if err := json.Unmarshal(rec.Payload, &base); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range Fig7Variants() {
+			id := cellID("fig7", v.Label, b.Profile.Name)
+			rec, ok := l.ByCell[id]
+			if !ok {
+				t.Fatalf("%s not journaled", id)
+			}
+			var want float64
+			if err := json.Unmarshal(rec.Payload, &want); err != nil {
+				t.Fatal(err)
+			}
+			seed, err := strconv.ParseUint(rec.Seed, 0, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys := h.System()
+			v.Apply(&sys)
+			mem, err := Build(config.DesignBumblebee, sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pinned := b
+			pinned.Profile.Seed = seed
+			r, err := h.Run(sys, mem, pinned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := r.CPU.IPC() / base.CPU.IPC(); got != want {
+				t.Errorf("%s: journal seed %s replays speedup %v, journaled %v", id, rec.Seed, got, want)
+			}
+		}
 	}
 }

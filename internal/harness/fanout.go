@@ -14,15 +14,17 @@ import (
 	"repro/internal/trace"
 )
 
-// This file runs cells that share a trace as one group: filter once, fan
-// out. A cell's simulation splits at the LLC (see cpu.Filter and
-// cpu.Core): the hierarchy half depends only on the access stream and
-// the cache configuration, never on the memory design, so cells whose
-// trace and caches are equal can share one decode and one hierarchy
-// walk. The group's producer filters the stream into a bounded ring of
-// post-LLC chunks and every cell's core replays them into its own
-// design. Each core sees exactly the chunks a lone cpu.Run would have
-// produced, so results are byte-identical to running the cells apart.
+// This file is the one run loop of the harness: every simulation of one
+// design on one trace is a cell, described by a shared spec and run by a
+// group — filter once, fan out. A cell's simulation splits at the LLC
+// (see cpu.Filter and cpu.Core): the hierarchy half depends only on the
+// access stream and the cache configuration, never on the memory design,
+// so cells whose trace and caches are equal share one decode and one
+// hierarchy walk. The group's producer filters the stream into a bounded
+// ring of post-LLC chunks and every cell's core replays them into its
+// own design. Each core sees exactly the chunks cpu.Run would have
+// produced for it alone, so results are byte-identical to running the
+// cells apart; a lone cell is simply a one-member group.
 
 // shared is one cell's simulation split at the LLC: the trace it filters
 // and the design it drives. Cells with equal keys read the same accesses
@@ -34,7 +36,7 @@ type shared struct {
 	design config.Design
 	build  func() (hmm.MemSystem, error) // the cell's design, built for sys
 	bench  string
-	seed   uint64 // recorded in failure messages
+	seed   uint64 // the trace seed, recorded in the journal and in failure messages
 }
 
 // builder returns the build function of design on sys.
@@ -42,14 +44,22 @@ func builder(design config.Design, sys config.System) func() (hmm.MemSystem, err
 	return func() (hmm.MemSystem, error) { return Build(design, sys) }
 }
 
+// built returns a build function handing out mem, a design the caller
+// already built; such a spec runs once, never as a retry.
+func built(mem hmm.MemSystem) func() (hmm.MemSystem, error) {
+	return func() (hmm.MemSystem, error) { return mem, nil }
+}
+
 // openErr reports a trace that could not be opened for this cell.
 func (s shared) openErr(err error) error {
 	return fmt.Errorf("%s/%s: open trace: %w", s.design, s.bench, err)
 }
 
-// syntheticCell describes design's run of b on sys the way Run performs
-// it; name is the built design's Name(), which seeds the generator when
-// the profile carries no seed.
+// syntheticCell describes design's run of b on sys; name is the built
+// design's Name(). It holds the sweep's trace-seed rule: when the profile
+// carries no seed, the generator is seeded from runner.Seed(name,
+// benchmark), so a cell's stream depends only on what the cell is, never
+// on when or where it ran.
 func (h *Harness) syntheticCell(design config.Design, name string, sys config.System, b trace.Benchmark) shared {
 	p := b.Profile
 	if p.Seed == 0 {
@@ -62,20 +72,11 @@ func (h *Harness) syntheticCell(design config.Design, name string, sys config.Sy
 	}
 }
 
-// runShared runs one cell alone through cpu.Run.
-func (h *Harness) runShared(s shared) (RunResult, error) {
-	st, err := s.open()
-	if err != nil {
-		return RunResult{}, s.openErr(err)
-	}
-	mem, err := s.build()
-	if err != nil {
-		return RunResult{}, err
-	}
-	sp := h.startSpan(s)
-	r, err := h.runStream(s.sys, mem, s.bench, st, s.seed)
-	h.endSpan(sp, r, err)
-	return r, err
+// runAlone runs one cell as a one-member group.
+func (h *Harness) runAlone(s shared) (RunResult, error) {
+	g := newGroup(h)
+	g.add(0, s)
+	return g.result(0)
 }
 
 // startSpan opens the cell's simulate/<design> span when h.Spans is
@@ -99,48 +100,49 @@ func (h *Harness) endSpan(sp obs.SpanID, r RunResult, err error) {
 	h.Spans.End(sp)
 }
 
-// sweepShared is sweepCells for cells described by spec: cells that the
+// sweepShared is sweepCells for the cells named by ids and described by
+// spec; each cell's journal seed is its spec's trace seed. Cells that the
 // harness owns, that the journal does not already hold, and whose keys
-// are equal run as one group on their first attempt; a lone cell, and
-// every retry, runs by itself. done turns a cell's outcome into its sweep
-// value. Everything per cell — journal records, sharding, resume, retry,
-// interrupt, observation — stays sweepCells'.
-func sweepShared[T any](h *Harness, cells []cell, spec func(i int) shared, done func(i int, r RunResult, err error) (T, error)) ([]T, error) {
-	groups := make([]*group, len(cells))
+// are equal run as one group on their first attempt; every retry runs
+// alone. done turns a cell's outcome into its sweep value. Everything per
+// cell — journal records, sharding, resume, retry, interrupt,
+// observation — stays sweepCells'.
+func sweepShared[T any](h *Harness, ids []string, spec func(i int) shared, done func(i int, r RunResult, err error) (T, error)) ([]T, error) {
+	cells := make([]cell, len(ids))
+	specs := make([]shared, len(ids))
+	groups := make([]*group, len(ids))
 	byKey := map[string]*group{}
-	for i := range cells {
+	for i, id := range ids {
+		specs[i] = spec(i)
+		cells[i] = cell{ID: id, Seed: specs[i].seed}
 		if !h.Shard.Owns(i) {
 			continue
 		}
 		if h.Journal != nil {
-			if _, ok := h.Journal.Lookup(cells[i].ID); ok {
+			if _, ok := h.Journal.Lookup(id); ok {
 				continue
 			}
 		}
-		s := spec(i)
-		g := byKey[s.key]
+		g := byKey[specs[i].key]
 		if g == nil {
 			g = newGroup(h)
-			byKey[s.key] = g
+			byKey[specs[i].key] = g
 		}
-		g.add(i, s)
+		g.add(i, specs[i])
 		groups[i] = g
 	}
 	var mu sync.Mutex
-	tried := make([]bool, len(cells))
-	return sweepCells(h, cells, 1, func(i int) (T, error) {
+	tried := make([]bool, len(ids))
+	return sweepCells(h, cells, func(i int) (T, error) {
 		mu.Lock()
 		g := groups[i]
-		if tried[i] || (g != nil && len(g.members) < 2) {
-			g = nil
+		if tried[i] || g == nil {
+			g = newGroup(h)
+			g.add(i, specs[i])
 		}
 		tried[i] = true
 		mu.Unlock()
-		if g != nil {
-			r, err := g.result(i)
-			return done(i, r, err)
-		}
-		r, err := h.runShared(spec(i))
+		r, err := g.result(i)
 		return done(i, r, err)
 	})
 }
@@ -150,7 +152,8 @@ func sweepShared[T any](h *Harness, cells []cell, spec func(i int) shared, done 
 // independent of trace length. Consumers replay the same chunk in
 // parallel, so the ring only needs to cover the producer's lead: on the
 // replay-all benchmark a ring of 8 ran no faster than 4 and cost 0.7 MiB
-// more peak RSS.
+// more peak RSS. A group holds at most one chunk per member, so a lone
+// cell filters and replays one chunk at a time.
 const ringChunks = 4
 
 // chunkPool holds ring chunks across groups.
@@ -253,7 +256,7 @@ func (g *group) start() {
 	}
 	if err == nil {
 		g.filter = cpu.NewFilter(hier, st)
-		g.ring = make([]*cpu.Chunk, ringChunks)
+		g.ring = make([]*cpu.Chunk, min(ringChunks, len(g.members)))
 	}
 	for k, s := range g.members {
 		c := &consumer{}

@@ -13,7 +13,9 @@ import (
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/cache"
 	"repro/internal/ckpt"
+	"repro/internal/cpu"
 	"repro/internal/hmm"
 	"repro/internal/runner"
 	"repro/internal/trace"
@@ -88,6 +90,50 @@ func soloRuns(t *testing.T, h *Harness, open func() (trace.Stream, error)) []Run
 		}
 	}
 	return out
+}
+
+// A lone cell is a one-member group: its core sees exactly what cpu.Run
+// sees over the same stream, hierarchy and design.
+func TestLoneCellMatchesCPURun(t *testing.T) {
+	h := &Harness{Scale: 1024}
+	sys := h.System()
+	for _, n := range []uint64{0, 1, 4096, 3*4096 + 5} {
+		var opens atomic.Int64
+		open := syntheticOpener(n, &opens)
+		for _, d := range AllDesigns {
+			st, err := open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem, err := Build(d, sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hier, err := cache.NewHierarchy(sys.Caches)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := cpu.Run(sys.Core, hier, mem, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, err = open(); err != nil {
+				t.Fatal(err)
+			}
+			lone, err := Build(d, sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := h.RunStream(sys, lone, "lone", st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.CPU != want || got.Counters != mem.Counters() {
+				t.Errorf("%s, %d accesses: lone cell differs from cpu.Run:\n got %+v\nwant %+v",
+					d, n, got.CPU, want)
+			}
+		}
+	}
 }
 
 func TestFanOutMatchesSoloRuns(t *testing.T) {
@@ -198,13 +244,14 @@ func TestFanOutConsumerFailureIsolated(t *testing.T) {
 	open := syntheticOpener(20*4096, &opens) // more chunks than the ring holds
 	h := fanoutHarness(2)
 	want := soloRuns(t, h, open)
-	cells := make([]cell, len(AllDesigns))
+	ids := make([]string, len(AllDesigns))
 	for i, d := range AllDesigns {
-		cells[i] = cell{ID: cellID("fanout", string(d)), Seed: 1}
+		ids[i] = cellID("fanout", string(d))
 	}
-	got, err := sweepShared(h, cells,
+	sys := h.System()
+	got, err := sweepShared(h, ids,
 		func(i int) shared {
-			s := h.replayCell(AllDesigns[i], "fanout", open)
+			s := h.replayCell(AllDesigns[i], "fanout", sys, open)
 			if i == bad {
 				build := s.build
 				s.build = func() (hmm.MemSystem, error) {

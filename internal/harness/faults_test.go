@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -209,5 +210,55 @@ func TestFigFaultTable(t *testing.T) {
 	}
 	if tb.Rows[0].Name != "banshee" || tb.Rows[0].Values["10"] != 0.953125 {
 		t.Errorf("row 0 = %+v", tb.Rows[0])
+	}
+}
+
+// figfault runs a design's rates on one filtered stream per benchmark;
+// fault injection lives below the LLC, so every grouped cell — RAS
+// counters and telemetry included — equals its run alone through Build
+// and Run.
+func TestFigFaultGroupsMatchSoloRuns(t *testing.T) {
+	h := &Harness{Scale: 1024, Accesses: 20000, Parallel: 2, TelemetryEpoch: 2000, TraceDepth: 64}
+	designs := []config.Design{config.DesignBumblebee, config.DesignHybrid2}
+	rates := []float64{0, 10}
+	res, err := h.FigFaultWith(designs, rates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := h.Benchmarks()
+	if len(res.PerRun) != len(designs)*len(rates)*len(bs) {
+		t.Fatalf("%d runs, want %d", len(res.PerRun), len(designs)*len(rates)*len(bs))
+	}
+	var ras uint64
+	k := 0
+	for _, d := range designs {
+		for _, rate := range rates {
+			sys := h.System()
+			sys.Faults = FaultsAtRate(rate)
+			for _, b := range bs {
+				mem, err := Build(d, sys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := h.Run(sys, mem, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := res.PerRun[k]
+				k++
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s@%g/%s: grouped cell differs from its solo run:\n got %+v\nwant %+v",
+						d, rate, b.Profile.Name, got.Counters, want.Counters)
+				}
+				if got.Telemetry == nil || len(got.Telemetry.Timeline) == 0 {
+					t.Errorf("%s@%g/%s: no telemetry recorded", d, rate, b.Profile.Name)
+				}
+				c := got.Counters
+				ras += c.ECCCorrected + c.ECCRetried + c.FramesRetired + c.ThrottledAccesses
+			}
+		}
+	}
+	if ras == 0 {
+		t.Error("no RAS event fired: the comparison never exercised fault injection")
 	}
 }

@@ -121,13 +121,13 @@ func (h *Harness) Fig1() ([]Fig1Result, error) {
 	sys := h.System()
 	// Fig1 cells run a bespoke cache model, not Harness.Run, so they
 	// report their own completions to the sweep tracker.
-	rows, err := sweepGrid(h, Fig1Benchmarks, Fig1LineSizes, 1,
-		func(ni, li int) cell {
-			name, label := Fig1Benchmarks[ni], sizeLabel(Fig1LineSizes[li])
-			return cell{ID: cellID("fig1", name, label), Seed: runner.Seed("fig1", name, label)}
-		},
-		func(ni, li int) (Fig1Result, error) {
-			name, ls := Fig1Benchmarks[ni], Fig1LineSizes[li]
+	cells := grid(Fig1Benchmarks, Fig1LineSizes, func(ni, li int) cell {
+		name, label := Fig1Benchmarks[ni], sizeLabel(Fig1LineSizes[li])
+		return cell{ID: cellID("fig1", name, label), Seed: runner.Seed("fig1", name, label)}
+	})
+	out, err := sweepCells(h, cells,
+		func(i int) (Fig1Result, error) {
+			name, ls := Fig1Benchmarks[i/len(Fig1LineSizes)], Fig1LineSizes[i%len(Fig1LineSizes)]
 			b, err := trace.ByName(name)
 			if err != nil {
 				return Fig1Result{}, err
@@ -144,7 +144,7 @@ func (h *Harness) Fig1() ([]Fig1Result, error) {
 				return Fig1Result{}, err
 			}
 			var accesses uint64
-			for i := uint64(0); i < h.Accesses; i++ {
+			for n := uint64(0); n < h.Accesses; n++ {
 				acc, ok := gen.Next()
 				if !ok {
 					break
@@ -161,10 +161,6 @@ func (h *Harness) Fig1() ([]Fig1Result, error) {
 		})
 	if err != nil {
 		return nil, err
-	}
-	var out []Fig1Result
-	for _, row := range rows {
-		out = append(out, row...)
 	}
 	return out, nil
 }

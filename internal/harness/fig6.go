@@ -7,7 +7,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/runner"
 )
 
 // Figure 6: the block-size/page-size design-space sweep. The paper sweeps
@@ -55,11 +54,10 @@ func (h *Harness) Fig6() ([]Fig6Result, error) {
 	cfgs := Fig6Configs()
 	// Every configuration runs Bumblebee on the same per-benchmark trace,
 	// so each benchmark's nine cells share one filtered stream.
-	cells := gridCells(cfgs, bs, func(ci, bi int) cell {
-		cfg, b := cfgs[ci], bs[bi].Profile.Name
-		return cell{ID: cellID("fig6", cfg.Label(), b), Seed: runner.Seed(string(config.DesignBumblebee), b)}
+	ids := grid(cfgs, bs, func(ci, bi int) string {
+		return cellID("fig6", cfgs[ci].Label(), bs[bi].Profile.Name)
 	})
-	flat, err := sweepShared(h, cells,
+	flat, err := sweepShared(h, ids,
 		func(i int) shared {
 			cfg := cfgs[i/len(bs)]
 			sys := h.System()

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/metrics"
-	"repro/internal/runner"
 )
 
 // Figure 7: the performance-factor breakdown. Ten Bumblebee variants
@@ -42,11 +41,10 @@ func (h *Harness) Fig7() ([]Fig7Result, error) {
 		}
 		names[vi] = mem.Name()
 	}
-	cells := gridCells(vs, bs, func(vi, bi int) cell {
-		v, b := vs[vi], bs[bi].Profile.Name
-		return cell{ID: cellID("fig7", v.Label, b), Seed: runner.Seed("bumblebee", b)}
+	ids := grid(vs, bs, func(vi, bi int) string {
+		return cellID("fig7", vs[vi].Label, bs[bi].Profile.Name)
 	})
-	flat, err := sweepShared(h, cells,
+	flat, err := sweepShared(h, ids,
 		func(i int) shared {
 			vi := i / len(bs)
 			return h.syntheticCell(config.DesignBumblebee, names[vi], syss[vi], bs[i%len(bs)])

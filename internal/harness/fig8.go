@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/metrics"
-	"repro/internal/runner"
 	"repro/internal/trace"
 )
 
@@ -47,21 +46,24 @@ type Fig8Result struct {
 // fig8Runs sweeps the design × benchmark matrix under the harness
 // policy (checkpoint, retry, shard) and returns the raw per-cell runs.
 func (h *Harness) fig8Runs(bs []trace.Benchmark) ([][]RunResult, error) {
-	return sweepGrid(h, Fig8Designs, bs, 1,
-		func(di, bi int) cell {
-			d, b := Fig8Designs[di], bs[bi].Profile.Name
-			return cell{ID: cellID("fig8", string(d), b), Seed: runner.Seed(string(d), b)}
+	ids := grid(Fig8Designs, bs, func(di, bi int) string {
+		return cellID("fig8", string(Fig8Designs[di]), bs[bi].Profile.Name)
+	})
+	flat, err := sweepShared(h, ids,
+		func(i int) shared {
+			d := Fig8Designs[i/len(bs)]
+			return h.syntheticCell(d, string(d), h.System(), bs[i%len(bs)])
 		},
-		func(di, bi int) (RunResult, error) {
-			d, b := Fig8Designs[di], bs[bi]
-			r, err := h.RunDesign(d, b)
+		func(i int, r RunResult, err error) (RunResult, error) {
+			d, b := Fig8Designs[i/len(bs)], bs[i%len(bs)].Profile.Name
 			if err != nil {
-				return RunResult{}, fmt.Errorf("fig8 %s/%s: %w", d, b.Profile.Name, err)
+				return RunResult{}, fmt.Errorf("fig8 %s/%s: %w", d, b, err)
 			}
-			h.log("fig8", "design", string(d), "bench", b.Profile.Name,
+			h.log("fig8", "design", string(d), "bench", b,
 				"ipc", r.CPU.IPC(), "hbm_bytes", r.HBMBytes, "dram_bytes", r.DRAMBytes)
 			return r, nil
 		})
+	return byRow(flat, len(Fig8Designs), len(bs)), err
 }
 
 // Fig8 reproduces the headline comparison.

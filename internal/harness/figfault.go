@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/metrics"
-	"repro/internal/runner"
 )
 
 // The fault sweep (no paper figure — the robustness extension): every
@@ -83,31 +82,33 @@ func (h *Harness) FigFaultWith(designs []config.Design, rates []float64) (*FigFa
 			cells = append(cells, figFaultCell{design: d, rate: r})
 		}
 	}
-	runs, err := sweepGrid(h, cells, bs, 1,
-		func(ci, bi int) cell {
-			c, b := cells[ci], bs[bi].Profile.Name
-			label := fmt.Sprintf("%s@%s", c.design, strconv.FormatFloat(c.rate, 'g', -1, 64))
-			return cell{ID: cellID("figfault", label, b), Seed: runner.Seed(string(c.design), b)}
-		},
-		func(ci, bi int) (RunResult, error) {
-			c, b := cells[ci], bs[bi]
+	// A design's rates differ only in fault injection, which lives below
+	// the LLC, so each benchmark's rates share one filtered stream.
+	ids := grid(cells, bs, func(ci, bi int) string {
+		c := cells[ci]
+		label := fmt.Sprintf("%s@%s", c.design, strconv.FormatFloat(c.rate, 'g', -1, 64))
+		return cellID("figfault", label, bs[bi].Profile.Name)
+	})
+	flat, err := sweepShared(h, ids,
+		func(i int) shared {
+			c := cells[i/len(bs)]
 			sys := h.System()
 			sys.Faults = FaultsAtRate(c.rate)
-			mem, err := Build(c.design, sys)
+			return h.syntheticCell(c.design, string(c.design), sys, bs[i%len(bs)])
+		},
+		func(i int, r RunResult, err error) (RunResult, error) {
+			c, b := cells[i/len(bs)], bs[i%len(bs)].Profile.Name
 			if err != nil {
-				return RunResult{}, fmt.Errorf("figfault %s@%g: %w", c.design, c.rate, err)
-			}
-			r, err := h.Run(sys, mem, b)
-			if err != nil {
-				return RunResult{}, fmt.Errorf("figfault %s@%g/%s: %w", c.design, c.rate, b.Profile.Name, err)
+				return RunResult{}, fmt.Errorf("figfault %s@%g/%s: %w", c.design, c.rate, b, err)
 			}
 			h.log("figfault", "design", string(c.design), "rate", c.rate,
-				"bench", b.Profile.Name, "ipc", r.CPU.IPC(), "frames_retired", r.Counters.FramesRetired)
+				"bench", b, "ipc", r.CPU.IPC(), "frames_retired", r.Counters.FramesRetired)
 			return r, nil
 		})
 	if err != nil {
 		return nil, err
 	}
+	runs := byRow(flat, len(cells), len(bs))
 	res := &FigFaultResult{}
 	for ci, c := range cells {
 		baseIdx := ci - ci%len(rates) // the design's rates[0] row

@@ -15,25 +15,25 @@
 // stable hash of the design and benchmark names, so a sweep's output is
 // bit-identical at any Parallel setting.
 //
-// Cells that replay the same trace through the same caches are filtered
-// once and fanned out (see fanout.go): the core model splits at the LLC
-// (cpu.Filter, cpu.Core), one producer decodes the trace and walks the
-// SRAM hierarchy, and every cell's core replays the post-LLC chunks into
-// its own design. ReplaySweep groups all its designs, Fig6 all nine
-// configurations of a benchmark, and Fig7 the variants that keep
-// Bumblebee's name (and so its trace seed); every other sweep still seeds
-// each design's trace separately, so its cells run alone. Grouping is
-// invisible in the results: every cell's bytes equal its solo run.
+// Every simulation of one design on one trace is a cell described by a
+// shared spec (see fanout.go) and run by a fan-out group: the core model
+// splits at the LLC (cpu.Filter, cpu.Core), one producer decodes the
+// trace and walks the SRAM hierarchy, and every member cell's core
+// replays the post-LLC chunks into its own design. Cells whose trace and
+// caches are equal share one group — ReplaySweep all its designs, Fig6
+// all nine configurations of a benchmark, Fig7 the variants that keep
+// Bumblebee's name (and so its trace seed), figfault a design's rates,
+// MAL its SRAM/HBM metadata pair — and Run, RunStream and every other
+// cell run as a one-member group. Grouping is invisible in the results:
+// every cell's bytes equal its solo run.
 package harness
 
 import (
 	"fmt"
 	"log/slog"
-	"sync"
 	"time"
 
 	"repro/internal/alert"
-	"repro/internal/cache"
 	"repro/internal/ckpt"
 	"repro/internal/config"
 	"repro/internal/cpu"
@@ -128,13 +128,6 @@ type Harness struct {
 	SpanParent obs.SpanID
 }
 
-// accBufPool holds trace ingestion buffers (see cpu.WithAccessBuffer),
-// stored by pointer so Get/Put do not themselves allocate.
-var accBufPool = sync.Pool{New: func() any {
-	buf := make([]trace.Access, cpu.AccessBufferSize())
-	return &buf
-}}
-
 // New returns a harness at the default reproduction scale.
 func New() *Harness {
 	return &Harness{Scale: 128, Accesses: 1_500_000}
@@ -196,22 +189,13 @@ type RunResult struct {
 	Telemetry *RunTelemetry
 }
 
-// Run simulates one benchmark on one memory system built for sys.
-//
-// When the benchmark's profile carries no explicit seed, the trace
-// generator is seeded from runner.Seed(design, benchmark) — the sweep
-// determinism rule: a cell's stream depends only on what the cell *is*,
-// never on when or where it ran.
+// Run simulates one benchmark on mem, a memory system built for sys, as
+// a one-member group. The trace seed follows the sweep rule (see
+// syntheticCell), so Run reproduces the matching sweep cell.
 func (h *Harness) Run(sys config.System, mem hmm.MemSystem, b trace.Benchmark) (RunResult, error) {
-	p := b.Profile
-	if p.Seed == 0 {
-		p.Seed = runner.Seed(mem.Name(), p.Name)
-	}
-	st, err := h.synthetic(p)()
-	if err != nil {
-		return RunResult{}, err
-	}
-	return h.runStream(sys, mem, p.Name, st, p.Seed)
+	s := h.syntheticCell(config.Design(mem.Name()), mem.Name(), sys, b)
+	s.build = built(mem)
+	return h.runAlone(s)
 }
 
 // synthetic returns a source of p's generated stream, capped at
@@ -226,7 +210,7 @@ func (h *Harness) synthetic(p trace.Profile) func() (trace.Stream, error) {
 	}
 }
 
-// RunStream simulates one memory system built for sys over an
+// RunStream simulates mem, a memory system built for sys, over an
 // externally supplied access stream — a replayed trace file (see
 // internal/tracecodec) rather than a synthetic generator — the way Run
 // simulates a benchmark. When h.Accesses > 0 the replay is capped at
@@ -235,7 +219,9 @@ func (h *Harness) synthetic(p trace.Profile) func() (trace.Stream, error) {
 // of (design, stream), so identical trace bytes produce identical
 // results at any Parallel setting.
 func (h *Harness) RunStream(sys config.System, mem hmm.MemSystem, bench string, st trace.Stream) (RunResult, error) {
-	return h.runStream(sys, mem, bench, h.capped(st), 0)
+	s := h.replayCell(config.Design(mem.Name()), bench, sys, func() (trace.Stream, error) { return st, nil })
+	s.build = built(mem)
+	return h.runAlone(s)
 }
 
 // capped limits a recorded trace to h.Accesses accesses; 0 leaves it
@@ -247,10 +233,10 @@ func (h *Harness) capped(st trace.Stream) trace.Stream {
 	return &trace.Limit{S: st, N: h.Accesses}
 }
 
-// replayCell describes one design's replay of a recorded trace: opened
-// by open and capped at h.Accesses.
-func (h *Harness) replayCell(design config.Design, bench string, open func() (trace.Stream, error)) shared {
-	sys := h.System()
+// replayCell describes one design's replay of a recorded trace on sys:
+// opened by open and capped at h.Accesses. A recording carries no seed;
+// its identity is the trace itself.
+func (h *Harness) replayCell(design config.Design, bench string, sys config.System, open func() (trace.Stream, error)) shared {
 	return shared{
 		key: cellID("replay", bench, fmt.Sprint(sys.Caches)),
 		open: func() (trace.Stream, error) {
@@ -272,15 +258,13 @@ func (h *Harness) replayCell(design config.Design, bench string, open func() (tr
 // bytes per call (reopen the file). It is called from worker goroutines
 // and must be safe for concurrent use.
 func (h *Harness) ReplaySweep(designs []config.Design, bench string, open func() (trace.Stream, error)) ([]RunResult, error) {
-	cells := make([]cell, len(designs))
+	ids := make([]string, len(designs))
 	for i, d := range designs {
-		cells[i] = cell{
-			ID:   cellID("replay", string(d), bench),
-			Seed: runner.Seed(string(d), bench),
-		}
+		ids[i] = cellID("replay", string(d), bench)
 	}
-	return sweepShared(h, cells,
-		func(i int) shared { return h.replayCell(designs[i], bench, open) },
+	sys := h.System()
+	return sweepShared(h, ids,
+		func(i int) shared { return h.replayCell(designs[i], bench, sys, open) },
 		func(i int, r RunResult, err error) (RunResult, error) {
 			if err != nil {
 				return RunResult{}, err
@@ -288,28 +272,6 @@ func (h *Harness) ReplaySweep(designs []config.Design, bench string, open func()
 			h.log("replay", "design", r.Design, "bench", bench, "ipc", r.CPU.IPC())
 			return r, nil
 		})
-}
-
-// runStream is the single-consumer path shared by Run, RunStream and
-// every cell that replays its trace alone: it builds the cache hierarchy
-// and the design side (see newSim), runs cpu.Run — the hierarchy and
-// core halves composed — over the stream, and assembles the result. seed
-// is recorded in failure messages for replayability (0 for external
-// traces, whose identity is the trace file itself).
-func (h *Harness) runStream(sys config.System, mem hmm.MemSystem, bench string, st trace.Stream, seed uint64) (RunResult, error) {
-	hier, err := cache.NewHierarchy(sys.Caches)
-	if err != nil {
-		return RunResult{}, err
-	}
-	sim := h.newSim(sys, mem, bench, seed)
-	// Trace ingestion buffers are pooled across cells (workers return them
-	// when the cell finishes), so sweeps do not allocate one per cell. The
-	// buffer is scratch space fully rewritten each batch — sharing cannot
-	// leak state between cells.
-	accBuf := accBufPool.Get().(*[]trace.Access)
-	res, err := cpu.Run(sys.Core, hier, mem, st, cpu.WithAccessBuffer(*accBuf))
-	accBufPool.Put(accBuf)
-	return sim.finish(res, err)
 }
 
 // sim is the design side of one cell: its memory system with fault
@@ -405,18 +367,9 @@ func (s *sim) finish(res cpu.Result, err error) (RunResult, error) {
 	return rr, nil
 }
 
-// RunDesign builds the named design and runs one benchmark on it.
-func (h *Harness) RunDesign(design config.Design, b trace.Benchmark) (RunResult, error) {
-	sys := h.System()
-	mem, err := Build(design, sys)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return h.Run(sys, mem, b)
-}
-
-// baselineIPC runs the no-HBM baseline for every benchmark once and
-// caches the IPCs and traffic used for normalization.
+// baseline holds the no-HBM baseline's IPC, traffic and energy per
+// benchmark, the denominators of normalization; runBaseline runs it once
+// per benchmark.
 type baseline struct {
 	ipc   map[string]float64
 	bytes map[string]uint64 // DRAM traffic of the no-HBM run
@@ -424,26 +377,25 @@ type baseline struct {
 }
 
 func (h *Harness) runBaseline(bs []trace.Benchmark) (*baseline, error) {
-	cells := make([]cell, len(bs))
+	const d = config.DesignNoHBM
+	ids := make([]string, len(bs))
 	for i, b := range bs {
-		cells[i] = cell{
-			ID:   cellID("baseline", string(config.DesignNoHBM), b.Profile.Name),
-			Seed: runner.Seed(string(config.DesignNoHBM), b.Profile.Name),
-		}
+		ids[i] = cellID("baseline", string(d), b.Profile.Name)
 	}
 	// The baseline is normalization input for every design's rows, so it
 	// always runs in full — sharding partitions only the design matrix.
 	hb := *h
 	hb.Shard = runner.Shard{}
-	runs, err := sweepCells(&hb, cells, 1, func(i int) (RunResult, error) {
-		b := bs[i]
-		r, err := h.RunDesign(config.DesignNoHBM, b)
-		if err != nil {
-			return RunResult{}, fmt.Errorf("baseline %s: %w", b.Profile.Name, err)
-		}
-		h.log("baseline", "bench", b.Profile.Name, "ipc", r.CPU.IPC(), "mpki", r.CPU.MPKI())
-		return r, nil
-	})
+	runs, err := sweepShared(&hb, ids,
+		func(i int) shared { return h.syntheticCell(d, string(d), h.System(), bs[i]) },
+		func(i int, r RunResult, err error) (RunResult, error) {
+			b := bs[i].Profile.Name
+			if err != nil {
+				return RunResult{}, fmt.Errorf("baseline %s: %w", b, err)
+			}
+			h.log("baseline", "bench", b, "ipc", r.CPU.IPC(), "mpki", r.CPU.MPKI())
+			return r, nil
+		})
 	if err != nil {
 		return nil, err
 	}

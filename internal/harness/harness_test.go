@@ -14,6 +14,16 @@ func tiny() *Harness {
 	return &Harness{Scale: 512, Accesses: 40000}
 }
 
+// runDesign builds design on the harness's system and runs b on it.
+func runDesign(h *Harness, design config.Design, b trace.Benchmark) (RunResult, error) {
+	sys := h.System()
+	mem, err := Build(design, sys)
+	if err != nil {
+		return RunResult{}, err
+	}
+	return h.Run(sys, mem, b)
+}
+
 func TestSystemScaling(t *testing.T) {
 	h := tiny()
 	sys := h.System()
@@ -73,13 +83,13 @@ func TestBuildAllDesigns(t *testing.T) {
 	}
 }
 
-func TestRunDesignProducesSaneResult(t *testing.T) {
+func TestRunProducesSaneResult(t *testing.T) {
 	h := tiny()
 	b, err := trace.ByName("mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := h.RunDesign(config.DesignBumblebee, b.Scale(h.Scale))
+	r, err := runDesign(h, config.DesignBumblebee, b.Scale(h.Scale))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +266,7 @@ func TestWriteRunsCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := h.RunDesign(config.DesignBumblebee, b.Scale(h.Scale))
+	r, err := runDesign(h, config.DesignBumblebee, b.Scale(h.Scale))
 	if err != nil {
 		t.Fatal(err)
 	}

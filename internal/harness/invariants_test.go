@@ -36,7 +36,7 @@ func TestDesignInvariants(t *testing.T) {
 		}
 		b = b.Scale(h.Scale)
 		// The no-HBM run normalizes everything else.
-		base, err := h.RunDesign(config.DesignNoHBM, b)
+		base, err := runDesign(h, config.DesignNoHBM, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func TestDesignInvariants(t *testing.T) {
 		for _, d := range invariantDesigns {
 			d := d
 			t.Run(string(d)+"/"+name, func(t *testing.T) {
-				r, err := h.RunDesign(d, b)
+				r, err := runDesign(h, d, b)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -126,7 +126,7 @@ func TestDesignInvariantsParallelIdentical(t *testing.T) {
 	b = b.Scale(h.Scale)
 	run := func(workers int) []RunResult {
 		out, err := runner.Map(workers, invariantDesigns, func(_ int, d config.Design) (RunResult, error) {
-			return h.RunDesign(d, b)
+			return runDesign(h, d, b)
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/config"
-	"repro/internal/runner"
 )
 
 // Section II-B measures the metadata access latency (MAL) of designs
@@ -23,44 +22,41 @@ type MALResult struct {
 }
 
 // MAL measures the metadata access latency share for every Table II
-// benchmark. Each cell runs its benchmark twice (metadata in SRAM, then in
-// HBM) on the same deterministic stream; cells fan out across the pool.
+// benchmark: one cell per (benchmark, metadata placement), fanned out
+// across the pool. A benchmark's pair runs the same deterministic stream
+// through the same caches, so it shares one filtered stream.
 func (h *Harness) MAL() ([]MALResult, error) {
 	bs := h.Benchmarks()
-	cells := make([]cell, len(bs))
-	for i, b := range bs {
-		cells[i] = cell{
-			ID:   cellID("mal", b.Profile.Name),
-			Seed: runner.Seed(string(config.DesignBumblebee), b.Profile.Name),
-		}
+	places := []string{"sram", "hbm"}
+	ids := grid(bs, places, func(bi, pi int) string {
+		return cellID("mal", places[pi], bs[bi].Profile.Name)
+	})
+	const d = config.DesignBumblebee
+	lat, err := sweepShared(h, ids,
+		func(i int) shared {
+			sys := h.System()
+			sys.Bumblebee.MetadataInHBM = places[i%2] == "hbm"
+			return h.syntheticCell(d, string(d), sys, bs[i/2])
+		},
+		func(i int, r RunResult, err error) (float64, error) {
+			if err != nil {
+				return 0, fmt.Errorf("mal %s: %w", bs[i/2].Profile.Name, err)
+			}
+			return r.CPU.AvgMissLatency(), nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	return sweepCells(h, cells, 2, func(i int) (MALResult, error) { // each cell runs SRAM- and HBM-metadata
-		b := bs[i]
-		sram, err := h.RunDesign(config.DesignBumblebee, b)
-		if err != nil {
-			return MALResult{}, fmt.Errorf("mal %s: %w", b.Profile.Name, err)
-		}
-		sysH := h.System()
-		sysH.Bumblebee.MetadataInHBM = true
-		memH, err := Build(config.DesignBumblebee, sysH)
-		if err != nil {
-			return MALResult{}, fmt.Errorf("mal %s: %w", b.Profile.Name, err)
-		}
-		hbm, err := h.Run(sysH, memH, b)
-		if err != nil {
-			return MALResult{}, fmt.Errorf("mal %s: %w", b.Profile.Name, err)
-		}
-		r := MALResult{
-			Bench:   b.Profile.Name,
-			SRAMLat: sram.CPU.AvgMissLatency(),
-			HBMLat:  hbm.CPU.AvgMissLatency(),
-		}
+	out := make([]MALResult, len(bs))
+	for bi, b := range bs {
+		r := MALResult{Bench: b.Profile.Name, SRAMLat: lat[2*bi], HBMLat: lat[2*bi+1]}
 		if r.HBMLat > 0 && r.HBMLat > r.SRAMLat {
 			r.MALShare = (r.HBMLat - r.SRAMLat) / r.HBMLat
 		}
 		h.log("mal", "bench", r.Bench, "sram_lat", r.SRAMLat, "hbm_lat", r.HBMLat, "share_pct", r.MALShare*100)
-		return r, nil
-	})
+		out[bi] = r
+	}
+	return out, nil
 }
 
 // MALTable renders the measurement like the paper quotes it.

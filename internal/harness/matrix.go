@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/config"
-	"repro/internal/runner"
 	"repro/internal/trace"
 )
 
@@ -16,22 +15,24 @@ import (
 // it takes the system verbatim so flag overrides (block size, faults)
 // apply to every cell.
 func (h *Harness) Matrix(sys config.System, designs, benches []string) ([][]RunResult, error) {
-	return sweepGrid(h, designs, benches, 1,
-		func(di, bi int) cell {
-			d, b := designs[di], benches[bi]
-			return cell{ID: cellID("matrix", d, b), Seed: runner.Seed(d, b)}
-		},
-		func(di, bi int) (RunResult, error) {
-			d, bench := designs[di], benches[bi]
+	ids := grid(designs, benches, func(di, bi int) string {
+		return cellID("matrix", designs[di], benches[bi])
+	})
+	flat, err := sweepShared(h, ids,
+		func(i int) shared {
+			d, bench := designs[i/len(benches)], benches[i%len(benches)]
 			b, err := trace.ByName(bench)
 			if err != nil {
-				return RunResult{}, fmt.Errorf("unknown benchmark %q (known: %s)",
-					bench, strings.Join(trace.Names(), ", "))
+				// An unknown benchmark fails its cells when the trace opens.
+				err = fmt.Errorf("unknown benchmark %q (known: %s)", bench, strings.Join(trace.Names(), ", "))
+				return shared{
+					key:    cellID("unknown", bench),
+					open:   func() (trace.Stream, error) { return nil, err },
+					design: config.Design(d), bench: bench,
+				}
 			}
-			mem, err := Build(config.Design(d), sys)
-			if err != nil {
-				return RunResult{}, err
-			}
-			return h.Run(sys, mem, b.Scale(h.Scale))
-		})
+			return h.syntheticCell(config.Design(d), d, sys, b.Scale(h.Scale))
+		},
+		func(i int, r RunResult, err error) (RunResult, error) { return r, err })
+	return byRow(flat, len(designs), len(benches)), err
 }

@@ -207,7 +207,7 @@ func TestRetryTransientCellJournalsAttempts(t *testing.T) {
 		return i, nil
 	}
 	cells := []cell{{ID: "t/0", Seed: 1}, {ID: "t/1", Seed: 2}, {ID: "t/2", Seed: 3}}
-	out, err := sweepCells(h, cells, 1, flaky)
+	out, err := sweepCells(h, cells, flaky)
 	if err != nil {
 		t.Fatalf("retried sweep failed: %v", err)
 	}

@@ -53,8 +53,7 @@ func (a *attemptTracker) attempts(i int) int {
 }
 
 // sweepCells fans cells out under the harness policy and returns their
-// results indexed like cells. run(i) computes cell i; per is the number
-// of simulations one cell performs (for the planned-cell gauge).
+// results indexed like cells. run(i) computes cell i, one simulation.
 //
 // Sharding: only cells the harness's shard owns are run (or resumed);
 // the rest stay zero in the output. Checkpointing: when a journal is
@@ -63,17 +62,14 @@ func (a *attemptTracker) attempts(i int) int {
 // indistinguishable — and every fresh completion is appended before the
 // cell is considered done, so a journal write failure fails the cell
 // rather than silently dropping resumability.
-func sweepCells[T any](h *Harness, cells []cell, per int, run func(i int) (T, error)) ([]T, error) {
+func sweepCells[T any](h *Harness, cells []cell, run func(i int) (T, error)) ([]T, error) {
 	owned := make([]int, 0, len(cells))
 	for i := range cells {
 		if h.Shard.Owns(i) {
 			owned = append(owned, i)
 		}
 	}
-	if per < 1 {
-		per = 1
-	}
-	h.Obs.AddPlanned(len(owned) * per)
+	h.Obs.AddPlanned(len(owned))
 	if h.Journal != nil && h.Spans.Enabled() && h.Journal.TraceAppend == nil {
 		// Thread checkpoint durability onto the request timeline: each
 		// journal append becomes a ckpt/append span under the sweep's
@@ -115,7 +111,7 @@ func sweepCells[T any](h *Harness, cells []cell, per int, run func(i int) (T, er
 					return zero, fmt.Errorf("checkpoint %s: corrupt payload: %w", c.ID, jerr)
 				}
 				h.Obs.CellResumed()
-				// Resumed cells bypass runStream, so replay the recorded
+				// Resumed cells never simulate, so replay the recorded
 				// result into the live alert monitor: after a resume the
 				// firing set must equal an uninterrupted run's.
 				h.alertReplay(v)
@@ -141,26 +137,16 @@ func sweepCells[T any](h *Harness, cells []cell, per int, run func(i int) (T, er
 	return out, err
 }
 
-// sweepGrid is sweepCells over a rows × cols cross product (the (config,
-// benchmark) shape of the figure sweeps), returning results indexed
-// [row][col]. id(r, c) names the cell at (rows[r], cols[c]).
-func sweepGrid[R, C, T any](h *Harness, rows []R, cols []C, per int,
-	id func(ri, ci int) cell, run func(ri, ci int) (T, error)) ([][]T, error) {
-	flat, err := sweepCells(h, gridCells(rows, cols, id), per, func(i int) (T, error) {
-		return run(i/len(cols), i%len(cols))
-	})
-	return byRow(flat, len(rows), len(cols)), err
-}
-
-// gridCells lists a rows × cols cross product's cells row-major.
-func gridCells[R, C any](rows []R, cols []C, id func(ri, ci int) cell) []cell {
-	cells := make([]cell, 0, len(rows)*len(cols))
+// grid lists at(ri, ci) over a rows × cols cross product (the
+// (config, benchmark) shape of the figure sweeps), row-major.
+func grid[R, C, T any](rows []R, cols []C, at func(ri, ci int) T) []T {
+	out := make([]T, 0, len(rows)*len(cols))
 	for ri := range rows {
 		for ci := range cols {
-			cells = append(cells, id(ri, ci))
+			out = append(out, at(ri, ci))
 		}
 	}
-	return cells
+	return out
 }
 
 // byRow reshapes a row-major flat result slice to [row][col].

@@ -7,7 +7,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/runner"
 	"repro/internal/trace"
 )
 
@@ -49,30 +48,29 @@ type Table2Row struct {
 // Table2 measures the MPKI and footprint our synthetic stand-ins actually
 // produce, next to the paper's reported values. One benchmark per cell.
 func (h *Harness) Table2() ([]Table2Row, error) {
+	const d = config.DesignNoHBM
 	bs := h.Benchmarks()
-	cells := make([]cell, len(bs))
+	ids := make([]string, len(bs))
 	for i, b := range bs {
-		cells[i] = cell{
-			ID:   cellID("table2", string(config.DesignNoHBM), b.Profile.Name),
-			Seed: runner.Seed(string(config.DesignNoHBM), b.Profile.Name),
-		}
+		ids[i] = cellID("table2", string(d), b.Profile.Name)
 	}
-	return sweepCells(h, cells, 1, func(i int) (Table2Row, error) {
-		b := bs[i]
-		r, err := h.RunDesign(config.DesignNoHBM, b)
-		if err != nil {
-			return Table2Row{}, fmt.Errorf("table2 %s: %w", b.Profile.Name, err)
-		}
-		h.log("table2", "bench", b.Profile.Name, "mpki", r.CPU.MPKI(), "paper_mpki", b.PaperMPKI)
-		return Table2Row{
-			Bench:       b.Profile.Name,
-			Class:       b.Class,
-			PaperMPKI:   b.PaperMPKI,
-			MeasMPKI:    r.CPU.MPKI(),
-			PaperGB:     b.PaperGB,
-			FootprintGB: float64(b.Profile.FootprintBytes) * float64(h.Scale) / float64(addr.GiB),
-		}, nil
-	})
+	return sweepShared(h, ids,
+		func(i int) shared { return h.syntheticCell(d, string(d), h.System(), bs[i]) },
+		func(i int, r RunResult, err error) (Table2Row, error) {
+			b := bs[i]
+			if err != nil {
+				return Table2Row{}, fmt.Errorf("table2 %s: %w", b.Profile.Name, err)
+			}
+			h.log("table2", "bench", b.Profile.Name, "mpki", r.CPU.MPKI(), "paper_mpki", b.PaperMPKI)
+			return Table2Row{
+				Bench:       b.Profile.Name,
+				Class:       b.Class,
+				PaperMPKI:   b.PaperMPKI,
+				MeasMPKI:    r.CPU.MPKI(),
+				PaperGB:     b.PaperGB,
+				FootprintGB: float64(b.Profile.FootprintBytes) * float64(h.Scale) / float64(addr.GiB),
+			}, nil
+		})
 }
 
 // Table2Text renders the measured Table II.
@@ -116,63 +114,51 @@ type OverfetchResult struct {
 	Hybrid2   float64
 }
 
-// Overfetch measures over-fetching across all Table II benchmarks. Each
-// cell runs both designs on one benchmark; totals accumulate in benchmark
-// order after the sweep so the result is scheduling-independent.
+// overfetchDesigns are the designs Overfetch compares, in cell order.
+var overfetchDesigns = []config.Design{config.DesignBumblebee, config.DesignHybrid2}
+
+// Overfetch measures over-fetching across all Table II benchmarks, one
+// cell per (benchmark, design); totals accumulate in benchmark order
+// after the sweep so the result is scheduling-independent.
 func (h *Harness) Overfetch() (OverfetchResult, error) {
 	// Exported fields: the checkpoint journal round-trips cell payloads
 	// through JSON, so sweep payload types must serialize completely.
 	type cellOut struct {
-		FetchedB, UsedB, FetchedH, UsedH uint64
+		Fetched, Used uint64
 	}
 	var res OverfetchResult
 	bs := h.Benchmarks()
-	ids := make([]cell, len(bs))
-	for i, b := range bs {
-		ids[i] = cell{
-			ID:   cellID("overfetch", b.Profile.Name),
-			Seed: runner.Seed(string(config.DesignBumblebee), b.Profile.Name),
-		}
-	}
-	cells, err := sweepCells(h, ids, 2, func(i int) (cellOut, error) { // each cell runs Bumblebee and Hybrid2
-		b := bs[i]
-		rb, err := h.RunDesign(config.DesignBumblebee, b)
-		if err != nil {
-			return cellOut{}, fmt.Errorf("overfetch %s: %w", b.Profile.Name, err)
-		}
-		rh, err := h.RunDesign(config.DesignHybrid2, b)
-		if err != nil {
-			return cellOut{}, fmt.Errorf("overfetch %s: %w", b.Profile.Name, err)
-		}
-		h.log("overfetch", "bench", b.Profile.Name,
-			"bumblebee_pct", rb.Counters.OverfetchRate()*100, "hybrid2_pct", rh.Counters.OverfetchRate()*100)
-		return cellOut{
-			FetchedB: rb.Counters.FetchedBytes, UsedB: rb.Counters.UsedBytes,
-			FetchedH: rh.Counters.FetchedBytes, UsedH: rh.Counters.UsedBytes,
-		}, nil
+	ids := grid(bs, overfetchDesigns, func(bi, di int) string {
+		return cellID("overfetch", string(overfetchDesigns[di]), bs[bi].Profile.Name)
 	})
+	n := len(overfetchDesigns)
+	cells, err := sweepShared(h, ids,
+		func(i int) shared {
+			d := overfetchDesigns[i%n]
+			return h.syntheticCell(d, string(d), h.System(), bs[i/n])
+		},
+		func(i int, r RunResult, err error) (cellOut, error) {
+			d, b := overfetchDesigns[i%n], bs[i/n].Profile.Name
+			if err != nil {
+				return cellOut{}, fmt.Errorf("overfetch %s/%s: %w", d, b, err)
+			}
+			h.log("overfetch", "design", string(d), "bench", b, "pct", r.Counters.OverfetchRate()*100)
+			return cellOut{Fetched: r.Counters.FetchedBytes, Used: r.Counters.UsedBytes}, nil
+		})
 	if err != nil {
 		return res, err
 	}
-	var fetchedB, usedB, fetchedH, usedH uint64
-	for _, c := range cells {
-		fetchedB += c.FetchedB
-		usedB += c.UsedB
-		fetchedH += c.FetchedH
-		usedH += c.UsedH
+	var fetched, used [2]uint64
+	for i, c := range cells {
+		fetched[i%n] += c.Fetched
+		used[i%n] += c.Used
 	}
-	if fetchedB > 0 {
-		res.Bumblebee = 1 - minF(float64(usedB)/float64(fetchedB), 1)
+	rate := func(k int) float64 {
+		if fetched[k] == 0 {
+			return 0
+		}
+		return 1 - min(float64(used[k])/float64(fetched[k]), 1)
 	}
-	if fetchedH > 0 {
-		res.Hybrid2 = 1 - minF(float64(usedH)/float64(fetchedH), 1)
-	}
+	res.Bumblebee, res.Hybrid2 = rate(0), rate(1)
 	return res, nil
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

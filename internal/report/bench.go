@@ -14,17 +14,13 @@ import (
 // schema-stable JSON file (BENCH_bumblebee.json) that CI commits as a
 // baseline and compares fresh runs against.
 //
-// The benches report two very different kinds of metrics and the ledger
-// gates them differently:
-//
-//   - model metrics (custom units from b.ReportMetric, e.g.
-//     "ipc:bumblebee", "mpki:mcf"): pure functions of the simulation, so
-//     any drift beyond float noise means the model's behaviour changed —
-//     gated tightly, in both directions.
-//   - time metrics (ns/op, B/op, allocs/op, MB/s): scheduling- and
-//     machine-dependent, so they are recorded for trend analysis but only
-//     gated when explicitly asked (CI timing is too noisy for a default
-//     gate), and then only in the direction that means "slower".
+// The ledger holds model metrics only: the custom units benches report
+// through b.ReportMetric (e.g. "ipc:bumblebee", "mpki:mcf"). They are
+// pure functions of the simulation, so any drift beyond float noise means
+// the model's behaviour changed — gated tightly, in both directions. The
+// host-time metrics go test reports itself (ns/op, B/op, allocs/op, MB/s)
+// are dropped at parse time: host time has one home, the benchmark
+// module (benchmark/README.md), which stamps the machine it ran on.
 
 // BenchSchemaVersion is bumped on any incompatible ledger change.
 const BenchSchemaVersion = 1
@@ -43,14 +39,9 @@ type BenchFile struct {
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
-// timeUnits are the machine-dependent metrics: the ones go test emits
-// itself, plus ns/access — the per-access cost the batch-path benches
-// report via b.ReportMetric, which is wall time like ns/op, not a model
-// output.
-var timeUnits = map[string]bool{
-	"ns/op": true, "B/op": true, "allocs/op": true, "MB/s": true,
-	"ns/access": true,
-}
+// timeUnits are the host-time metrics go test reports itself; ParseBench
+// drops them.
+var timeUnits = map[string]bool{"ns/op": true, "B/op": true, "allocs/op": true, "MB/s": true}
 
 // ParseBench parses `go test -bench` text output. Lines that are not
 // benchmark results (goos/pkg headers, PASS, logs) are skipped.
@@ -85,7 +76,9 @@ func ParseBench(r io.Reader) (*BenchFile, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bench: %s: bad value %q", name, fields[i])
 			}
-			b.Metrics[fields[i+1]] = v
+			if !timeUnits[fields[i+1]] {
+				b.Metrics[fields[i+1]] = v
+			}
 		}
 		out.Benchmarks = append(out.Benchmarks, b)
 	}
@@ -131,19 +124,11 @@ type CompareOptions struct {
 	// simulation is deterministic, so the baseline should reproduce
 	// exactly and the tolerance only absorbs float formatting.
 	ModelTol float64
-	// CheckTime enables gating on time metrics (default off).
-	CheckTime bool
-	// TimeTol is the relative tolerance for time metrics when CheckTime
-	// is set (default 0.25); only the slower direction gates.
-	TimeTol float64
 }
 
 func (o CompareOptions) defaults() CompareOptions {
 	if o.ModelTol == 0 {
 		o.ModelTol = 0.001
-	}
-	if o.TimeTol == 0 {
-		o.TimeTol = 0.25
 	}
 	return o
 }
@@ -187,25 +172,8 @@ func Compare(baseline, current *BenchFile, opts CompareOptions) []Regression {
 			ov := old.Metrics[u]
 			nv, ok := now.Metrics[u]
 			if !ok {
-				if !timeUnits[u] {
-					regs = append(regs, Regression{Bench: old.Name, Metric: u, Old: ov,
-						Reason: "model metric missing from current run"})
-				}
-				continue
-			}
-			if timeUnits[u] {
-				if !opts.CheckTime {
-					continue
-				}
-				// Only "slower" gates; MB/s inverts (higher is better).
-				worse := nv > ov*(1+opts.TimeTol)
-				if u == "MB/s" {
-					worse = nv < ov*(1-opts.TimeTol)
-				}
-				if ov != 0 && worse {
-					regs = append(regs, Regression{Bench: old.Name, Metric: u, Old: ov, New: nv,
-						Reason: fmt.Sprintf("time metric beyond %g tolerance", opts.TimeTol)})
-				}
+				regs = append(regs, Regression{Bench: old.Name, Metric: u, Old: ov,
+					Reason: "model metric missing from current run"})
 				continue
 			}
 			scale := maxF(absF(ov), 1e-12)

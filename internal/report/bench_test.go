@@ -11,7 +11,7 @@ goarch: amd64
 pkg: repro
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkTable2Workloads/mcf-8 	       1	 123456789 ns/op	         0.0870 ipc:bumblebee	       666.0 mpki:mcf
-BenchmarkTable2Workloads/xz-8 	       1	  98765432 ns/op	         0.0650 ipc:bumblebee
+BenchmarkTable2Workloads/xz-8 	       1	  98765432 ns/op	    4096 B/op	      12 allocs/op	         0.0650 ipc:bumblebee
 BenchmarkOverfetch 	       1	1794716096 ns/op	        35.43 overfetch%:bumblebee	        58.95 overfetch%:hybrid2
 PASS
 ok  	repro	3.1s
@@ -38,8 +38,13 @@ func TestParseBench(t *testing.T) {
 		t.Fatalf("names: %+v", f.Benchmarks)
 	}
 	m := f.Benchmarks[1].Metrics
-	if m["ipc:bumblebee"] != 0.0870 || m["mpki:mcf"] != 666.0 || m["ns/op"] != 123456789 {
+	if m["ipc:bumblebee"] != 0.0870 || m["mpki:mcf"] != 666.0 || len(m) != 2 {
 		t.Fatalf("metrics: %+v", m)
+	}
+	// Host time has its own ledger (the benchmark module): go test's
+	// ns/op, B/op and allocs/op never enter this one.
+	if m := f.Benchmarks[2].Metrics; len(m) != 1 || m["ipc:bumblebee"] != 0.0650 {
+		t.Fatalf("host-time metrics kept: %+v", m)
 	}
 }
 
@@ -90,25 +95,6 @@ func TestCompareGatesModelMetrics(t *testing.T) {
 	regs := Compare(base, cur, CompareOptions{})
 	if len(regs) != 1 || regs[0].Metric != "ipc:bumblebee" {
 		t.Fatalf("injected model drift not gated: %v", regs)
-	}
-}
-
-func TestCompareTimeMetricsGatedOnlyOnRequest(t *testing.T) {
-	base := parseSample(t, sampleBench)
-	cur := parseSample(t, sampleBench)
-	cur.Benchmarks[0].Metrics["ns/op"] = base.Benchmarks[0].Metrics["ns/op"] * 3
-
-	if regs := Compare(base, cur, CompareOptions{}); len(regs) != 0 {
-		t.Fatalf("time metric gated by default: %v", regs)
-	}
-	regs := Compare(base, cur, CompareOptions{CheckTime: true})
-	if len(regs) != 1 || regs[0].Metric != "ns/op" {
-		t.Fatalf("3x slowdown not gated with CheckTime: %v", regs)
-	}
-	// Faster is never a time regression.
-	cur.Benchmarks[0].Metrics["ns/op"] = base.Benchmarks[0].Metrics["ns/op"] / 3
-	if regs := Compare(base, cur, CompareOptions{CheckTime: true}); len(regs) != 0 {
-		t.Fatalf("speedup flagged: %v", regs)
 	}
 }
 
