@@ -12,10 +12,8 @@ package main
 import (
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -257,50 +255,6 @@ func itoa(v uint64) string {
 		v /= 10
 	}
 	return string(buf[i:])
-}
-
-// BenchmarkAblationPrefetch measures the effect of the optional L2
-// stride prefetcher on a streaming benchmark (an extension knob; the
-// paper's Table I system has none).
-func BenchmarkAblationPrefetch(b *testing.B) {
-	h := benchHarness()
-	bench, err := trace.ByName("roms")
-	if err != nil {
-		b.Fatal(err)
-	}
-	bench = bench.Scale(h.Scale)
-	for i := 0; i < b.N; i++ {
-		for _, pf := range []bool{false, true} {
-			sys := h.System()
-			mem, err := harness.Build(config.DesignBumblebee, sys)
-			if err != nil {
-				b.Fatal(err)
-			}
-			hier, err := cache.NewHierarchy(sys.Caches)
-			if err != nil {
-				b.Fatal(err)
-			}
-			gen, err := trace.NewSynthetic(bench.Profile)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var opts []cpu.RunOption
-			if pf {
-				opts = append(opts, cpu.WithPrefetch(256, 4))
-			}
-			res, err := cpu.Run(sys.Core, hier, mem, &trace.Limit{S: gen, N: h.Accesses}, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				tag := "ipc:nopf"
-				if pf {
-					tag = "ipc:pf"
-				}
-				b.ReportMetric(res.IPC(), tag)
-			}
-		}
-	}
 }
 
 // BenchmarkMixWeightedSpeedup reports the multi-core mix extension.

@@ -17,14 +17,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/alert"
 	"repro/internal/check"
 	"repro/internal/ckpt"
 	"repro/internal/harness"
@@ -55,24 +54,6 @@ func experimentNames() []string {
 		names = append(names, e.name)
 	}
 	return append(names, "all")
-}
-
-// metricsTable wraps a table pointer for the CSV panel map.
-type metricsTable struct{ t *metrics.Table }
-
-// writeCSV creates path and streams CSV into it. The close error is
-// checked: a full disk surfaces at close time, and swallowing it would
-// report a truncated CSV as success.
-func writeCSV(path string, fn func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // parseRates parses the -faults comma-separated rate list.
@@ -192,42 +173,28 @@ func main() {
 		os.Exit(2)
 	}
 
-	// With -csv, every file the run writes is hashed into manifest.json.
-	// The manifest records only deterministic facts, so it diffs clean
-	// across -parallel settings; session.json takes the volatile rest.
-	// The checkpoint journal lives in the same directory but is NOT a
-	// manifest output: attempt counts legitimately differ between an
-	// interrupted-and-resumed run and a clean one.
-	var man *report.Manifest
+	// With -csv, every file the run writes goes through one RunDir, which
+	// hashes it into manifest.json. The manifest records only
+	// deterministic facts, so it diffs clean across -parallel settings;
+	// session.json takes the volatile rest. The checkpoint journal lives
+	// in the same directory but is NOT a manifest output: attempt counts
+	// legitimately differ between an interrupted-and-resumed run and a
+	// clean one. Without -csv, rd is nil and discards every output.
+	var rd *report.RunDir
 	if *csvDir != "" {
-		man = report.New("bbrepro", *experiment, *scale, *accesses, of.TelemetryEpoch)
+		man := report.New("bbrepro", *experiment, *scale, *accesses, of.TelemetryEpoch)
 		man.Flags = map[string]string{"faults": *faults}
 		if *shardSpec != "" {
 			man.Flags["shard"] = *shardSpec
 		}
-		if err := cli.OpenJournal(*experiment, *shardSpec); err != nil {
+		if rd, err = report.NewRunDir(*csvDir, man); err == nil {
+			err = cli.OpenJournal(*experiment, *shardSpec)
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "bbrepro: %v\n", err)
 			os.Exit(1)
 		}
 	}
-	record := func(name, kind string) error {
-		if man == nil {
-			return nil
-		}
-		return man.AddOutput(*csvDir, name, kind)
-	}
-	// writeAlerts evaluates the rule set over assembled results (matrix
-	// order, independent of scheduling) so alerts.json is byte-identical
-	// at any -parallel value — the live monitor's firing set is proven to
-	// match this evaluation by the harness tests.
-	writeAlerts := func(runs []harness.RunResult) error {
-		if err := alert.WriteJSONFile(*csvDir+"/alerts.json", cli.Rules,
-			alert.Evaluate(harness.AlertInput(runs), cli.Rules)); err != nil {
-			return err
-		}
-		return record("alerts.json", "alerts")
-	}
-
 	run("table1", func() error {
 		fmt.Println(h.Table1())
 		return nil
@@ -254,15 +221,9 @@ func main() {
 			return err
 		}
 		fmt.Println(harness.Fig6Table(res))
-		if *csvDir != "" {
-			if err := writeCSV(*csvDir+"/fig6_sweep.csv", func(w *os.File) error {
-				return harness.WriteFig6CSV(w, res)
-			}); err != nil {
-				return err
-			}
-			return record("fig6_sweep.csv", "sweep")
-		}
-		return nil
+		return rd.Write("fig6_sweep.csv", "sweep", func(w io.Writer) error {
+			return harness.WriteFig6CSV(w, res)
+		})
 	})
 	run("fig7", func() error {
 		res, err := h.Fig7()
@@ -278,15 +239,9 @@ func main() {
 			}
 			fmt.Println(metrics.BarChart("Figure 7 (geomean speedup)", labels, values, 40))
 		}
-		if *csvDir != "" {
-			if err := writeCSV(*csvDir+"/fig7_factors.csv", func(w *os.File) error {
-				return harness.WriteFig7CSV(w, res)
-			}); err != nil {
-				return err
-			}
-			return record("fig7_factors.csv", "sweep")
-		}
-		return nil
+		return rd.Write("fig7_factors.csv", "sweep", func(w io.Writer) error {
+			return harness.WriteFig7CSV(w, res)
+		})
 	})
 	run("fig8", func() error {
 		res, err := h.Fig8()
@@ -311,59 +266,50 @@ func main() {
 			}
 		}
 		if of.TraceOut != "" {
-			if err := writeCSV(of.TraceOut, func(w *os.File) error {
+			if err := report.WriteFile(of.TraceOut, func(w io.Writer) error {
 				return harness.WriteChromeTrace(w, res.PerRun)
 			}); err != nil {
 				return err
 			}
 		}
-		if *csvDir != "" {
-			if err := writeCSV(*csvDir+"/fig8_runs.csv", func(w *os.File) error {
-				return harness.WriteRunsCSV(w, res.PerRun)
+		if err := rd.Write("fig8_runs.csv", "runs", func(w io.Writer) error {
+			return harness.WriteRunsCSV(w, res.PerRun)
+		}); err != nil {
+			return err
+		}
+		if of.TelemetryEpoch > 0 {
+			if err := rd.Write("runs_timeline.csv", "timeline", func(w io.Writer) error {
+				return harness.WriteTimelineCSV(w, res.PerRun)
 			}); err != nil {
 				return err
 			}
-			if err := record("fig8_runs.csv", "runs"); err != nil {
+			if err := rd.Write("runs_latency.csv", "latency", func(w io.Writer) error {
+				return harness.WriteLatencyCSV(w, res.PerRun)
+			}); err != nil {
 				return err
 			}
-			if err := writeAlerts(res.PerRun); err != nil {
+		}
+		if res.IPC == nil {
+			return nil // shard mode stops at the mergeable per-run outputs
+		}
+		if err := rd.Write("alerts.json", "alerts", func(w io.Writer) error {
+			return harness.WriteAlertsJSON(w, res.PerRun, cli.Rules)
+		}); err != nil {
+			return err
+		}
+		for _, p := range []struct {
+			name string
+			t    *metrics.Table
+		}{
+			{"fig8a_ipc.csv", res.IPC},
+			{"fig8b_hbm.csv", res.HBM},
+			{"fig8c_dram.csv", res.DRAM},
+			{"fig8d_energy.csv", res.Energy},
+		} {
+			if err := rd.Write(p.name, "table", func(w io.Writer) error {
+				return harness.WriteTableCSV(w, p.t)
+			}); err != nil {
 				return err
-			}
-			if of.TelemetryEpoch > 0 {
-				if err := writeCSV(*csvDir+"/runs_timeline.csv", func(w *os.File) error {
-					return harness.WriteTimelineCSV(w, res.PerRun)
-				}); err != nil {
-					return err
-				}
-				if err := record("runs_timeline.csv", "timeline"); err != nil {
-					return err
-				}
-				if err := writeCSV(*csvDir+"/runs_latency.csv", func(w *os.File) error {
-					return harness.WriteLatencyCSV(w, res.PerRun)
-				}); err != nil {
-					return err
-				}
-				if err := record("runs_latency.csv", "latency"); err != nil {
-					return err
-				}
-			}
-			if res.IPC != nil { // shard mode stops at the mergeable per-run outputs
-				panels := map[string]*metricsTable{
-					"fig8a_ipc.csv":    {res.IPC},
-					"fig8b_hbm.csv":    {res.HBM},
-					"fig8c_dram.csv":   {res.DRAM},
-					"fig8d_energy.csv": {res.Energy},
-				}
-				for name, p := range panels {
-					if err := writeCSV(*csvDir+"/"+name, func(w *os.File) error {
-						return harness.WriteTableCSV(w, p.t)
-					}); err != nil {
-						return err
-					}
-					if err := record(name, "table"); err != nil {
-						return err
-					}
-				}
 			}
 		}
 		return nil
@@ -390,18 +336,14 @@ func main() {
 			return err
 		}
 		fmt.Println(res.Table().String())
-		if *csvDir != "" {
-			if err := writeCSV(*csvDir+"/figfault_sweep.csv", func(w *os.File) error {
-				return harness.WriteFigFaultCSV(w, res)
-			}); err != nil {
-				return err
-			}
-			if err := record("figfault_sweep.csv", "sweep"); err != nil {
-				return err
-			}
-			return writeAlerts(res.PerRun)
+		if err := rd.Write("figfault_sweep.csv", "sweep", func(w io.Writer) error {
+			return harness.WriteFigFaultCSV(w, res)
+		}); err != nil {
+			return err
 		}
-		return nil
+		return rd.Write("alerts.json", "alerts", func(w io.Writer) error {
+			return harness.WriteAlertsJSON(w, res.PerRun, cli.Rules)
+		})
 	})
 	// The check sweep's output is deterministic at any -parallel value;
 	// the process exits nonzero when any cell reports a violation.
@@ -441,21 +383,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bbrepro: %v\n", err)
 		os.Exit(1)
 	}
-	if man != nil {
-		if err := man.Write(*csvDir); err != nil {
-			fmt.Fprintf(os.Stderr, "bbrepro: %v\n", err)
-			os.Exit(1)
-		}
-		sess := &report.Session{
-			Parallel: h.Parallel,
-			CPUs:     runtime.NumCPU(),
-			Started:  start.UTC().Format(time.RFC3339),
-			WallMS:   time.Since(start).Milliseconds(),
-		}
-		if err := sess.Write(*csvDir); err != nil {
-			fmt.Fprintf(os.Stderr, "bbrepro: %v\n", err)
-			os.Exit(1)
-		}
+	if err := rd.Close(report.NewSession(h.Parallel, start)); err != nil {
+		fmt.Fprintf(os.Stderr, "bbrepro: %v\n", err)
+		os.Exit(1)
 	}
 	if interrupted {
 		os.Exit(ckpt.ExitResumable)

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -33,26 +34,12 @@ import (
 	"repro/internal/harness"
 	"repro/internal/hmm"
 	"repro/internal/obs"
+	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/tracecodec"
 )
-
-// writeTrace creates path and streams the Chrome trace into it. The close
-// error is checked: a full disk surfaces at close time, and swallowing it
-// would report a truncated trace as success.
-func writeTrace(path string, runs []harness.RunResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := harness.WriteChromeTrace(f, runs); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
 
 func main() {
 	var (
@@ -182,7 +169,9 @@ func main() {
 		fmt.Printf("  epochs %d   events %d recorded (%d beyond ring depth)\n",
 			len(runTel.Timeline), runTel.EventsTotal, runTel.EventsDropped)
 		if of.TraceOut != "" {
-			if err := writeTrace(of.TraceOut, []harness.RunResult{r}); err != nil {
+			if err := report.WriteFile(of.TraceOut, func(w io.Writer) error {
+				return harness.WriteChromeTrace(w, []harness.RunResult{r})
+			}); err != nil {
 				log.Fatalf("bumblebee-sim: %v", err)
 			}
 			fmt.Printf("  trace written to %s\n", of.TraceOut)
@@ -256,7 +245,9 @@ func runMatrix(h *harness.Harness, sys config.System, designs, benches []string,
 		}
 	}
 	if traceOut != "" {
-		if err := writeTrace(traceOut, flat); err != nil {
+		if err := report.WriteFile(traceOut, func(w io.Writer) error {
+			return harness.WriteChromeTrace(w, flat)
+		}); err != nil {
 			log.Fatalf("bumblebee-sim: %v", err)
 		}
 		fmt.Printf("trace written to %s\n", traceOut)

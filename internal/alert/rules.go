@@ -64,15 +64,6 @@ func WriteJSON(w io.Writer, rs RuleSet, alerts []Alert) error {
 	return err
 }
 
-// WriteJSONFile writes the alerts.json artifact at path.
-func WriteJSONFile(path string, rs RuleSet, alerts []Alert) error {
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, rs, alerts); err != nil {
-		return err
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
-}
-
 // ReadJSONFile loads an alerts.json artifact back.
 func ReadJSONFile(path string) (Report, error) {
 	raw, err := os.ReadFile(path)

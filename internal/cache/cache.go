@@ -296,12 +296,6 @@ type Hierarchy struct {
 	levels []*Cache
 	lats   []uint64
 	wbBuf  []addr.Addr
-
-	// Optional stride prefetcher (EnablePrefetch).
-	pf      *StridePrefetcher
-	pfLevel int
-	pfSink  func(addr.Addr)
-	pfBuf   []addr.Addr
 }
 
 // NewHierarchy builds the full hierarchy from Table I cache descriptions,
@@ -337,9 +331,6 @@ type Result struct {
 // escape to memory and are reported in Result.Writebacks.
 func (h *Hierarchy) Access(a addr.Addr, write bool) Result {
 	h.wbBuf = h.wbBuf[:0]
-	if h.pf != nil {
-		h.prefetch(a)
-	}
 	llc := len(h.levels) - 1
 	res := Result{HitLevel: -1}
 	for i, c := range h.levels {

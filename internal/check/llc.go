@@ -44,7 +44,6 @@ func llcOps(seed uint64, n int, sys config.System) []Op {
 	}
 	ops := make([]Op, 0, n)
 	f := cpu.NewFilter(hier, &trace.Limit{S: gen, N: llcWarmup + uint64(n)*llcAccessesPerOp})
-	defer f.Close()
 	ch := cpu.NewChunk()
 	for filtered := 0; len(ops) < n; filtered += ch.Len() {
 		if ok, _ := f.Next(ch); !ok {

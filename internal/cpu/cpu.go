@@ -63,8 +63,7 @@ func (r Result) AvgMissLatency() float64 {
 type RunOption func(*runCfg)
 
 type runCfg struct {
-	pfEntries, pfDegree int
-	accBuf              []trace.Access
+	accBuf []trace.Access
 }
 
 // batchSize is how many trace accesses Run ingests per batch: large
@@ -83,14 +82,6 @@ func WithAccessBuffer(buf []trace.Access) RunOption {
 // shorter WithAccessBuffer buffers are used as-is with smaller batches.
 func AccessBufferSize() int { return batchSize }
 
-// WithPrefetch attaches a stride prefetcher beside the L2 (hierarchy
-// level 1): confirmed-stride lines are installed ahead of the demand
-// stream, and their fills are charged to the memory system at issue time
-// without stalling the core.
-func WithPrefetch(entries, degree int) RunOption {
-	return func(c *runCfg) { c.pfEntries, c.pfDegree = entries, degree }
-}
-
 // chunkPool holds Run's chunk without its access storage, which is the
 // caller's WithAccessBuffer buffer, so serial callers running many cells
 // do not allocate a chunk per call.
@@ -99,8 +90,7 @@ var chunkPool = sync.Pool{New: func() any { return &Chunk{} }}
 // Run drives the access stream through the hierarchy and memory system
 // until the stream ends: the hierarchy half and the core half composed
 // for one consumer. The hierarchy and memory retain their state, so
-// callers can warm up with one stream and measure with another; a
-// prefetcher attached by WithPrefetch lasts only for this call.
+// callers can warm up with one stream and measure with another.
 func Run(core config.Core, hier *cache.Hierarchy, mem Memory, st trace.Stream, opts ...RunOption) (Result, error) {
 	c, err := NewCore(core, mem)
 	if err != nil {
@@ -114,8 +104,7 @@ func Run(core config.Core, hier *cache.Hierarchy, mem Memory, st trace.Stream, o
 	if len(buf) == 0 {
 		buf = make([]trace.Access, batchSize)
 	}
-	f := NewFilter(hier, st, opts...)
-	defer f.Close()
+	f := NewFilter(hier, st)
 	ch := chunkPool.Get().(*Chunk)
 	ch.use(buf)
 	defer func() {
@@ -146,8 +135,8 @@ type Core struct {
 	window missWindow
 }
 
-// NewCore returns a core that charges mem for the misses, prefetch fills
-// and writebacks of the chunks it replays.
+// NewCore returns a core that charges mem for the misses and writebacks
+// of the chunks it replays.
 func NewCore(core config.Core, mem Memory) (*Core, error) {
 	if core.MLP <= 0 || core.CPIBase <= 0 {
 		return nil, fmt.Errorf("cpu: invalid core config %+v", core)
@@ -156,8 +145,8 @@ func NewCore(core config.Core, mem Memory) (*Core, error) {
 }
 
 // Replay advances the core over every access of ch, in order. Per access
-// the time update order is fixed — the gap at the base CPI, then prefetch
-// fills and writebacks issued at that time, then the inner-hit stall or
+// the time update order is fixed — the gap at the base CPI, then the
+// writebacks issued at that time, then the inner-hit stall or
 // the miss — which is what keeps results independent of how the stream
 // was chunked.
 func (c *Core) Replay(ch *Chunk) {
@@ -169,14 +158,9 @@ func (c *Core) Replay(ch *Chunk) {
 	for i, acc := range ch.acc[:ch.n] {
 		c.res.Instructions += uint64(acc.Gap)
 		time += float64(acc.Gap) * cpi
-		// Prefetch fills fetch from memory without stalling the core.
 		for ; ev < len(ch.evAt) && int(ch.evAt[ev]) == i; ev++ {
-			if ch.evFill[ev] {
-				c.mem.Access(uint64(time), ch.evAddr[ev], false)
-			} else {
-				c.res.Writebacks++
-				c.mem.Writeback(uint64(time), ch.evAddr[ev])
-			}
+			c.res.Writebacks++
+			c.mem.Writeback(uint64(time), ch.evAddr[ev])
 		}
 		// L1 hits (level 0) are covered by CPIBase.
 		switch lv := level[i]; {

@@ -160,91 +160,6 @@ func TestMissCountMatchesMemoryAccesses(t *testing.T) {
 	}
 }
 
-func TestRunWithPrefetchReducesMissStalls(t *testing.T) {
-	// A streaming workload: the prefetcher converts demand misses into
-	// background fills, improving IPC even though memory traffic stays.
-	stream := trace.Profile{Name: "stream", FootprintBytes: 64 * addr.MiB, AvgGap: 4,
-		RunMean: 128, HotFraction: 0.5, HotProbability: 0.1, WriteFraction: 0.1}
-	base, err := Run(config.Default().Core, hier(t), &fixedMem{lat: 600}, stream1(t, stream, 150000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := &fixedMem{lat: 600}
-	pf, err := Run(config.Default().Core, hier(t), mem, stream1(t, stream, 150000),
-		WithPrefetch(256, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pf.LLCMisses >= base.LLCMisses {
-		t.Errorf("prefetch did not cut LLC misses: %d vs %d", pf.LLCMisses, base.LLCMisses)
-	}
-	if pf.IPC() <= base.IPC() {
-		t.Errorf("prefetch IPC %f <= baseline %f", pf.IPC(), base.IPC())
-	}
-	// Prefetch fills are charged to memory.
-	if mem.accesses <= pf.LLCMisses {
-		t.Errorf("memory accesses %d do not include prefetch fills (misses %d)",
-			mem.accesses, pf.LLCMisses)
-	}
-}
-
-func stream1(t *testing.T, p trace.Profile, n uint64) trace.Stream {
-	t.Helper()
-	g, err := trace.NewSynthetic(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &trace.Limit{S: g, N: n}
-}
-
-// countMem counts the reads memory serves.
-type countMem struct{ reads uint64 }
-
-func (m *countMem) Access(now uint64, a addr.Addr, write bool) uint64 {
-	m.reads++
-	return now + 200
-}
-
-func (m *countMem) Writeback(now uint64, a addr.Addr) {}
-
-// TestPrefetchEndsWithRun: a prefetcher attached by WithPrefetch lasts
-// for that Run only. Warming up with prefetch and then measuring without
-// must equal the same warm-up followed by an explicit detach: no
-// prefetched lines installed, and every memory read a demand miss.
-func TestPrefetchEndsWithRun(t *testing.T) {
-	core := config.Default().Core
-	p := trace.Profile{Name: "stream", FootprintBytes: 64 * addr.MiB, AvgGap: 4,
-		RunMean: 128, HotFraction: 0.5, HotProbability: 0.1, WriteFraction: 0.1}
-	measure := func(detach bool) (Result, *countMem) {
-		g, err := trace.NewSynthetic(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := hier(t)
-		if _, err := Run(core, h, &countMem{}, &trace.Limit{S: g, N: 50000}, WithPrefetch(256, 4)); err != nil {
-			t.Fatal(err)
-		}
-		if detach {
-			h.DisablePrefetch()
-		}
-		mem := &countMem{}
-		res, err := Run(core, h, mem, &trace.Limit{S: g, N: 50000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, mem
-	}
-	got, mem := measure(false)
-	want, _ := measure(true)
-	if got != want {
-		t.Errorf("measure run after a prefetching warm-up:\n got %+v\nwant %+v", got, want)
-	}
-	if mem.reads != got.LLCMisses {
-		t.Errorf("memory served %d reads for %d demand misses: prefetches outlived their run",
-			mem.reads, got.LLCMisses)
-	}
-}
-
 // TestRunEqualsHalves: Run is the filter and core halves composed, so
 // replaying one filtered stream into several cores must give each the
 // result of its own Run, at every chunking the access buffer allows.
@@ -280,7 +195,6 @@ func TestRunEqualsHalves(t *testing.T) {
 				c.Replay(ch)
 			}
 		}
-		f.Close()
 		for i, c := range cores {
 			if got := c.Finish(); got != want {
 				t.Errorf("buffer %d, core %d: %+v, want %+v", bufLen, i, got, want)

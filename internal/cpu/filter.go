@@ -12,24 +12,22 @@ import (
 // trace through the SRAM caches and records what reaches memory; the core
 // half (Core) replays that record into one memory system. Nothing the
 // hierarchy does depends on memory timing — cache.Hierarchy.Access takes
-// no time input and the stride prefetcher is address-only — so one
-// filtered stream can drive any number of designs, and Run is simply the
-// two halves composed for a single consumer.
+// no time input — so one filtered stream can drive any number of designs,
+// and Run is simply the two halves composed for a single consumer.
 
 // Chunk is one batch of the post-LLC event stream: the accesses as the
 // trace delivered them (gap, address, write flag), the hierarchy hit
-// level of each (-1 for an LLC miss), and the memory-side events the
-// accesses trigger before their own lookup resolves — prefetch fills,
-// then LLC writebacks — kept sparse and in issue order. The chunk is the
-// ingestion buffer too, so filtering copies nothing.
+// level of each (-1 for an LLC miss), and the LLC writebacks the
+// accesses trigger before their own lookup resolves, kept sparse and in
+// issue order. The chunk is the ingestion buffer too, so filtering copies
+// nothing.
 type Chunk struct {
 	acc   []trace.Access // capacity; the batch is acc[:n]
 	level []int8
 	n     int
 
-	evAt   []int32 // index of the access that issued each event
+	evAt   []int32 // index of the access that issued each writeback
 	evAddr []addr.Addr
-	evFill []bool // prefetch fill (true) or LLC writeback (false)
 
 	// The filtering hierarchy's per-level hit latencies and lookup path,
 	// which the core needs to charge inner hits and time misses.
@@ -55,7 +53,6 @@ func (c *Chunk) use(buf []trace.Access) {
 		c.level = make([]int8, len(buf))
 		c.evAt = make([]int32, 0, len(buf))
 		c.evAddr = make([]addr.Addr, 0, len(buf))
-		c.evFill = make([]bool, 0, len(buf))
 	}
 }
 
@@ -63,13 +60,13 @@ func (c *Chunk) use(buf []trace.Access) {
 func (c *Chunk) Len() int { return c.n }
 
 // Requests calls fn for every memory request the chunk carries, in the
-// order a core issues them: per access, its prefetch fills (reads) and
-// LLC writebacks, then the access itself when it missed the LLC.
+// order a core issues them: per access, its LLC writebacks, then the
+// access itself when it missed the LLC.
 func (c *Chunk) Requests(fn func(a addr.Addr, write, writeback bool)) {
 	ev := 0
 	for i, acc := range c.acc[:c.n] {
 		for ; ev < len(c.evAt) && int(c.evAt[ev]) == i; ev++ {
-			fn(c.evAddr[ev], false, !c.evFill[ev])
+			fn(c.evAddr[ev], false, true)
 		}
 		if c.level[i] < 0 {
 			fn(acc.Addr, acc.Write, false)
@@ -79,13 +76,7 @@ func (c *Chunk) Requests(fn func(a addr.Addr, write, writeback bool)) {
 
 func (c *Chunk) reset() {
 	c.n = 0
-	c.evAt, c.evAddr, c.evFill = c.evAt[:0], c.evAddr[:0], c.evFill[:0]
-}
-
-func (c *Chunk) event(at int, a addr.Addr, fill bool) {
-	c.evAt = append(c.evAt, int32(at))
-	c.evAddr = append(c.evAddr, a)
-	c.evFill = append(c.evFill, fill)
+	c.evAt, c.evAddr = c.evAt[:0], c.evAddr[:0]
 }
 
 // Filter is the hierarchy half of the core model: it pulls a trace stream
@@ -95,33 +86,12 @@ type Filter struct {
 	hier *cache.Hierarchy
 	st   trace.Stream
 	n    uint64 // accesses filtered so far
-
-	// The prefetch sink appends to cur at access index at.
-	cur *Chunk
-	at  int
-	pf  bool // this filter attached the hierarchy's prefetcher
 }
 
-// NewFilter prepares to filter st through hier. WithPrefetch attaches a
-// stride prefetcher beside the L2 for the length of this run (Close
-// detaches it again); the chunks carry their own ingestion buffers, so
-// WithAccessBuffer is Run's alone.
-func NewFilter(hier *cache.Hierarchy, st trace.Stream, opts ...RunOption) *Filter {
-	var cfg runCfg
-	for _, o := range opts {
-		o(&cfg)
-	}
-	f := &Filter{hier: hier, st: st}
-	if cfg.pfEntries > 0 {
-		level := 1
-		if n := len(hier.Levels()); n < 2 {
-			level = 0
-		}
-		hier.EnablePrefetch(level, cache.NewStridePrefetcher(cfg.pfEntries, cfg.pfDegree),
-			func(a addr.Addr) { f.cur.event(f.at, a, true) })
-		f.pf = true
-	}
-	return f
+// NewFilter prepares to filter st through hier. The chunks carry their
+// own ingestion buffers.
+func NewFilter(hier *cache.Hierarchy, st trace.Stream) *Filter {
+	return &Filter{hier: hier, st: st}
 }
 
 // Next filters the stream's next batch into c, overwriting it. It
@@ -138,28 +108,16 @@ func (f *Filter) Next(c *Chunk) (bool, error) {
 		return false, nil
 	}
 	c.lats, c.missBase = f.hier.Latencies(), f.hier.MissLatencyBase()
-	f.cur = c
 	level := c.level[:n]
 	for i, acc := range c.acc[:n] {
-		f.at = i
 		r := f.hier.Access(acc.Addr, acc.Write)
 		for _, wb := range r.Writebacks {
-			c.event(i, wb, false)
+			c.evAt = append(c.evAt, int32(i))
+			c.evAddr = append(c.evAddr, wb)
 		}
 		level[i] = int8(r.HitLevel)
 	}
 	c.n = n
 	f.n += uint64(n)
 	return true, nil
-}
-
-// Close ends the filter's run. A prefetcher attached by WithPrefetch is
-// detached, so a later run over the same hierarchy neither keeps
-// prefetching nor feeds a sink whose fills nobody charges to memory.
-func (f *Filter) Close() {
-	if f.pf {
-		f.hier.DisablePrefetch()
-		f.pf = false
-	}
-	f.cur = nil
 }

@@ -1,8 +1,7 @@
 package harness
 
 import (
-	"bytes"
-	"os"
+	"io"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -80,37 +79,29 @@ func TestLiveAlertsMatchPostHoc(t *testing.T) {
 
 	// View 2: pure evaluation over the in-memory results (what the
 	// experiments write to alerts.json).
-	evaluated := alert.Evaluate(AlertInput(runs), rules)
+	evaluated := alert.Evaluate(alertInput(runs), rules)
 	ev := alertKeys(evaluated)
 
 	// View 3: bbreport's analyzer over the written run directory.
 	dir := t.TempDir()
-	writeCSV := func(name string, write func(*bytes.Buffer) error) {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeCSV("runs.csv", func(b *bytes.Buffer) error { return WriteRunsCSV(b, runs) })
-	writeCSV("runs_timeline.csv", func(b *bytes.Buffer) error { return WriteTimelineCSV(b, runs) })
-	writeCSV("runs_latency.csv", func(b *bytes.Buffer) error { return WriteLatencyCSV(b, runs) })
-	if err := alert.WriteJSONFile(filepath.Join(dir, "alerts.json"), rules, evaluated); err != nil {
+	rd, err := report.NewRunDir(dir, report.New("harness-test", "replay", 1024, 30000, 5000))
+	if err != nil {
 		t.Fatal(err)
 	}
-	m := report.New("harness-test", "replay", 1024, 30000, 5000)
-	for name, kind := range map[string]string{
-		"runs.csv": "runs", "runs_timeline.csv": "timeline",
-		"runs_latency.csv": "latency", "alerts.json": "alerts",
+	for _, o := range []struct {
+		name, kind string
+		fn         func(io.Writer) error
+	}{
+		{"runs.csv", "runs", func(w io.Writer) error { return WriteRunsCSV(w, runs) }},
+		{"runs_timeline.csv", "timeline", func(w io.Writer) error { return WriteTimelineCSV(w, runs) }},
+		{"runs_latency.csv", "latency", func(w io.Writer) error { return WriteLatencyCSV(w, runs) }},
+		{"alerts.json", "alerts", func(w io.Writer) error { return alert.WriteJSON(w, rules, evaluated) }},
 	} {
-		if err := m.AddOutput(dir, name, kind); err != nil {
+		if err := rd.Write(o.name, o.kind, o.fn); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := m.Write(dir); err != nil {
+	if err := rd.Close(nil); err != nil {
 		t.Fatal(err)
 	}
 	run, err := report.LoadRun(dir)

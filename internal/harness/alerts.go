@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"io"
+
 	"repro/internal/alert"
 	"repro/internal/telemetry"
 )
@@ -58,13 +60,20 @@ func latencySamples(r RunResult) []alert.LatencySample {
 	return out
 }
 
-// AlertInput lowers assembled sweep results into the alert engine's
+// WriteAlertsJSON renders the alerts.json artifact: rs evaluated over
+// the assembled runs. It is computed from in-memory results — matrix
+// order, never a live monitor's state — so the bytes are identical at
+// any Parallel setting; the harness tests prove the live monitor
+// agrees.
+func WriteAlertsJSON(w io.Writer, runs []RunResult, rs alert.RuleSet) error {
+	return alert.WriteJSON(w, rs, alert.Evaluate(alertInput(runs), rs))
+}
+
+// alertInput lowers assembled sweep results into the alert engine's
 // input: the same values the runs/timeline/latency CSVs would carry,
 // so Evaluate over it equals Evaluate over the re-loaded run
-// directory. Experiments use it to write the alerts.json artifact
-// from in-memory results — matrix order, independent of scheduling —
-// keeping the artifact byte-identical at any Parallel setting.
-func AlertInput(runs []RunResult) alert.Input {
+// directory.
+func alertInput(runs []RunResult) alert.Input {
 	var in alert.Input
 	for _, r := range runs {
 		in.Runs = append(in.Runs, runSample(r))

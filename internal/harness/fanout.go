@@ -401,7 +401,6 @@ func (g *group) final(c *consumer, r RunResult, err error) {
 // g.mu held.
 func (g *group) settle() {
 	if g.live == 0 && !g.producing && g.filter != nil {
-		g.filter.Close()
 		g.filter = nil
 		for k, ch := range g.ring {
 			if ch != nil {

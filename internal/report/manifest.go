@@ -9,7 +9,8 @@
 // sweep at different -parallel settings produce byte-identical
 // manifest.json files — the repo's determinism checks diff them — while
 // session.json absorbs everything that legitimately differs between
-// invocations.
+// invocations. Every tool writes its run directory through one RunDir,
+// which hashes each output as it streams to disk.
 package report
 
 import (
@@ -39,7 +40,7 @@ const SeedRule = "fnv1a-64(design, bench) per cell (runner.Seed)"
 // OutputFile is one artifact the sweep wrote, with its content hash.
 type OutputFile struct {
 	Name   string `json:"name"`   // file name relative to the run directory
-	Kind   string `json:"kind"`   // schema family: runs, timeline, latency, table, sweep, trace
+	Kind   string `json:"kind"`   // schema family: runs, timeline, latency, table, sweep, alerts, trace
 	Bytes  int64  `json:"bytes"`  // file size
 	SHA256 string `json:"sha256"` // hex content hash
 }
@@ -105,16 +106,6 @@ func HashFile(path string) (string, int64, error) {
 	return hex.EncodeToString(h.Sum(nil)), n, nil
 }
 
-// AddOutput hashes dir/name and records it under the given kind.
-func (m *Manifest) AddOutput(dir, name, kind string) error {
-	sum, n, err := HashFile(filepath.Join(dir, name))
-	if err != nil {
-		return fmt.Errorf("manifest: hash %s: %w", name, err)
-	}
-	m.Outputs = append(m.Outputs, OutputFile{Name: name, Kind: kind, Bytes: n, SHA256: sum})
-	return nil
-}
-
 // marshal renders v as stable, human-diffable JSON with a trailing
 // newline. encoding/json sorts map keys, so the bytes are deterministic.
 func marshal(v any) ([]byte, error) {
@@ -125,9 +116,9 @@ func marshal(v any) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// Write stores the manifest as dir/manifest.json with outputs sorted by
+// write stores the manifest as dir/manifest.json with outputs sorted by
 // name, so the bytes do not depend on the order experiments ran.
-func (m *Manifest) Write(dir string) error {
+func (m *Manifest) write(dir string) error {
 	sort.Slice(m.Outputs, func(i, j int) bool { return m.Outputs[i].Name < m.Outputs[j].Name })
 	b, err := marshal(m)
 	if err != nil {
@@ -136,8 +127,8 @@ func (m *Manifest) Write(dir string) error {
 	return os.WriteFile(filepath.Join(dir, ManifestName), b, 0o644)
 }
 
-// Write stores the session as dir/session.json.
-func (s *Session) Write(dir string) error {
+// write stores the session as dir/session.json.
+func (s *Session) write(dir string) error {
 	b, err := marshal(s)
 	if err != nil {
 		return err

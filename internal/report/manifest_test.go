@@ -1,6 +1,7 @@
 package report
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,23 +12,16 @@ import (
 // and checks Verify passes clean and catches tampering.
 func TestManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "runs.csv"), []byte("design,bench\na,b\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "lat.csv"), []byte("tier,count\nchbm,1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	m := New("bbrepro", "fig8", 128, 1_000_000, 50_000)
 	m.Flags = map[string]string{"faults": "0,2"}
-	// Add out of name order; Write must sort.
-	if err := m.AddOutput(dir, "runs.csv", "runs"); err != nil {
+	rd, err := NewRunDir(dir, m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddOutput(dir, "lat.csv", "latency"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Write(dir); err != nil {
+	// Write out of name order; Close must sort.
+	writeString(t, rd, "runs.csv", "runs", "design,bench\na,b\n")
+	writeString(t, rd, "lat.csv", "latency", "tier,count\nchbm,1\n")
+	if err := rd.Close(nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -73,23 +67,19 @@ func TestManifestRoundTrip(t *testing.T) {
 }
 
 // TestManifestDeterministicBytes checks that writing the same manifest
-// twice — with outputs added in different orders — yields identical
+// twice — with outputs written in different orders — yields identical
 // bytes, the property the parallel-diff CI check rests on.
 func TestManifestDeterministicBytes(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{"a.csv", "b.csv"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(name), 0o644); err != nil {
+	render := func(order []string) []byte {
+		rd, err := NewRunDir(dir, New("bbrepro", "fig8", 128, 1000, 0))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	render := func(order []string) []byte {
-		m := New("bbrepro", "fig8", 128, 1000, 0)
 		for _, n := range order {
-			if err := m.AddOutput(dir, n, "table"); err != nil {
-				t.Fatal(err)
-			}
+			writeString(t, rd, n, "table", n)
 		}
-		if err := m.Write(dir); err != nil {
+		if err := rd.Close(nil); err != nil {
 			t.Fatal(err)
 		}
 		b, err := os.ReadFile(filepath.Join(dir, ManifestName))
@@ -101,7 +91,7 @@ func TestManifestDeterministicBytes(t *testing.T) {
 	fwd := render([]string{"a.csv", "b.csv"})
 	rev := render([]string{"b.csv", "a.csv"})
 	if string(fwd) != string(rev) {
-		t.Fatalf("manifest bytes depend on AddOutput order:\n%s\nvs\n%s", fwd, rev)
+		t.Fatalf("manifest bytes depend on write order:\n%s\nvs\n%s", fwd, rev)
 	}
 }
 
@@ -119,4 +109,27 @@ func TestReadSessionMissing(t *testing.T) {
 	if _, err := ReadSession(dir); err == nil {
 		t.Fatal("corrupt session.json not reported")
 	}
+}
+
+// writeString writes body as rd's output name under kind.
+func writeString(t *testing.T, rd *RunDir, name, kind, body string) {
+	t.Helper()
+	if err := rd.Write(name, kind, func(w io.Writer) error {
+		_, err := io.WriteString(w, body)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// hashOutput records dir/name, already on disk, in m under kind: test
+// fixtures that hand-craft or tamper with a run directory describe it
+// the way RunDir would have.
+func hashOutput(t *testing.T, m *Manifest, dir, name, kind string) {
+	t.Helper()
+	sum, n, err := HashFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Outputs = append(m.Outputs, OutputFile{Name: name, Kind: kind, Bytes: n, SHA256: sum})
 }

@@ -3,6 +3,7 @@ package report
 import (
 	"encoding/csv"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -107,10 +108,7 @@ func Merge(dst string, shardDirs []string) (*MergeResult, error) {
 		return nil, err
 	}
 
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		return nil, fmt.Errorf("merge: %w", err)
-	}
-	merged := &Manifest{
+	rd, err := NewRunDir(dst, &Manifest{
 		Tool:           m0.Tool,
 		Experiment:     m0.Experiment,
 		GoVersion:      m0.GoVersion,
@@ -119,6 +117,9 @@ func Merge(dst string, shardDirs []string) (*MergeResult, error) {
 		TelemetryEpoch: m0.TelemetryEpoch,
 		SeedRule:       m0.SeedRule,
 		Flags:          flagsWithoutShard(m0.Flags),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("merge: %w", err)
 	}
 	res := &MergeResult{Shards: n}
 	names := make([]string, 0, len(kinds))
@@ -127,17 +128,14 @@ func Merge(dst string, shardDirs []string) (*MergeResult, error) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		rows, err := mergeCSV(dst, name, ordered)
+		rows, err := mergeCSV(rd, name, kinds[name], ordered)
 		if err != nil {
 			return nil, err
 		}
 		res.Rows += rows
 		res.Files = append(res.Files, name)
-		if err := merged.AddOutput(dst, name, kinds[name]); err != nil {
-			return nil, err
-		}
 	}
-	if err := merged.Write(dst); err != nil {
+	if err := rd.Close(nil); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -223,20 +221,19 @@ func sharedOutputs(shards []mergeShard) (map[string]string, error) {
 		}
 	}
 	for name, kind := range kinds {
-		switch kind {
-		case "runs", "timeline", "latency":
-		default:
+		if !mergeable(kind) {
 			return nil, fmt.Errorf("merge: cannot merge %s (kind %q): only per-run outputs shard; rebuild tables from the merged runs CSV", name, kind)
 		}
 	}
 	return kinds, nil
 }
 
-// mergeCSV round-robin-reconstructs one CSV across the ordered shards.
+// mergeCSV round-robin-reconstructs one CSV across the ordered shards
+// and writes it into rd under kind.
 // Rows are grouped by run — consecutive rows sharing (design, bench) —
 // because the timeline and latency schemas emit several rows per run;
 // global run group i comes from shard i%n at local position i/n.
-func mergeCSV(dst, name string, shards []mergeShard) (int, error) {
+func mergeCSV(rd *RunDir, name, kind string, shards []mergeShard) (int, error) {
 	n := len(shards)
 	var header []string
 	groups := make([][][][]string, n) // per shard: ordered run groups, each a row slice
@@ -269,16 +266,9 @@ func mergeCSV(dst, name string, shards []mergeShard) (int, error) {
 		}
 		out = append(out, g[i/n]...)
 	}
-	f, err := os.Create(filepath.Join(dst, name))
-	if err != nil {
-		return 0, err
-	}
-	w := csv.NewWriter(f)
-	if err := w.WriteAll(out); err != nil {
-		f.Close()
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
+	if err := rd.Write(name, kind, func(w io.Writer) error {
+		return csv.NewWriter(w).WriteAll(out)
+	}); err != nil {
 		return 0, err
 	}
 	return len(out) - 1, nil

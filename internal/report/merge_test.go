@@ -66,13 +66,9 @@ func writeMergeManifest(t *testing.T, dir, shard string) {
 	if shard != "" {
 		m.Flags["shard"] = shard
 	}
-	if err := m.AddOutput(dir, "runs.csv", "runs"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.AddOutput(dir, "runs_timeline.csv", "timeline"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Write(dir); err != nil {
+	hashOutput(t, m, dir, "runs.csv", "runs")
+	hashOutput(t, m, dir, "runs_timeline.csv", "timeline")
+	if err := m.write(dir); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -183,7 +179,7 @@ func TestMergeRefusesMismatchedSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Accesses = 999
-	if err := m.Write(shards[2]); err != nil {
+	if err := m.write(shards[2]); err != nil {
 		t.Fatal(err)
 	}
 	_, err = Merge(filepath.Join(t.TempDir(), "m"), shards)

@@ -8,7 +8,7 @@
 // never on scheduling. Each stochastic component therefore derives its RNG
 // seed from the cell's stable identity via Seed (an FNV-1a hash of the
 // design and benchmark names), not from a shared generator, wall-clock
-// time, or worker index. The harness applies this rule in Harness.Run;
+// time, or worker index. The harness applies this rule in syntheticCell;
 // anything new that consumes randomness inside a cell must follow it.
 //
 // Error contract. One failed cell must not abort the sweep: every cell

@@ -3,9 +3,9 @@
 // internal/tracecodec understands, chunked bodies included) together
 // with a design selection, jobs run on a bounded worker fleet with
 // explicit backpressure, and the results come back as a
-// manifest-verified run directory — the same runs.csv + manifest.json +
-// session.json layout every sweep CLI writes, so `bbreport verify` and
-// the rest of the toolchain work on served results unchanged.
+// manifest-verified run directory — written through the same
+// report.RunDir every sweep CLI uses, so `bbreport verify` and the rest
+// of the toolchain work on served results unchanged.
 //
 // Job identity is content-addressed: the job ID is a SHA-256 over the
 // trace bytes' digest plus every deterministic knob (design, benchmark
@@ -27,7 +27,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -296,42 +295,39 @@ func (s *Server) flushAborted() {
 	s.mu.Unlock()
 	for _, j := range pending {
 		j.Trace.Abort()
-		if err := s.writeServiceTrace(j); err != nil {
+		rd, err := s.runDir(j)
+		if err == nil {
+			err = writeServiceTrace(rd, j)
+		}
+		if err != nil {
 			s.logf("abort flush failed", "job", j.ID, "err", err.Error())
 			continue
 		}
-		m := report.New("bbserve", "replay/"+j.Bench, s.Harness.Scale, j.Accesses, s.Harness.TelemetryEpoch)
-		m.Flags = map[string]string{
-			"design":       j.Design,
-			"bench":        j.Bench,
-			"trace_sha256": j.TraceSHA256,
-		}
-		if err := m.AddOutput(j.Dir, ServiceTraceName, "trace"); err == nil {
-			err = m.Write(j.Dir)
-			if err != nil {
-				s.logf("abort flush manifest failed", "job", j.ID, "err", err.Error())
-			}
+		if err := rd.Close(nil); err != nil {
+			s.logf("abort flush manifest failed", "job", j.ID, "err", err.Error())
 		}
 		s.logf("aborted trace flushed", "job", j.ID, "state", j.state)
 	}
 }
 
+// runDir opens the job's run directory under the job's deterministic
+// identity; finished jobs and the aborted-job flush share it.
+func (s *Server) runDir(j *job) (*report.RunDir, error) {
+	m := report.New("bbserve", "replay/"+j.Bench, s.Harness.Scale, j.Accesses, s.Harness.TelemetryEpoch)
+	m.Flags = map[string]string{
+		"design":       j.Design,
+		"bench":        j.Bench,
+		"trace_sha256": j.TraceSHA256,
+	}
+	return report.NewRunDir(j.Dir, m)
+}
+
 // writeServiceTrace exports the job's span tree as Chrome trace_event
 // JSON into its run directory.
-func (s *Server) writeServiceTrace(j *job) error {
-	if err := os.MkdirAll(j.Dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(j.Dir, ServiceTraceName))
-	if err != nil {
-		return err
-	}
-	run := j.Trace.TraceRun("bbserve job " + j.ID)
-	if err := telemetry.WriteChromeTrace(f, []telemetry.TraceRun{run}); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+func writeServiceTrace(rd *report.RunDir, j *job) error {
+	return rd.Write(ServiceTraceName, "trace", func(w io.Writer) error {
+		return telemetry.WriteChromeTrace(w, []telemetry.TraceRun{j.Trace.TraceRun("bbserve job " + j.ID)})
+	})
 }
 
 func (s *Server) logf(msg string, args ...any) {
@@ -765,28 +761,17 @@ func (s *Server) runJob(j *job) error {
 	}
 
 	ws := tr.Start(runSpan, "write")
-	err = func() error {
-		if err := os.MkdirAll(j.Dir, 0o755); err != nil {
-			return err
-		}
-		rf, err := os.Create(filepath.Join(j.Dir, "runs.csv"))
-		if err != nil {
-			return err
-		}
-		if err := harness.WriteRunsCSV(rf, runs); err != nil {
-			rf.Close()
-			return err
-		}
-		if err := rf.Close(); err != nil {
-			return err
-		}
-		// The artifact is a pure evaluation over the assembled results
-		// (matrix order), never the monitor's state — that keeps it
-		// byte-identical at any worker parallelism, while the live
-		// monitor above is proven to agree by the harness equality test.
-		return alert.WriteJSONFile(filepath.Join(j.Dir, AlertsName),
-			s.Rules, alert.Evaluate(harness.AlertInput(runs), s.Rules))
-	}()
+	rd, err := s.runDir(j)
+	if err == nil {
+		err = rd.Write("runs.csv", "runs", func(w io.Writer) error {
+			return harness.WriteRunsCSV(w, runs)
+		})
+	}
+	if err == nil {
+		err = rd.Write(AlertsName, "alerts", func(w io.Writer) error {
+			return harness.WriteAlertsJSON(w, runs, s.Rules)
+		})
+	}
 	if err != nil {
 		tr.Fail(ws, err)
 		s.finishJobSpans(j, runSpan, err)
@@ -795,36 +780,12 @@ func (s *Server) runJob(j *job) error {
 	tr.End(ws)
 	s.finishJobSpans(j, runSpan, nil)
 
-	if err := s.writeServiceTrace(j); err != nil {
+	if err := writeServiceTrace(rd, j); err != nil {
 		return err
 	}
-	m := report.New("bbserve", "replay/"+j.Bench, h.Scale, j.Accesses, h.TelemetryEpoch)
-	m.Flags = map[string]string{
-		"design":       j.Design,
-		"bench":        j.Bench,
-		"trace_sha256": j.TraceSHA256,
-	}
-	if err := m.AddOutput(j.Dir, "runs.csv", "runs"); err != nil {
-		return err
-	}
-	if err := m.AddOutput(j.Dir, ServiceTraceName, "trace"); err != nil {
-		return err
-	}
-	if err := m.AddOutput(j.Dir, AlertsName, "alerts"); err != nil {
-		return err
-	}
-	if err := m.Write(j.Dir); err != nil {
-		return err
-	}
-	sess := report.Session{
-		Parallel:       h.Parallel,
-		CPUs:           runtime.NumCPU(),
-		Started:        start.UTC().Format(time.RFC3339),
-		WallMS:         time.Since(start).Milliseconds(),
-		JobID:          j.ID,
-		IdempotencyKey: j.IdemKey,
-	}
-	return sess.Write(j.Dir)
+	sess := report.NewSession(h.Parallel, start)
+	sess.JobID, sess.IdempotencyKey = j.ID, j.IdemKey
+	return rd.Close(sess)
 }
 
 // finishJobSpans closes the run and root spans with the sweep's outcome
@@ -843,7 +804,11 @@ func (s *Server) finishJobSpans(j *job, runSpan obs.SpanID, err error) {
 	}
 	s.Obs.ObservePhase(obs.PhaseE2E, e2e)
 	if err != nil {
-		if werr := s.writeServiceTrace(j); werr != nil {
+		rd, werr := s.runDir(j)
+		if werr == nil {
+			werr = writeServiceTrace(rd, j)
+		}
+		if werr != nil {
 			s.logf("service trace write failed", "job", j.ID, "err", werr.Error())
 		}
 	}
