@@ -153,11 +153,11 @@ func TestRunSeedReproducible(t *testing.T) {
 	}
 }
 
-// Every journal record's seed is the seed of the trace its cell ran: the
-// Fig7 variants that Name() themselves c-only, m-only, 25%-c and 50%-c
-// must record their own trace seeds, not Bumblebee's. Each cell is
-// replayed alone from its recorded seed and must reproduce its journaled
-// speedup.
+// Every journal record's seed is the seed of the trace its cell ran:
+// each Fig7 variant — the ones that Name() themselves c-only, m-only,
+// 25%-c and 50%-c included — records its benchmark's trace seed. Each
+// cell is replayed alone from its recorded seed and must reproduce its
+// journaled speedup.
 func TestFig7JournalSeedsReplayCells(t *testing.T) {
 	h := &Harness{Scale: 1024, Accesses: 2000, Parallel: 2}
 	dir := t.TempDir()

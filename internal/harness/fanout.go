@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -55,15 +57,17 @@ func (s shared) openErr(err error) error {
 	return fmt.Errorf("%s/%s: open trace: %w", s.design, s.bench, err)
 }
 
-// syntheticCell describes design's run of b on sys; name is the built
-// design's Name(). It holds the sweep's trace-seed rule: when the profile
-// carries no seed, the generator is seeded from runner.Seed(name,
-// benchmark), so a cell's stream depends only on what the cell is, never
-// on when or where it ran.
-func (h *Harness) syntheticCell(design config.Design, name string, sys config.System, b trace.Benchmark) shared {
+// syntheticCell describes design's run of b on sys. It holds the
+// sweep's trace-seed rule: when the profile carries no seed, the
+// generator is seeded from runner.Seed("bench", benchmark). The seed
+// names the benchmark alone, so every design of a sweep runs the same
+// trace — the pairing a normalized figure needs — and a cell's stream
+// depends only on its benchmark, never on when or where it ran. Cells
+// that also share their caches share a key, and so one filtered stream.
+func (h *Harness) syntheticCell(design config.Design, sys config.System, b trace.Benchmark) shared {
 	p := b.Profile
 	if p.Seed == 0 {
-		p.Seed = runner.Seed(name, p.Name)
+		p.Seed = runner.Seed("bench", p.Name)
 	}
 	return shared{
 		key:  cellID("synthetic", p.Name, strconv.FormatUint(p.Seed, 16), fmt.Sprint(sys.Caches)),
@@ -104,17 +108,19 @@ func (h *Harness) endSpan(sp obs.SpanID, r RunResult, err error) {
 // spec; each cell's journal seed is its spec's trace seed. Cells that the
 // harness owns, that the journal does not already hold, and whose keys
 // are equal run as one group on their first attempt; every retry runs
-// alone. done turns a cell's outcome into its sweep value. Everything per
-// cell — journal records, sharding, resume, retry, interrupt,
-// observation — stays sweepCells'.
+// alone, and the workers take cells in dispatchOrder. done turns a
+// cell's outcome into its sweep value. Everything per cell — journal records, sharding,
+// resume, retry, interrupt, observation — stays sweepCells'.
 func sweepShared[T any](h *Harness, ids []string, spec func(i int) shared, done func(i int, r RunResult, err error) (T, error)) ([]T, error) {
 	cells := make([]cell, len(ids))
 	specs := make([]shared, len(ids))
+	keys := make([]string, len(ids))
 	groups := make([]*group, len(ids))
 	byKey := map[string]*group{}
 	for i, id := range ids {
 		specs[i] = spec(i)
 		cells[i] = cell{ID: id, Seed: specs[i].seed}
+		keys[i] = specs[i].key
 		if !h.Shard.Owns(i) {
 			continue
 		}
@@ -133,7 +139,7 @@ func sweepShared[T any](h *Harness, ids []string, spec func(i int) shared, done 
 	}
 	var mu sync.Mutex
 	tried := make([]bool, len(ids))
-	return sweepCells(h, cells, func(i int) (T, error) {
+	return sweepCells(h, cells, dispatchOrder(keys), func(i int) (T, error) {
 		mu.Lock()
 		g := groups[i]
 		if tried[i] || g == nil {
@@ -145,6 +151,25 @@ func sweepShared[T any](h *Harness, ids []string, spec func(i int) shared, done 
 		r, err := g.result(i)
 		return done(i, r, err)
 	})
+}
+
+// dispatchOrder lists the indices of cells with the given group keys so
+// that each group's cells go out back to back: groups in order of their
+// first cell, a group's cells in index order. A worker that takes a cell
+// works on its group until every member is final, so under this order
+// the workers share one group's designs; in index order, a design-major
+// cell list would have each worker hold a different benchmark's group.
+func dispatchOrder(keys []string) []int {
+	first := make(map[string]int, len(keys))
+	order := make([]int, len(keys))
+	for i, k := range keys {
+		order[i] = i
+		if _, ok := first[k]; !ok {
+			first[k] = i
+		}
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(first[keys[a]], first[keys[b]]) })
+	return order
 }
 
 // ringChunks bounds how many filtered chunks a group's producer may run

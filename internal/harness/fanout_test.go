@@ -377,3 +377,75 @@ func TestFanOutShardAndResume(t *testing.T) {
 		same("resume", i, got[i])
 	}
 }
+
+// A group's cells go out back to back, groups in order of their first
+// cell; within a group, and for singleton groups, index order holds.
+func TestDispatchOrderGroupsCells(t *testing.T) {
+	cases := []struct {
+		keys []string
+		want []int
+	}{
+		{nil, []int{}},
+		{[]string{"a", "b", "c"}, []int{0, 1, 2}}, // singletons keep index order
+		{[]string{"a", "a", "a"}, []int{0, 1, 2}}, // one group, stable
+		{[]string{"a", "b", "a", "c", "b", "a"}, []int{0, 2, 5, 1, 4, 3}},
+		// Fig8's design-major list: rows of designs, one column per benchmark.
+		{[]string{"x", "y", "z", "x", "y", "z", "x", "y", "z"}, []int{0, 3, 6, 1, 4, 7, 2, 5, 8}},
+	}
+	for _, tc := range cases {
+		if got := dispatchOrder(tc.keys); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("dispatchOrder(%q) = %v, want %v", tc.keys, got, tc.want)
+		}
+	}
+}
+
+// sweepShared hands cells to the workers in dispatch order, and nothing
+// else moves: results, failures and shard ownership stay by cell index.
+// With one worker, done runs in the order cells were taken.
+func TestDispatchOrderSweep(t *testing.T) {
+	keys := []string{"a", "b", "a", "c", "b", "a"}
+	const bad = 3 // the lone "c" cell fails to open its trace
+	var opens atomic.Int64
+	open := syntheticOpener(500, &opens)
+	for _, tc := range []struct {
+		shard runner.Shard
+		want  []int
+	}{
+		{runner.Shard{}, []int{0, 2, 5, 1, 4, 3}},
+		{runner.Shard{K: 1, N: 2}, []int{0, 2, 4}},
+		{runner.Shard{K: 2, N: 2}, []int{5, 1, 3}},
+	} {
+		h := &Harness{Scale: 1024, Parallel: 1, Shard: tc.shard}
+		sys := h.System()
+		ids := make([]string, len(keys))
+		for i := range ids {
+			ids[i] = cellID("order", strconv.Itoa(i))
+		}
+		var order []int
+		got, err := sweepShared(h, ids,
+			func(i int) shared {
+				s := h.replayCell(AllDesigns[i], "order", sys, open)
+				s.key = keys[i]
+				if i == bad {
+					s.open = func() (trace.Stream, error) { return nil, errors.New("no trace") }
+				}
+				return s
+			},
+			func(i int, r RunResult, err error) (string, error) {
+				order = append(order, i)
+				return r.Design, err
+			})
+		if !reflect.DeepEqual(order, tc.want) {
+			t.Errorf("shard %q: cells dispatched %v, want %v", tc.shard, order, tc.want)
+		}
+		var errs runner.Errors
+		if tc.shard.Owns(bad) && (!errors.As(err, &errs) || len(errs) != 1 || errs[0].Index != bad) {
+			t.Errorf("shard %q: err = %v, want cell %d failed", tc.shard, err, bad)
+		}
+		for i, d := range got {
+			if want := string(AllDesigns[i]); tc.shard.Owns(i) && i != bad && d != want {
+				t.Errorf("shard %q: result %d is %q, want %q", tc.shard, i, d, want)
+			}
+		}
+	}
+}

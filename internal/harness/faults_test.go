@@ -213,10 +213,10 @@ func TestFigFaultTable(t *testing.T) {
 	}
 }
 
-// figfault runs a design's rates on one filtered stream per benchmark;
-// fault injection lives below the LLC, so every grouped cell — RAS
-// counters and telemetry included — equals its run alone through Build
-// and Run.
+// figfault runs every (design, rate) cell of a benchmark on one filtered
+// stream; fault injection lives below the LLC, so every grouped cell —
+// RAS counters and telemetry included — equals its run alone through
+// Build and Run.
 func TestFigFaultGroupsMatchSoloRuns(t *testing.T) {
 	h := &Harness{Scale: 1024, Accesses: 20000, Parallel: 2, TelemetryEpoch: 2000, TraceDepth: 64}
 	designs := []config.Design{config.DesignBumblebee, config.DesignHybrid2}

@@ -125,7 +125,7 @@ func (h *Harness) Fig1() ([]Fig1Result, error) {
 		name, label := Fig1Benchmarks[ni], sizeLabel(Fig1LineSizes[li])
 		return cell{ID: cellID("fig1", name, label), Seed: runner.Seed("fig1", name, label)}
 	})
-	out, err := sweepCells(h, cells,
+	out, err := sweepCells(h, cells, nil,
 		func(i int) (Fig1Result, error) {
 			name, ls := Fig1Benchmarks[i/len(Fig1LineSizes)], Fig1LineSizes[i%len(Fig1LineSizes)]
 			b, err := trace.ByName(name)

@@ -63,7 +63,7 @@ func (h *Harness) Fig6() ([]Fig6Result, error) {
 			sys := h.System()
 			sys.BlockBytes = cfg.BlockKB * addr.KiB
 			sys.PageBytes = cfg.PageKB * addr.KiB
-			return h.syntheticCell(config.DesignBumblebee, string(config.DesignBumblebee), sys, bs[i%len(bs)])
+			return h.syntheticCell(config.DesignBumblebee, sys, bs[i%len(bs)])
 		},
 		func(i int, r RunResult, err error) (float64, error) {
 			cfg, b := cfgs[i/len(bs)], bs[i%len(bs)].Profile.Name

@@ -27,27 +27,20 @@ func (h *Harness) Fig7() ([]Fig7Result, error) {
 		return nil, err
 	}
 	vs := Fig7Variants()
-	// A variant's trace is seeded by its design's Name(), so the variants
-	// that keep the name "bumblebee" share each benchmark's filtered
-	// stream; the fixed-ratio ones each replay their own.
+	// Every variant runs Bumblebee on the same per-benchmark trace (see
+	// syntheticCell) through the same caches, so each benchmark's ten
+	// cells share one filtered stream.
 	syss := make([]config.System, len(vs))
-	names := make([]string, len(vs))
 	for vi, v := range vs {
 		syss[vi] = h.System()
 		v.Apply(&syss[vi])
-		mem, err := Build(config.DesignBumblebee, syss[vi])
-		if err != nil {
-			return nil, fmt.Errorf("fig7 %s: %w", v.Label, err)
-		}
-		names[vi] = mem.Name()
 	}
 	ids := grid(vs, bs, func(vi, bi int) string {
 		return cellID("fig7", vs[vi].Label, bs[bi].Profile.Name)
 	})
 	flat, err := sweepShared(h, ids,
 		func(i int) shared {
-			vi := i / len(bs)
-			return h.syntheticCell(config.DesignBumblebee, names[vi], syss[vi], bs[i%len(bs)])
+			return h.syntheticCell(config.DesignBumblebee, syss[i/len(bs)], bs[i%len(bs)])
 		},
 		func(i int, r RunResult, err error) (float64, error) {
 			v, b := vs[i/len(bs)], bs[i%len(bs)].Profile.Name

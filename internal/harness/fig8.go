@@ -43,19 +43,30 @@ type Fig8Result struct {
 	PerRun []RunResult // every (design, bench) run for drill-down
 }
 
-// fig8Runs sweeps the design × benchmark matrix under the harness
+// fig8Runs sweeps the designs × benchmark matrix under the harness
 // policy (checkpoint, retry, shard) and returns the raw per-cell runs.
-func (h *Harness) fig8Runs(bs []trace.Benchmark) ([][]RunResult, error) {
-	ids := grid(Fig8Designs, bs, func(di, bi int) string {
-		return cellID("fig8", string(Fig8Designs[di]), bs[bi].Profile.Name)
+// A DesignNoHBM row is the no-HBM normalization baseline, whose cells are
+// baseline/nohbm/<bench>. Every design of a benchmark runs the same trace
+// (see syntheticCell), so each benchmark's cells are one group.
+func (h *Harness) fig8Runs(designs []config.Design, bs []trace.Benchmark) ([][]RunResult, error) {
+	ids := grid(designs, bs, func(di, bi int) string {
+		exp := "fig8"
+		if designs[di] == config.DesignNoHBM {
+			exp = "baseline"
+		}
+		return cellID(exp, string(designs[di]), bs[bi].Profile.Name)
 	})
 	flat, err := sweepShared(h, ids,
-		func(i int) shared {
-			d := Fig8Designs[i/len(bs)]
-			return h.syntheticCell(d, string(d), h.System(), bs[i%len(bs)])
-		},
+		func(i int) shared { return h.syntheticCell(designs[i/len(bs)], h.System(), bs[i%len(bs)]) },
 		func(i int, r RunResult, err error) (RunResult, error) {
-			d, b := Fig8Designs[i/len(bs)], bs[i%len(bs)].Profile.Name
+			d, b := designs[i/len(bs)], bs[i%len(bs)].Profile.Name
+			if d == config.DesignNoHBM {
+				if err != nil {
+					return RunResult{}, fmt.Errorf("baseline %s: %w", b, err)
+				}
+				h.log("baseline", "bench", b, "ipc", r.CPU.IPC(), "mpki", r.CPU.MPKI())
+				return r, nil
+			}
 			if err != nil {
 				return RunResult{}, fmt.Errorf("fig8 %s/%s: %w", d, b, err)
 			}
@@ -63,7 +74,7 @@ func (h *Harness) fig8Runs(bs []trace.Benchmark) ([][]RunResult, error) {
 				"ipc", r.CPU.IPC(), "hbm_bytes", r.HBMBytes, "dram_bytes", r.DRAMBytes)
 			return r, nil
 		})
-	return byRow(flat, len(Fig8Designs), len(bs)), err
+	return byRow(flat, len(designs), len(bs)), err
 }
 
 // Fig8 reproduces the headline comparison.
@@ -72,11 +83,13 @@ func (h *Harness) fig8Runs(bs []trace.Benchmark) ([][]RunResult, error) {
 // produced and the group tables stay nil: the tables need the full
 // matrix plus the no-HBM baseline, so they are built after `bbreport
 // merge` reassembles the shards — per-run rows are baseline-independent,
-// which is what makes the partition clean.
+// which is what makes the partition clean. Unsharded, the baseline is
+// the matrix's first row, so each benchmark's trace is filtered once for
+// all seven designs.
 func (h *Harness) Fig8() (*Fig8Result, error) {
 	bs := h.Benchmarks()
 	if h.Shard.Active() {
-		runs, err := h.fig8Runs(bs)
+		runs, err := h.fig8Runs(Fig8Designs, bs)
 		if err != nil {
 			return nil, err
 		}
@@ -90,19 +103,16 @@ func (h *Harness) Fig8() (*Fig8Result, error) {
 		}
 		return res, nil
 	}
-	base, err := h.runBaseline(bs)
+	runs, err := h.fig8Runs(append([]config.Design{config.DesignNoHBM}, Fig8Designs...), bs)
 	if err != nil {
 		return nil, err
 	}
+	base, runs := newBaseline(bs, runs[0]), runs[1:]
 	res := &Fig8Result{
 		IPC:    &metrics.Table{Title: "Figure 8(a): normalized IPC", Columns: Fig8Groups},
 		HBM:    &metrics.Table{Title: "Figure 8(b): normalized HBM traffic", Columns: Fig8Groups},
 		DRAM:   &metrics.Table{Title: "Figure 8(c): normalized off-chip DRAM traffic", Columns: Fig8Groups},
 		Energy: &metrics.Table{Title: "Figure 8(d): normalized memory dynamic energy", Columns: Fig8Groups},
-	}
-	runs, err := h.fig8Runs(bs)
-	if err != nil {
-		return nil, err
 	}
 	for di, d := range Fig8Designs {
 		groupIPC := map[string][]float64{}

@@ -82,8 +82,9 @@ func (h *Harness) FigFaultWith(designs []config.Design, rates []float64) (*FigFa
 			cells = append(cells, figFaultCell{design: d, rate: r})
 		}
 	}
-	// A design's rates differ only in fault injection, which lives below
-	// the LLC, so each benchmark's rates share one filtered stream.
+	// Every (design, rate) cell of a benchmark runs the same trace, and
+	// designs and fault injection both live below the LLC, so each
+	// benchmark's cells share one filtered stream.
 	ids := grid(cells, bs, func(ci, bi int) string {
 		c := cells[ci]
 		label := fmt.Sprintf("%s@%s", c.design, strconv.FormatFloat(c.rate, 'g', -1, 64))
@@ -94,7 +95,7 @@ func (h *Harness) FigFaultWith(designs []config.Design, rates []float64) (*FigFa
 			c := cells[i/len(bs)]
 			sys := h.System()
 			sys.Faults = FaultsAtRate(c.rate)
-			return h.syntheticCell(c.design, string(c.design), sys, bs[i%len(bs)])
+			return h.syntheticCell(c.design, sys, bs[i%len(bs)])
 		},
 		func(i int, r RunResult, err error) (RunResult, error) {
 			c, b := cells[i/len(bs)], bs[i%len(bs)].Profile.Name

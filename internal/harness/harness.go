@@ -12,20 +12,23 @@
 // Every sweep fans its (design, benchmark, config) matrix out across a
 // bounded pool of worker goroutines (see internal/runner). Results are
 // assembled in matrix order and each cell seeds its trace generator from a
-// stable hash of the design and benchmark names, so a sweep's output is
-// bit-identical at any Parallel setting.
+// stable hash of the benchmark name alone, so a sweep's output is
+// bit-identical at any Parallel setting and every design compared on a
+// benchmark runs the same trace.
 //
 // Every simulation of one design on one trace is a cell described by a
 // shared spec (see fanout.go) and run by a fan-out group: the core model
 // splits at the LLC (cpu.Filter, cpu.Core), one producer decodes the
 // trace and walks the SRAM hierarchy, and every member cell's core
 // replays the post-LLC chunks into its own design. Cells whose trace and
-// caches are equal share one group — ReplaySweep all its designs, Fig6
-// all nine configurations of a benchmark, Fig7 the variants that keep
-// Bumblebee's name (and so its trace seed), figfault a design's rates,
-// MAL its SRAM/HBM metadata pair — and Run, RunStream and every other
-// cell run as a one-member group. Grouping is invisible in the results:
-// every cell's bytes equal its solo run.
+// caches are equal share one group — ReplaySweep all its designs, and
+// every figure all the cells of one benchmark: Fig8 its no-HBM baseline
+// and six designs, Fig6 its nine configurations, Fig7 its ten variants,
+// figfault every (design, rate), MAL its SRAM/HBM metadata pair. Run,
+// RunStream and a lone cell run as a one-member group. The workers take
+// cells group by group, so they share one group's designs rather than
+// each holding its own. Grouping is invisible in the results: every
+// cell's bytes equal its solo run.
 package harness
 
 import (
@@ -191,9 +194,11 @@ type RunResult struct {
 
 // Run simulates one benchmark on mem, a memory system built for sys, as
 // a one-member group. The trace seed follows the sweep rule (see
-// syntheticCell), so Run reproduces the matching sweep cell.
+// syntheticCell): it names the benchmark alone, so Run reproduces the
+// matching cell of any sweep, and every design Run drives on b sees the
+// same trace.
 func (h *Harness) Run(sys config.System, mem hmm.MemSystem, b trace.Benchmark) (RunResult, error) {
-	s := h.syntheticCell(config.Design(mem.Name()), mem.Name(), sys, b)
+	s := h.syntheticCell(config.Design(mem.Name()), sys, b)
 	s.build = built(mem)
 	return h.runAlone(s)
 }
@@ -291,14 +296,18 @@ type sim struct {
 // newSim attaches fault injection, telemetry and the alert feed to mem.
 func (h *Harness) newSim(sys config.System, mem hmm.MemSystem, bench string, seed uint64) *sim {
 	s := &sim{h: h, sys: sys, mem: mem, bench: bench, seed: seed}
-	// Fault injection follows the same cell-identity seeding rule: the
-	// injector's schedule depends only on (design, benchmark) plus the
-	// configured fault seed, never on scheduling. faults.New returns nil
+	// Fault injection follows the trace's pairing rule: the injector is
+	// seeded from runner.Seed("faults", benchmark) plus the configured
+	// fault seed, never from the design or the scheduling. Designs
+	// compared on one benchmark therefore see the same fault schedule,
+	// defined as the same seed drawn over each design's own HBM page
+	// space (dev.Geom.HBMPages(): Hybrid2's covers only its POM region,
+	// so its frames are not the other designs'). faults.New returns nil
 	// when injection is disabled, leaving the device paths untouched.
 	if sys.Faults.Enabled {
 		dev := mem.Devices()
 		dev.AttachFaults(faults.New(sys.Faults, dev.Geom.HBMPages(),
-			runner.Seed("faults", mem.Name(), bench)))
+			runner.Seed("faults", bench)))
 	}
 	// Telemetry is per-cell: each run owns one probe, and everything it
 	// records is a pure function of the cell's access stream, so the
@@ -368,37 +377,30 @@ func (s *sim) finish(res cpu.Result, err error) (RunResult, error) {
 }
 
 // baseline holds the no-HBM baseline's IPC, traffic and energy per
-// benchmark, the denominators of normalization; runBaseline runs it once
-// per benchmark.
+// benchmark, the denominators of normalization.
 type baseline struct {
 	ipc   map[string]float64
 	bytes map[string]uint64 // DRAM traffic of the no-HBM run
 	pj    map[string]float64
 }
 
+// runBaseline runs Fig8's baseline row alone, for the figures that
+// normalize a Bumblebee sweep by it.
 func (h *Harness) runBaseline(bs []trace.Benchmark) (*baseline, error) {
-	const d = config.DesignNoHBM
-	ids := make([]string, len(bs))
-	for i, b := range bs {
-		ids[i] = cellID("baseline", string(d), b.Profile.Name)
-	}
 	// The baseline is normalization input for every design's rows, so it
 	// always runs in full — sharding partitions only the design matrix.
 	hb := *h
 	hb.Shard = runner.Shard{}
-	runs, err := sweepShared(&hb, ids,
-		func(i int) shared { return h.syntheticCell(d, string(d), h.System(), bs[i]) },
-		func(i int, r RunResult, err error) (RunResult, error) {
-			b := bs[i].Profile.Name
-			if err != nil {
-				return RunResult{}, fmt.Errorf("baseline %s: %w", b, err)
-			}
-			h.log("baseline", "bench", b, "ipc", r.CPU.IPC(), "mpki", r.CPU.MPKI())
-			return r, nil
-		})
+	runs, err := hb.fig8Runs([]config.Design{config.DesignNoHBM}, bs)
 	if err != nil {
 		return nil, err
 	}
+	return newBaseline(bs, runs[0]), nil
+}
+
+// newBaseline collects the denominators from runs, the no-HBM run of
+// each benchmark of bs.
+func newBaseline(bs []trace.Benchmark, runs []RunResult) *baseline {
 	out := &baseline{
 		ipc:   make(map[string]float64),
 		bytes: make(map[string]uint64),
@@ -410,5 +412,5 @@ func (h *Harness) runBaseline(bs []trace.Benchmark) (*baseline, error) {
 		out.bytes[name] = r.DRAMBytes
 		out.pj[name] = r.Energy.TotalPJ()
 	}
-	return out, nil
+	return out
 }

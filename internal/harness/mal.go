@@ -36,7 +36,7 @@ func (h *Harness) MAL() ([]MALResult, error) {
 		func(i int) shared {
 			sys := h.System()
 			sys.Bumblebee.MetadataInHBM = places[i%2] == "hbm"
-			return h.syntheticCell(d, string(d), sys, bs[i/2])
+			return h.syntheticCell(d, sys, bs[i/2])
 		},
 		func(i int, r RunResult, err error) (float64, error) {
 			if err != nil {

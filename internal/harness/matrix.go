@@ -31,7 +31,7 @@ func (h *Harness) Matrix(sys config.System, designs, benches []string) ([][]RunR
 					design: config.Design(d), bench: bench,
 				}
 			}
-			return h.syntheticCell(config.Design(d), d, sys, b.Scale(h.Scale))
+			return h.syntheticCell(config.Design(d), sys, b.Scale(h.Scale))
 		},
 		func(i int, r RunResult, err error) (RunResult, error) { return r, err })
 	return byRow(flat, len(designs), len(benches)), err

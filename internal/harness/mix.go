@@ -85,7 +85,7 @@ func (h *Harness) Mix(names []string) ([]MixResult, error) {
 	for i, d := range Fig8Designs {
 		cells[i] = cell{ID: cellID("mix", string(d)), Seed: runner.Seed("mix", string(d))}
 	}
-	return sweepCells(h, cells, func(i int) (MixResult, error) {
+	return sweepCells(h, cells, nil, func(i int) (MixResult, error) {
 		d := Fig8Designs[i]
 		res, err := h.runMix(d, names)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -207,7 +208,7 @@ func TestRetryTransientCellJournalsAttempts(t *testing.T) {
 		return i, nil
 	}
 	cells := []cell{{ID: "t/0", Seed: 1}, {ID: "t/1", Seed: 2}, {ID: "t/2", Seed: 3}}
-	out, err := sweepCells(h, cells, flaky)
+	out, err := sweepCells(h, cells, nil, flaky)
 	if err != nil {
 		t.Fatalf("retried sweep failed: %v", err)
 	}
@@ -254,6 +255,30 @@ func TestJournalAppendFailureFailsSweep(t *testing.T) {
 	var ce *runner.CellError
 	if !errors.As(err, &ce) {
 		t.Fatalf("journal failure not surfaced as a cell error: %v", err)
+	}
+}
+
+// A journal record made under another seed rule is not the cell's
+// result: resuming it fails the cell instead of mixing the two rules.
+func TestResumeRefusesOtherSeed(t *testing.T) {
+	h := &Harness{Scale: 1024, Accesses: 2000, Parallel: 2}
+	b := h.Benchmarks()[0].Profile.Name
+	dir := t.TempDir()
+	j, err := ckpt.Create(dir, ckpt.Meta{Tool: "harness-test", Experiment: "table2", Scale: 1024, Accesses: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	id := cellID("table2", string(config.DesignNoHBM), b)
+	if err := j.Append(id, runner.Seed(string(config.DesignNoHBM), b), 1, Table2Row{}); err != nil {
+		t.Fatal(err)
+	}
+	h.Journal = j
+	_, err = h.Table2()
+	var errs runner.Errors
+	if !errors.As(err, &errs) || len(errs) != 1 || errs[0].Index != 0 ||
+		!strings.Contains(err.Error(), "recorded with seed") {
+		t.Fatalf("err = %v, want cell 0 refused for its recorded seed", err)
 	}
 }
 

@@ -1,10 +1,14 @@
 package harness
 
 import (
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
+	"repro/internal/ckpt"
 	"repro/internal/runner"
 )
 
@@ -54,6 +58,9 @@ func (a *attemptTracker) attempts(i int) int {
 
 // sweepCells fans cells out under the harness policy and returns their
 // results indexed like cells. run(i) computes cell i, one simulation.
+// order lists cell indices in the order the workers take them; nil means
+// index order. It changes nothing but dispatch: results, journal records
+// and failures are still named by cell index.
 //
 // Sharding: only cells the harness's shard owns are run (or resumed);
 // the rest stay zero in the output. Checkpointing: when a journal is
@@ -62,9 +69,15 @@ func (a *attemptTracker) attempts(i int) int {
 // indistinguishable — and every fresh completion is appended before the
 // cell is considered done, so a journal write failure fails the cell
 // rather than silently dropping resumability.
-func sweepCells[T any](h *Harness, cells []cell, run func(i int) (T, error)) ([]T, error) {
+func sweepCells[T any](h *Harness, cells []cell, order []int, run func(i int) (T, error)) ([]T, error) {
+	if order == nil {
+		order = make([]int, len(cells))
+		for i := range order {
+			order[i] = i
+		}
+	}
 	owned := make([]int, 0, len(cells))
-	for i := range cells {
+	for _, i := range order {
 		if h.Shard.Owns(i) {
 			owned = append(owned, i)
 		}
@@ -106,6 +119,12 @@ func sweepCells[T any](h *Harness, cells []cell, run func(i int) (T, error)) ([]
 		var zero T
 		if h.Journal != nil {
 			if rec, ok := h.Journal.Lookup(c.ID); ok {
+				// A record made under another seed is another cell's
+				// result, such as one journaled before the seed rule
+				// changed: refuse it rather than mix it in.
+				if want := ckpt.FormatSeed(c.Seed); rec.Seed != want {
+					return zero, fmt.Errorf("checkpoint %s: recorded with seed %s, the cell's seed is %s", c.ID, rec.Seed, want)
+				}
 				var v T
 				if jerr := json.Unmarshal(rec.Payload, &v); jerr != nil {
 					return zero, fmt.Errorf("checkpoint %s: corrupt payload: %w", c.ID, jerr)
@@ -134,6 +153,18 @@ func sweepCells[T any](h *Harness, cells []cell, run func(i int) (T, error)) ([]
 	for li, gi := range owned {
 		out[gi] = flat[li]
 	}
+	// The runner names failures by dispatch position; name them by cell.
+	var es runner.Errors
+	var ir *runner.Interrupted
+	if errors.As(err, &ir) {
+		es = ir.Cells
+	} else {
+		errors.As(err, &es)
+	}
+	for _, e := range es {
+		e.Index = owned[e.Index]
+	}
+	slices.SortFunc(es, func(a, b *runner.CellError) int { return cmp.Compare(a.Index, b.Index) })
 	return out, err
 }
 

@@ -55,7 +55,7 @@ func (h *Harness) Table2() ([]Table2Row, error) {
 		ids[i] = cellID("table2", string(d), b.Profile.Name)
 	}
 	return sweepShared(h, ids,
-		func(i int) shared { return h.syntheticCell(d, string(d), h.System(), bs[i]) },
+		func(i int) shared { return h.syntheticCell(d, h.System(), bs[i]) },
 		func(i int, r RunResult, err error) (Table2Row, error) {
 			b := bs[i]
 			if err != nil {
@@ -135,7 +135,7 @@ func (h *Harness) Overfetch() (OverfetchResult, error) {
 	cells, err := sweepShared(h, ids,
 		func(i int) shared {
 			d := overfetchDesigns[i%n]
-			return h.syntheticCell(d, string(d), h.System(), bs[i/n])
+			return h.syntheticCell(d, h.System(), bs[i/n])
 		},
 		func(i int, r RunResult, err error) (cellOut, error) {
 			d, b := overfetchDesigns[i%n], bs[i/n].Profile.Name

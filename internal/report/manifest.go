@@ -34,8 +34,9 @@ const (
 
 // SeedRule documents how every sweep cell derives its stream seed; it is
 // recorded in the manifest so an archived run directory is replayable
-// from its manifest alone.
-const SeedRule = "fnv1a-64(design, bench) per cell (runner.Seed)"
+// from its manifest alone, and merge refuses shards recorded under
+// another rule. Every design of a benchmark runs the same trace.
+const SeedRule = `fnv1a-64("bench", bench) per benchmark, shared by every design (runner.Seed)`
 
 // OutputFile is one artifact the sweep wrote, with its content hash.
 type OutputFile struct {

@@ -272,18 +272,18 @@ func TestMapTimeoutNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestMapTimeoutNoStaleTimerTimeout: a cell completing in the same
-// instant the deadline timer fires must not poison the worker's next
-// cell with the stale expiry. Regression test for the undrained
-// timer.Reset bug: cells that finish just under the deadline are followed
-// by instant cells, none of which may time out.
+// TestMapTimeoutNoStaleTimerTimeout: a worker reuses one deadline timer
+// across its cells, and no cell may inherit the previous cell's
+// deadline. Every cell takes 60% of the deadline, so a timer that cell i
+// left armed fires 40% of the deadline into cell i+1, while that cell
+// still has 20% of the deadline to run; a correctly re-armed timer has
+// 40% of the deadline to spare. Both margins are tens of milliseconds,
+// so scheduler noise cannot flip the outcome either way.
 func TestMapTimeoutNoStaleTimerTimeout(t *testing.T) {
-	timeout := 30 * time.Millisecond
-	items := make([]int, 20)
+	timeout := 100 * time.Millisecond
+	items := make([]int, 6)
 	_, err := MapTimeout(1, timeout, items, func(i, item int) (int, error) {
-		if i%2 == 0 {
-			time.Sleep(timeout - 2*time.Millisecond) // finish a hair under the deadline
-		}
+		time.Sleep(timeout * 6 / 10)
 		return i, nil
 	})
 	if err != nil {

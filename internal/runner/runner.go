@@ -6,10 +6,13 @@
 //
 // Determinism contract. A cell's result may depend only on its inputs —
 // never on scheduling. Each stochastic component therefore derives its RNG
-// seed from the cell's stable identity via Seed (an FNV-1a hash of the
-// design and benchmark names), not from a shared generator, wall-clock
-// time, or worker index. The harness applies this rule in syntheticCell;
-// anything new that consumes randomness inside a cell must follow it.
+// seed from the cell's stable identity via Seed (an FNV-1a hash of names),
+// not from a shared generator, wall-clock time, or worker index. The
+// harness seeds a synthetic trace with Seed("bench", benchmark) in
+// syntheticCell and a fault schedule with Seed("faults", benchmark): the
+// benchmark alone, so the designs a figure compares see the same trace
+// and the same faults. Anything new that consumes randomness inside a
+// cell must follow this rule.
 //
 // Error contract. One failed cell must not abort the sweep: every cell
 // runs to completion (panics included — they are recovered and reported as
