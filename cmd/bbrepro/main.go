@@ -177,8 +177,9 @@ func main() {
 	// hashes it into manifest.json. The manifest records only
 	// deterministic facts, so it diffs clean across -parallel settings;
 	// session.json takes the volatile rest. The checkpoint journal lives
-	// in the same directory but is NOT a manifest output: attempt counts
-	// legitimately differ between an interrupted-and-resumed run and a
+	// in the same directory but is NOT a manifest output: its records
+	// follow cell completion order, which legitimately differs across
+	// -parallel settings and between an interrupted-and-resumed run and a
 	// clean one. Without -csv, rd is nil and discards every output.
 	var rd *report.RunDir
 	if *csvDir != "" {

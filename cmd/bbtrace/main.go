@@ -294,14 +294,8 @@ func benchTable(args []string) {
 	of.RegisterSweep(fs)
 	fs.Parse(args)
 	// One profile per cell; each cell owns its generator, so the table is
-	// identical at any -parallel setting. The sweep honours the shared
-	// retry flags: transient failures (timeouts) retry with backoff.
-	pol := runner.Policy{
-		Timeout: of.CellTimeout,
-		Retry:   of.RetryPolicy(),
-		Seed:    runner.Seed("bbtrace", "bench"),
-	}
-	chars, err := runner.MapPolicy(of.Parallel, pol, trace.TableII(),
+	// identical at any -parallel setting.
+	chars, err := runner.Map(of.Parallel, runner.Policy{Timeout: of.CellTimeout}, trace.TableII(),
 		func(_ int, b trace.Benchmark) (trace.Characteristics, error) {
 			gen, err := trace.NewSynthetic(b.Scale(*scale).Profile)
 			if err != nil {

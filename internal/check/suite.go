@@ -137,7 +137,7 @@ func (s Suite) RunCell(c Cell) (Result, error) {
 // regardless of worker count.
 func (s Suite) Run() ([]Result, error) {
 	cells := s.Cells()
-	return runner.MapTimeout(s.Parallel, s.Timeout, cells,
+	return runner.Map(s.Parallel, runner.Policy{Timeout: s.Timeout}, cells,
 		func(_ int, c Cell) (Result, error) { return s.RunCell(c) })
 }
 

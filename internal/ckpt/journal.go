@@ -1,8 +1,8 @@
 // Package ckpt is the crash-safe progress layer of the sweep engine: an
 // append-only checkpoint journal written next to a sweep's CSV outputs,
-// recording every completed cell (identity, seed, result digest, attempt
-// count, and the full serialized result) so a killed or OOM'd sweep
-// resumes from where it died instead of restarting from zero.
+// recording every completed cell (identity, seed, result digest, and the
+// full serialized result) so a killed or OOM'd sweep resumes from where
+// it died instead of restarting from zero.
 //
 // Durability model. Records are framed one per line as
 //
@@ -93,13 +93,13 @@ func (m Meta) matches(o Meta) bool {
 		m.TelemetryEpoch == o.TelemetryEpoch && m.Shard == o.Shard
 }
 
-// Record is one completed cell.
+// Record is one completed cell. Journals written by earlier versions
+// also carry an "attempts" field per record; the loader ignores it.
 type Record struct {
-	Cell     string          `json:"cell"`     // canonical identity, e.g. "fig8/bumblebee/mcf"
-	Seed     string          `json:"seed"`     // 0x-hex cell RNG seed (replay identity)
-	Attempts int             `json:"attempts"` // attempts the result took (>= 1)
-	Digest   string          `json:"digest"`   // SHA-256 hex of Payload
-	Payload  json.RawMessage `json:"payload"`  // the serialized cell result
+	Cell    string          `json:"cell"`    // canonical identity, e.g. "fig8/bumblebee/mcf"
+	Seed    string          `json:"seed"`    // 0x-hex cell RNG seed (replay identity)
+	Digest  string          `json:"digest"`  // SHA-256 hex of Payload
+	Payload json.RawMessage `json:"payload"` // the serialized cell result
 }
 
 // FormatSeed renders a cell seed the way records store it.
@@ -220,9 +220,10 @@ func Load(dir string) (*Loaded, error) {
 					return nil, fmt.Errorf("journal: %s: cell %q recorded twice with different digests (%s vs %s) — determinism violation, refusing to resume",
 						path, rec.Cell, prev.Digest, rec.Digest)
 				}
-				// Same digest: a retried append (e.g. an abandoned
-				// timed-out attempt completing late). Keep the later
-				// record; note it.
+				// Same digest: one result appended twice, as a journal
+				// written by a version that retried timed-out cells can
+				// hold (the abandoned attempt's late record beside its
+				// retry's). Keep the later record; note it.
 				for i := range l.Records {
 					if l.Records[i].Cell == rec.Cell {
 						l.Records[i] = rec
@@ -363,7 +364,7 @@ func (j *Journal) Resumed() int {
 // configured cadence. Errors are the caller's to surface — a dropped
 // checkpoint record silently becomes re-run work at best and a corrupt
 // resume at worst, so they must never be swallowed.
-func (j *Journal) Append(cell string, seed uint64, attempts int, payload any) (err error) {
+func (j *Journal) Append(cell string, seed uint64, payload any) (err error) {
 	if j.TraceAppend != nil {
 		done := j.TraceAppend(cell)
 		defer func() { done(err) }()
@@ -372,15 +373,11 @@ func (j *Journal) Append(cell string, seed uint64, attempts int, payload any) (e
 	if err != nil {
 		return fmt.Errorf("journal: marshal cell %q: %w", cell, err)
 	}
-	if attempts < 1 {
-		attempts = 1
-	}
 	rec := Record{
-		Cell:     cell,
-		Seed:     FormatSeed(seed),
-		Attempts: attempts,
-		Digest:   Digest(js),
-		Payload:  js,
+		Cell:    cell,
+		Seed:    FormatSeed(seed),
+		Digest:  Digest(js),
+		Payload: js,
 	}
 	line, err := json.Marshal(rec)
 	if err != nil {

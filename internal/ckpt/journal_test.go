@@ -34,7 +34,7 @@ func appendCells(t *testing.T, j *Journal, n int) []cellResult {
 	for i := 0; i < n; i++ {
 		out[i] = cellResult{Design: "bumblebee", Bench: fmt.Sprintf("bench%02d", i), AMAT: 1.0 + float64(i)/16}
 		cell := fmt.Sprintf("fig8/bumblebee/bench%02d", i)
-		if err := j.Append(cell, uint64(0x1000+i), 1, out[i]); err != nil {
+		if err := j.Append(cell, uint64(0x1000+i), out[i]); err != nil {
 			t.Fatalf("Append %s: %v", cell, err)
 		}
 	}
@@ -81,9 +81,6 @@ func TestRoundTrip(t *testing.T) {
 		}
 		if rec.Seed != FormatSeed(uint64(0x1000+i)) {
 			t.Fatalf("record %d: seed %s", i, rec.Seed)
-		}
-		if rec.Attempts != 1 {
-			t.Fatalf("record %d: attempts %d", i, rec.Attempts)
 		}
 	}
 }
@@ -200,12 +197,11 @@ func TestDuplicateCellSameDigestTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := cellResult{Design: "alloy", Bench: "mcf", AMAT: 2.5}
-	// An abandoned timed-out attempt completing late double-appends the
-	// same deterministic result with a higher attempt count.
-	if err := j.Append("fig8/alloy/mcf", 7, 1, res); err != nil {
+	// The same deterministic result appended twice.
+	if err := j.Append("fig8/alloy/mcf", 7, res); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append("fig8/alloy/mcf", 7, 2, res); err != nil {
+	if err := j.Append("fig8/alloy/mcf", 7, res); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -219,9 +215,6 @@ func TestDuplicateCellSameDigestTolerated(t *testing.T) {
 	if len(l.Records) != 1 {
 		t.Fatalf("got %d records, want duplicates collapsed to 1", len(l.Records))
 	}
-	if l.Records[0].Attempts != 2 {
-		t.Fatalf("kept attempts=%d, want the later record (2)", l.Records[0].Attempts)
-	}
 	if !strings.Contains(l.Warning, "duplicate record") {
 		t.Fatalf("warning %q does not mention the duplicate", l.Warning)
 	}
@@ -233,10 +226,10 @@ func TestDuplicateCellDigestConflictRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append("fig8/alloy/mcf", 7, 1, cellResult{Design: "alloy", Bench: "mcf", AMAT: 2.5}); err != nil {
+	if err := j.Append("fig8/alloy/mcf", 7, cellResult{Design: "alloy", Bench: "mcf", AMAT: 2.5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append("fig8/alloy/mcf", 7, 1, cellResult{Design: "alloy", Bench: "mcf", AMAT: 9.9}); err != nil {
+	if err := j.Append("fig8/alloy/mcf", 7, cellResult{Design: "alloy", Bench: "mcf", AMAT: 9.9}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -249,6 +242,48 @@ func TestDuplicateCellDigestConflictRefused(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "different digests") || !strings.Contains(err.Error(), "determinism") {
 		t.Fatalf("error %q does not diagnose the digest conflict", err)
+	}
+}
+
+// A journal written before records lost their attempt count: these two
+// lines are byte for byte what that version wrote for one cell whose
+// result took two attempts. They must still load and resume.
+const attemptsJournal = `f060f251 {"format":"bumblebee-checkpoint","version":1,"tool":"bbrepro","experiment":"fig8","scale":1024,"accesses":2000,"telemetry_epoch":0}
+88a64ebd {"cell":"fig8/alloy/mcf","seed":"0x000000000000002a","attempts":2,"digest":"02e04c620b0511f4ca3eca46606745982a1e745ad47a60491768b9b4f761d11a","payload":{"Bench":"mcf","Design":"alloy","IPC":1.25}}
+`
+
+func TestResumeJournalWithAttempts(t *testing.T) {
+	dir := t.TempDir()
+	rewrite(t, dir, []byte(attemptsJournal))
+	meta := Meta{Tool: "bbrepro", Experiment: "fig8", Scale: 1024, Accesses: 2000}
+	j, l, err := Resume(dir, meta)
+	if err != nil {
+		t.Fatalf("journal with attempt counts refused: %v", err)
+	}
+	if l == nil || len(l.Records) != 1 || l.DroppedTail != 0 || l.Warning != "" {
+		t.Fatalf("loaded %+v, want one clean record", l)
+	}
+	rec, ok := j.Lookup("fig8/alloy/mcf")
+	if !ok {
+		t.Fatal("resumed journal does not hold the recorded cell")
+	}
+	if rec.Seed != FormatSeed(0x2a) || rec.Digest != Digest(rec.Payload) {
+		t.Fatalf("record %+v: seed or digest does not match", rec)
+	}
+	var got map[string]any
+	if err := json.Unmarshal(rec.Payload, &got); err != nil || got["IPC"] != 1.25 {
+		t.Fatalf("payload %s (%v), want the recorded result", rec.Payload, err)
+	}
+	// The resumed journal takes new records after the old one.
+	if err := j.Append("fig8/alloy/wrf", 0x2b, cellResult{Design: "alloy", Bench: "wrf"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err = Load(dir)
+	if err != nil || len(l.Records) != 2 {
+		t.Fatalf("reload: %v, %d records, want 2", err, len(l.Records))
 	}
 }
 
@@ -354,7 +389,7 @@ func TestAppendWriteFailurePropagates(t *testing.T) {
 	}
 	var err error
 	for i := 0; i < 10 && err == nil; i++ {
-		err = j.Append(fmt.Sprintf("cell%d", i), 1, 1, cellResult{Design: "x", Bench: "y"})
+		err = j.Append(fmt.Sprintf("cell%d", i), 1, cellResult{Design: "x", Bench: "y"})
 	}
 	if err == nil {
 		t.Fatal("exhausted write budget must surface an error")
@@ -404,11 +439,11 @@ func TestTraceAppendHook(t *testing.T) {
 		cells = append(cells, cell)
 		return func(err error) { outcomes = append(outcomes, err) }
 	}
-	if err := j.Append("fig8/bumblebee/mcf", 0x1, 1, cellResult{Design: "bumblebee"}); err != nil {
+	if err := j.Append("fig8/bumblebee/mcf", 0x1, cellResult{Design: "bumblebee"}); err != nil {
 		t.Fatal(err)
 	}
 	// An unserializable payload must report its error to the hook too.
-	if err := j.Append("fig8/bumblebee/bad", 0x2, 1, func() {}); err == nil {
+	if err := j.Append("fig8/bumblebee/bad", 0x2, func() {}); err == nil {
 		t.Fatal("Append of unserializable payload succeeded")
 	}
 	if len(cells) != 2 || cells[0] != "fig8/bumblebee/mcf" || cells[1] != "fig8/bumblebee/bad" {

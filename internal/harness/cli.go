@@ -49,7 +49,6 @@ func StartCLI(of *obs.Flags, cfg CLIConfig) (*CLI, error) {
 	h.CellTimeout = of.CellTimeout
 	h.TelemetryEpoch = of.TelemetryEpoch
 	h.TraceDepth = of.TraceDepth
-	h.Retry = of.RetryPolicy()
 	c := &CLI{Harness: h, Log: of.Logger(os.Stderr), cfg: cfg}
 
 	var err error

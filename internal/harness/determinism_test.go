@@ -189,10 +189,11 @@ func TestFig7JournalSeedsReplayCells(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s not journaled", id)
 			}
-			var want float64
-			if err := json.Unmarshal(rec.Payload, &want); err != nil {
+			var journaled RunResult
+			if err := json.Unmarshal(rec.Payload, &journaled); err != nil {
 				t.Fatal(err)
 			}
+			want := journaled.CPU.IPC() / base.CPU.IPC()
 			seed, err := strconv.ParseUint(rec.Seed, 0, 64)
 			if err != nil {
 				t.Fatal(err)

@@ -47,7 +47,7 @@ func builder(design config.Design, sys config.System) func() (hmm.MemSystem, err
 }
 
 // built returns a build function handing out mem, a design the caller
-// already built; such a spec runs once, never as a retry.
+// already built; such a spec runs once.
 func built(mem hmm.MemSystem) func() (hmm.MemSystem, error) {
 	return func() (hmm.MemSystem, error) { return mem, nil }
 }
@@ -107,20 +107,19 @@ func (h *Harness) endSpan(sp obs.SpanID, r RunResult, err error) {
 // sweepShared is sweepCells for the cells named by ids and described by
 // spec; each cell's journal seed is its spec's trace seed. Cells that the
 // harness owns, that the journal does not already hold, and whose keys
-// are equal run as one group on their first attempt; every retry runs
-// alone, and the workers take cells in dispatchOrder. done turns a
-// cell's outcome into its sweep value. Everything per cell — journal records, sharding,
-// resume, retry, interrupt, observation — stays sweepCells'.
+// are equal run as one group, and the workers take cells in
+// dispatchOrder. done turns a cell's outcome into its sweep value.
+// Everything per cell — journal records, sharding, resume, deadline,
+// interrupt, observation — stays sweepCells'.
 func sweepShared[T any](h *Harness, ids []string, spec func(i int) shared, done func(i int, r RunResult, err error) (T, error)) ([]T, error) {
 	cells := make([]cell, len(ids))
-	specs := make([]shared, len(ids))
 	keys := make([]string, len(ids))
 	groups := make([]*group, len(ids))
 	byKey := map[string]*group{}
 	for i, id := range ids {
-		specs[i] = spec(i)
-		cells[i] = cell{ID: id, Seed: specs[i].seed}
-		keys[i] = specs[i].key
+		s := spec(i)
+		cells[i] = cell{ID: id, Seed: s.seed}
+		keys[i] = s.key
 		if !h.Shard.Owns(i) {
 			continue
 		}
@@ -129,26 +128,16 @@ func sweepShared[T any](h *Harness, ids []string, spec func(i int) shared, done 
 				continue
 			}
 		}
-		g := byKey[specs[i].key]
+		g := byKey[s.key]
 		if g == nil {
 			g = newGroup(h)
-			byKey[specs[i].key] = g
+			byKey[s.key] = g
 		}
-		g.add(i, specs[i])
+		g.add(i, s)
 		groups[i] = g
 	}
-	var mu sync.Mutex
-	tried := make([]bool, len(ids))
 	return sweepCells(h, cells, dispatchOrder(keys), func(i int) (T, error) {
-		mu.Lock()
-		g := groups[i]
-		if tried[i] || g == nil {
-			g = newGroup(h)
-			g.add(i, specs[i])
-		}
-		tried[i] = true
-		mu.Unlock()
-		r, err := g.result(i)
+		r, err := groups[i].result(i)
 		return done(i, r, err)
 	})
 }

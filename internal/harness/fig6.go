@@ -43,42 +43,32 @@ type Fig6Result struct {
 }
 
 // Fig6 reproduces the design-space exploration. The 9-config × 14-bench
-// matrix fans out across the harness worker pool; per-config geomeans are
-// assembled in figure order afterwards.
+// matrix and its no-HBM baseline fan out across the harness worker pool
+// as one sweep; per-config geomeans are assembled in figure order
+// afterwards.
 func (h *Harness) Fig6() ([]Fig6Result, error) {
+	if h.Shard.Active() {
+		return nil, fmt.Errorf("fig6: sharding unsupported (every configuration normalizes against the no-HBM baseline, which another shard may own); use -shard with fig8")
+	}
 	bs := h.Benchmarks()
-	base, err := h.runBaseline(bs)
-	if err != nil {
-		return nil, err
-	}
 	cfgs := Fig6Configs()
-	// Every configuration runs Bumblebee on the same per-benchmark trace,
-	// so each benchmark's nine cells share one filtered stream.
-	ids := grid(cfgs, bs, func(ci, bi int) string {
-		return cellID("fig6", cfgs[ci].Label(), bs[bi].Profile.Name)
-	})
-	flat, err := sweepShared(h, ids,
-		func(i int) shared {
-			cfg := cfgs[i/len(bs)]
-			sys := h.System()
-			sys.BlockBytes = cfg.BlockKB * addr.KiB
-			sys.PageBytes = cfg.PageKB * addr.KiB
-			return h.syntheticCell(config.DesignBumblebee, sys, bs[i%len(bs)])
-		},
-		func(i int, r RunResult, err error) (float64, error) {
-			cfg, b := cfgs[i/len(bs)], bs[i%len(bs)].Profile.Name
-			if err != nil {
-				return 0, fmt.Errorf("fig6 %s/%s: %w", cfg.Label(), b, err)
-			}
-			return r.CPU.IPC() / base.ipc[b], nil
-		})
+	// The no-HBM baseline is row 0. Every configuration runs Bumblebee on
+	// the same per-benchmark trace through the same caches, so each
+	// benchmark's ten cells share one filtered stream.
+	rows := []row{h.baselineRow()}
+	for _, cfg := range cfgs {
+		sys := h.System()
+		sys.BlockBytes = cfg.BlockKB * addr.KiB
+		sys.PageBytes = cfg.PageKB * addr.KiB
+		rows = append(rows, row{exp: "fig6", label: cfg.Label(), design: config.DesignBumblebee, sys: sys})
+	}
+	runs, err := h.sweepRows(rows, bs)
 	if err != nil {
 		return nil, err
 	}
-	speedups := byRow(flat, len(cfgs), len(bs))
 	var out []Fig6Result
 	for ci, cfg := range cfgs {
-		gm, err := metrics.Geomean(speedups[ci])
+		gm, err := metrics.Geomean(speedups(runs[0], runs[ci+1]))
 		if err != nil {
 			return nil, err
 		}

@@ -19,43 +19,30 @@ type Fig7Result struct {
 }
 
 // Fig7 reproduces the factor breakdown, fanning the 10-variant × 14-bench
-// matrix across the harness worker pool.
+// matrix and its no-HBM baseline across the harness worker pool as one
+// sweep.
 func (h *Harness) Fig7() ([]Fig7Result, error) {
+	if h.Shard.Active() {
+		return nil, fmt.Errorf("fig7: sharding unsupported (every variant normalizes against the no-HBM baseline, which another shard may own); use -shard with fig8")
+	}
 	bs := h.Benchmarks()
-	base, err := h.runBaseline(bs)
-	if err != nil {
-		return nil, err
-	}
 	vs := Fig7Variants()
-	// Every variant runs Bumblebee on the same per-benchmark trace (see
-	// syntheticCell) through the same caches, so each benchmark's ten
-	// cells share one filtered stream.
-	syss := make([]config.System, len(vs))
-	for vi, v := range vs {
-		syss[vi] = h.System()
-		v.Apply(&syss[vi])
+	// The no-HBM baseline is row 0. Every variant runs Bumblebee on the
+	// same per-benchmark trace (see syntheticCell) through the same
+	// caches, so each benchmark's eleven cells share one filtered stream.
+	rows := []row{h.baselineRow()}
+	for _, v := range vs {
+		sys := h.System()
+		v.Apply(&sys)
+		rows = append(rows, row{exp: "fig7", label: v.Label, design: config.DesignBumblebee, sys: sys})
 	}
-	ids := grid(vs, bs, func(vi, bi int) string {
-		return cellID("fig7", vs[vi].Label, bs[bi].Profile.Name)
-	})
-	flat, err := sweepShared(h, ids,
-		func(i int) shared {
-			return h.syntheticCell(config.DesignBumblebee, syss[i/len(bs)], bs[i%len(bs)])
-		},
-		func(i int, r RunResult, err error) (float64, error) {
-			v, b := vs[i/len(bs)], bs[i%len(bs)].Profile.Name
-			if err != nil {
-				return 0, fmt.Errorf("fig7 %s/%s: %w", v.Label, b, err)
-			}
-			return r.CPU.IPC() / base.ipc[b], nil
-		})
+	runs, err := h.sweepRows(rows, bs)
 	if err != nil {
 		return nil, err
 	}
-	speedups := byRow(flat, len(vs), len(bs))
 	var out []Fig7Result
 	for vi, v := range vs {
-		gm, err := metrics.Geomean(speedups[vi])
+		gm, err := metrics.Geomean(speedups(runs[0], runs[vi+1]))
 		if err != nil {
 			return nil, err
 		}

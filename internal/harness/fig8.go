@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
 // Figure 8: Bumblebee against the five state-of-the-art designs, grouped
@@ -43,40 +42,6 @@ type Fig8Result struct {
 	PerRun []RunResult // every (design, bench) run for drill-down
 }
 
-// fig8Runs sweeps the designs × benchmark matrix under the harness
-// policy (checkpoint, retry, shard) and returns the raw per-cell runs.
-// A DesignNoHBM row is the no-HBM normalization baseline, whose cells are
-// baseline/nohbm/<bench>. Every design of a benchmark runs the same trace
-// (see syntheticCell), so each benchmark's cells are one group.
-func (h *Harness) fig8Runs(designs []config.Design, bs []trace.Benchmark) ([][]RunResult, error) {
-	ids := grid(designs, bs, func(di, bi int) string {
-		exp := "fig8"
-		if designs[di] == config.DesignNoHBM {
-			exp = "baseline"
-		}
-		return cellID(exp, string(designs[di]), bs[bi].Profile.Name)
-	})
-	flat, err := sweepShared(h, ids,
-		func(i int) shared { return h.syntheticCell(designs[i/len(bs)], h.System(), bs[i%len(bs)]) },
-		func(i int, r RunResult, err error) (RunResult, error) {
-			d, b := designs[i/len(bs)], bs[i%len(bs)].Profile.Name
-			if d == config.DesignNoHBM {
-				if err != nil {
-					return RunResult{}, fmt.Errorf("baseline %s: %w", b, err)
-				}
-				h.log("baseline", "bench", b, "ipc", r.CPU.IPC(), "mpki", r.CPU.MPKI())
-				return r, nil
-			}
-			if err != nil {
-				return RunResult{}, fmt.Errorf("fig8 %s/%s: %w", d, b, err)
-			}
-			h.log("fig8", "design", string(d), "bench", b,
-				"ipc", r.CPU.IPC(), "hbm_bytes", r.HBMBytes, "dram_bytes", r.DRAMBytes)
-			return r, nil
-		})
-	return byRow(flat, len(designs), len(bs)), err
-}
-
 // Fig8 reproduces the headline comparison.
 //
 // In shard mode (Shard.Active) only the per-run rows this shard owns are
@@ -88,11 +53,18 @@ func (h *Harness) fig8Runs(designs []config.Design, bs []trace.Benchmark) ([][]R
 // all seven designs.
 func (h *Harness) Fig8() (*Fig8Result, error) {
 	bs := h.Benchmarks()
+	var rows []row
+	if !h.Shard.Active() {
+		rows = append(rows, h.baselineRow())
+	}
+	for _, d := range Fig8Designs {
+		rows = append(rows, row{exp: "fig8", label: string(d), design: d, sys: h.System()})
+	}
+	runs, err := h.sweepRows(rows, bs)
+	if err != nil {
+		return nil, err
+	}
 	if h.Shard.Active() {
-		runs, err := h.fig8Runs(Fig8Designs, bs)
-		if err != nil {
-			return nil, err
-		}
 		res := &Fig8Result{}
 		for di := range Fig8Designs {
 			for bi := range bs {
@@ -103,11 +75,7 @@ func (h *Harness) Fig8() (*Fig8Result, error) {
 		}
 		return res, nil
 	}
-	runs, err := h.fig8Runs(append([]config.Design{config.DesignNoHBM}, Fig8Designs...), bs)
-	if err != nil {
-		return nil, err
-	}
-	base, runs := newBaseline(bs, runs[0]), runs[1:]
+	base, runs := runs[0], runs[1:]
 	res := &Fig8Result{
 		IPC:    &metrics.Table{Title: "Figure 8(a): normalized IPC", Columns: Fig8Groups},
 		HBM:    &metrics.Table{Title: "Figure 8(b): normalized HBM traffic", Columns: Fig8Groups},
@@ -120,13 +88,12 @@ func (h *Harness) Fig8() (*Fig8Result, error) {
 		groupDRAM := map[string][]float64{}
 		groupPJ := map[string][]float64{}
 		for bi, b := range bs {
-			r := runs[di][bi]
+			r, nohbm := runs[di][bi], base[bi]
 			res.PerRun = append(res.PerRun, r)
-			name := b.Profile.Name
-			ipc := r.CPU.IPC() / base.ipc[name]
-			hbm := float64(r.HBMBytes) / float64(base.bytes[name])
-			dram := float64(r.DRAMBytes) / float64(base.bytes[name])
-			pj := r.Energy.TotalPJ() / base.pj[name]
+			ipc := r.CPU.IPC() / nohbm.CPU.IPC()
+			hbm := float64(r.HBMBytes) / float64(nohbm.DRAMBytes)
+			dram := float64(r.DRAMBytes) / float64(nohbm.DRAMBytes)
+			pj := r.Energy.TotalPJ() / nohbm.Energy.TotalPJ()
 			for _, g := range []string{string(b.Class), "All"} {
 				groupIPC[g] = append(groupIPC[g], ipc)
 				groupHBM[g] = append(groupHBM[g], hbm)

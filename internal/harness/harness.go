@@ -14,7 +14,10 @@
 // assembled in matrix order and each cell seeds its trace generator from a
 // stable hash of the benchmark name alone, so a sweep's output is
 // bit-identical at any Parallel setting and every design compared on a
-// benchmark runs the same trace.
+// benchmark runs the same trace. Cells are deterministic, so each runs
+// once: a cell that fails or overruns CellTimeout is reported by its cell
+// index and never re-run. Fig6, Fig7, Fig8 and mix run their no-HBM
+// baseline as the first row of their own sweep.
 //
 // Every simulation of one design on one trace is a cell described by a
 // shared spec (see fanout.go) and run by a fan-out group: the core model
@@ -23,12 +26,12 @@
 // replays the post-LLC chunks into its own design. Cells whose trace and
 // caches are equal share one group — ReplaySweep all its designs, and
 // every figure all the cells of one benchmark: Fig8 its no-HBM baseline
-// and six designs, Fig6 its nine configurations, Fig7 its ten variants,
-// figfault every (design, rate), MAL its SRAM/HBM metadata pair. Run,
-// RunStream and a lone cell run as a one-member group. The workers take
-// cells group by group, so they share one group's designs rather than
-// each holding its own. Grouping is invisible in the results: every
-// cell's bytes equal its solo run.
+// and six designs, Fig6 the baseline and nine configurations, Fig7 the
+// baseline and ten variants, figfault every (design, rate), MAL its
+// SRAM/HBM metadata pair. Run, RunStream and a lone cell run as a
+// one-member group. The workers take cells group by group, so they share
+// one group's designs rather than each holding its own. Grouping is
+// invisible in the results: every cell's bytes equal its solo run.
 package harness
 
 import (
@@ -68,10 +71,12 @@ type Harness struct {
 	Obs *obs.Sweep
 
 	// CellTimeout is the per-cell deadline for every sweep; a cell that
-	// overruns it fails with a runner.CellError instead of hanging the
-	// sweep. <= 0 (the default) disables the deadline. Cells that share
-	// a trace run as one group (see fanout.go), so a grouped cell's clock
-	// runs while the whole group shares the workers.
+	// overruns it fails once, with a runner.CellError naming its index,
+	// instead of hanging the sweep. Cells are deterministic, so the cell
+	// is never re-run. <= 0 (the default) disables the deadline. Cells
+	// that share a trace run as one group (see fanout.go), so a grouped
+	// cell's clock runs while the whole group shares the workers, and
+	// the abandoned cell's group runs on to completion.
 	CellTimeout time.Duration
 
 	// TelemetryEpoch enables per-run telemetry (latency histograms, event
@@ -82,13 +87,6 @@ type Harness struct {
 	// TraceDepth is the event ring capacity per run; <= 0 picks
 	// telemetry.DefaultTraceDepth. Only meaningful with TelemetryEpoch > 0.
 	TraceDepth int
-
-	// Retry is the per-cell retry budget for transient failures —
-	// timeouts and errors marked runner.Transient. Permanent failures
-	// (model invariant violations) never retry: re-running a
-	// deterministic cell can only reproduce them. The zero value
-	// disables retries.
-	Retry runner.Retry
 
 	// Interrupt, when closed, drains every sweep gracefully: in-flight
 	// cells finish (and checkpoint), unstarted cells never run, and the
@@ -258,10 +256,9 @@ func (h *Harness) replayCell(design config.Design, bench string, sys config.Syst
 // ReplaySweep runs one recorded trace against every design in designs,
 // fanning out across the harness worker pool like every other sweep.
 // All designs share one filtered stream (see sweepShared), so open is
-// called once per group — plus once per cell a transient failure
-// retries alone — and must return a fresh reader over the same trace
-// bytes per call (reopen the file). It is called from worker goroutines
-// and must be safe for concurrent use.
+// called once per group and must return a fresh reader over the same
+// trace bytes per call (reopen the file). It is called from worker
+// goroutines and must be safe for concurrent use.
 func (h *Harness) ReplaySweep(designs []config.Design, bench string, open func() (trace.Stream, error)) ([]RunResult, error) {
 	ids := make([]string, len(designs))
 	for i, d := range designs {
@@ -376,41 +373,53 @@ func (s *sim) finish(res cpu.Result, err error) (RunResult, error) {
 	return rr, nil
 }
 
-// baseline holds the no-HBM baseline's IPC, traffic and energy per
-// benchmark, the denominators of normalization.
-type baseline struct {
-	ipc   map[string]float64
-	bytes map[string]uint64 // DRAM traffic of the no-HBM run
-	pj    map[string]float64
+// row is one row of a figure's row × benchmark matrix: a design on a
+// system, and the experiment and label that name its cells
+// (exp/label/<bench>).
+type row struct {
+	exp, label string
+	design     config.Design
+	sys        config.System
 }
 
-// runBaseline runs Fig8's baseline row alone, for the figures that
-// normalize a Bumblebee sweep by it.
-func (h *Harness) runBaseline(bs []trace.Benchmark) (*baseline, error) {
-	// The baseline is normalization input for every design's rows, so it
-	// always runs in full — sharding partitions only the design matrix.
-	hb := *h
-	hb.Shard = runner.Shard{}
-	runs, err := hb.fig8Runs([]config.Design{config.DesignNoHBM}, bs)
-	if err != nil {
-		return nil, err
-	}
-	return newBaseline(bs, runs[0]), nil
+// baselineRow is the no-HBM row the figures normalize by: its run of a
+// benchmark is the denominator of that benchmark's IPC, traffic and
+// energy. Its cells are baseline/no-hbm/<bench>.
+func (h *Harness) baselineRow() row {
+	return row{exp: "baseline", label: string(config.DesignNoHBM), design: config.DesignNoHBM, sys: h.System()}
 }
 
-// newBaseline collects the denominators from runs, the no-HBM run of
-// each benchmark of bs.
-func newBaseline(bs []trace.Benchmark, runs []RunResult) *baseline {
-	out := &baseline{
-		ipc:   make(map[string]float64),
-		bytes: make(map[string]uint64),
-		pj:    make(map[string]float64),
-	}
-	for i, r := range runs {
-		name := bs[i].Profile.Name
-		out.ipc[name] = r.CPU.IPC()
-		out.bytes[name] = r.DRAMBytes
-		out.pj[name] = r.Energy.TotalPJ()
+// speedups returns each run's IPC over its benchmark's no-HBM run in
+// base: the per-benchmark speedups a figure averages.
+func speedups(base, runs []RunResult) []float64 {
+	out := make([]float64, len(runs))
+	for bi, r := range runs {
+		out[bi] = r.CPU.IPC() / base[bi].CPU.IPC()
 	}
 	return out
+}
+
+// sweepRows runs every row on every benchmark of bs as one sweep and
+// returns the runs by [row][bench]. Every row of a benchmark runs the
+// same trace (see syntheticCell), so a benchmark's rows that share
+// their caches are one group and its trace is filtered once.
+func (h *Harness) sweepRows(rows []row, bs []trace.Benchmark) ([][]RunResult, error) {
+	ids := grid(rows, bs, func(ri, bi int) string {
+		return cellID(rows[ri].exp, rows[ri].label, bs[bi].Profile.Name)
+	})
+	flat, err := sweepShared(h, ids,
+		func(i int) shared {
+			r := rows[i/len(bs)]
+			return h.syntheticCell(r.design, r.sys, bs[i%len(bs)])
+		},
+		func(i int, r RunResult, err error) (RunResult, error) {
+			row, b := rows[i/len(bs)], bs[i%len(bs)].Profile.Name
+			if err != nil {
+				return RunResult{}, fmt.Errorf("%s %s/%s: %w", row.exp, row.label, b, err)
+			}
+			h.log(row.exp, "row", row.label, "bench", b,
+				"ipc", r.CPU.IPC(), "hbm_bytes", r.HBMBytes, "dram_bytes", r.DRAMBytes)
+			return r, nil
+		})
+	return byRow(flat, len(rows), len(bs)), err
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/metrics"
+	"repro/internal/runner"
 	"repro/internal/trace"
 )
 
@@ -352,5 +353,17 @@ func TestMixSmall(t *testing.T) {
 	txt := MixTable([]string{"mcf", "leela"}, res)
 	if !strings.Contains(txt, "bumblebee") || !strings.Contains(txt, "weighted") {
 		t.Errorf("mix table incomplete:\n%s", txt)
+	}
+}
+
+// Fig6 and Fig7 normalize every row by the no-HBM baseline row, which
+// another shard may own, so they refuse a shard the way figfault does.
+func TestFig6Fig7RefuseShard(t *testing.T) {
+	h := &Harness{Scale: 1024, Accesses: 2000, Shard: runner.Shard{K: 1, N: 2}}
+	if _, err := h.Fig6(); err == nil || !strings.Contains(err.Error(), "sharding unsupported") {
+		t.Errorf("Fig6 under a shard: err = %v, want a refusal", err)
+	}
+	if _, err := h.Fig7(); err == nil || !strings.Contains(err.Error(), "sharding unsupported") {
+		t.Errorf("Fig7 under a shard: err = %v, want a refusal", err)
 	}
 }

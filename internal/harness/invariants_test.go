@@ -125,7 +125,7 @@ func TestDesignInvariantsParallelIdentical(t *testing.T) {
 	}
 	b = b.Scale(h.Scale)
 	run := func(workers int) []RunResult {
-		out, err := runner.Map(workers, invariantDesigns, func(_ int, d config.Design) (RunResult, error) {
+		out, err := runner.Map(workers, runner.Policy{}, invariantDesigns, func(_ int, d config.Design) (RunResult, error) {
 			return runDesign(h, d, b)
 		})
 		if err != nil {

@@ -9,7 +9,7 @@ import (
 )
 
 // Matrix runs an explicit design × benchmark matrix over sys under the
-// full harness policy — worker pool, per-cell timeout, retry, checkpoint
+// full harness policy — worker pool, per-cell timeout, checkpoint
 // journal, interrupt drain — and returns results in matrix order. It is
 // the sweep behind bumblebee-sim's list mode; unlike the figure sweeps
 // it takes the system verbatim so flag overrides (block size, faults)

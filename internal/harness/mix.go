@@ -69,41 +69,50 @@ func (h *Harness) runMix(design config.Design, names []string) ([]cpu.Result, er
 	return cpu.RunMulti(sys.Core, threads, llc, mem)
 }
 
-// Mix runs the workload mix on every Figure 8 design, one design per
-// worker (each design's multi-core run owns all of its state).
+// Mix runs the workload mix on the no-HBM baseline and every Figure 8
+// design as one sweep, one design per worker (each design's multi-core
+// run owns all of its state), then weighs each design's per-core IPC
+// against the baseline's.
 func (h *Harness) Mix(names []string) ([]MixResult, error) {
 	if len(names) == 0 {
 		names = DefaultMix
 	}
-	base, err := h.runMix(config.DesignNoHBM, names)
-	if err != nil {
-		return nil, err
-	}
+	designs := append([]config.Design{config.DesignNoHBM}, Fig8Designs...)
 	// Mix cells run cpu.RunMulti directly rather than Harness.Run, so each
 	// cell reports its own completion (accesses summed over the cores).
-	cells := make([]cell, len(Fig8Designs))
-	for i, d := range Fig8Designs {
+	cells := make([]cell, len(designs))
+	for i, d := range designs {
 		cells[i] = cell{ID: cellID("mix", string(d)), Seed: runner.Seed("mix", string(d))}
 	}
-	return sweepCells(h, cells, nil, func(i int) (MixResult, error) {
-		d := Fig8Designs[i]
+	out, err := sweepCells(h, cells, nil, func(i int) (MixResult, error) {
+		d := designs[i]
 		res, err := h.runMix(d, names)
 		if err != nil {
 			h.Obs.CellFailed(string(d), "mix", err)
 			return MixResult{}, fmt.Errorf("mix %s: %w", d, err)
 		}
-		ws := 0.0
 		var accesses uint64
 		for i := range res {
 			accesses += res[i].Accesses
-			if base[i].IPC() > 0 {
-				ws += res[i].IPC() / base[i].IPC()
-			}
 		}
 		h.Obs.CellDone(string(d), "mix", accesses, nil, nil)
-		h.log("mix", "design", string(d), "weighted_speedup", ws)
-		return MixResult{Design: string(d), PerCore: res, WeightedSpeedup: ws}, nil
+		return MixResult{Design: string(d), PerCore: res}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	base, out := out[0].PerCore, out[1:]
+	for k := range out {
+		ws := 0.0
+		for i, r := range out[k].PerCore {
+			if base[i].IPC() > 0 {
+				ws += r.IPC() / base[i].IPC()
+			}
+		}
+		out[k].WeightedSpeedup = ws
+		h.log("mix", "design", out[k].Design, "weighted_speedup", ws)
+	}
+	return out, nil
 }
 
 // MixTable renders the mix results.

@@ -7,13 +7,18 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/config"
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
@@ -185,9 +190,10 @@ func TestInterruptedSweepResumesToIdenticalBytes(t *testing.T) {
 	}
 }
 
-func TestRetryTransientCellJournalsAttempts(t *testing.T) {
-	// Cells that fail transiently on their first attempt succeed under
-	// the retry budget, and the journal records the attempt count.
+// A cell that overruns CellTimeout fails once: the sweep names it by
+// its cell index and never runs it again, while every other cell
+// completes and is journaled.
+func TestTimedOutCellFailsOnce(t *testing.T) {
 	dir := t.TempDir()
 	j, err := ckpt.Create(dir, resumeMeta())
 	if err != nil {
@@ -195,42 +201,50 @@ func TestRetryTransientCellJournalsAttempts(t *testing.T) {
 	}
 	h := resumeHarness()
 	h.Journal = j
-	h.Retry = runner.Retry{MaxAttempts: 3}
-	var mu sync.Mutex
-	failed := map[int]bool{}
-	flaky := func(i int) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if !failed[i] {
-			failed[i] = true
-			return 0, runner.Transient(errors.New("flaky"))
-		}
-		return i, nil
+	h.CellTimeout = 50 * time.Millisecond
+	const hung = 2
+	release := make(chan struct{})
+	var calls [5]atomic.Int32
+	cells := make([]cell, len(calls))
+	for i := range cells {
+		cells[i] = cell{ID: cellID("t", strconv.Itoa(i)), Seed: uint64(i + 1)}
 	}
-	cells := []cell{{ID: "t/0", Seed: 1}, {ID: "t/1", Seed: 2}, {ID: "t/2", Seed: 3}}
-	out, err := sweepCells(h, cells, nil, flaky)
-	if err != nil {
-		t.Fatalf("retried sweep failed: %v", err)
-	}
-	for i, v := range out {
-		if v != i {
-			t.Errorf("cell %d = %d, want %d", i, v, i)
+	out, err := sweepCells(h, cells, nil, func(i int) (int, error) {
+		calls[i].Add(1)
+		if i == hung {
+			<-release
 		}
+		return i + 10, nil
+	})
+	var errs runner.Errors
+	if !errors.As(err, &errs) || len(errs) != 1 || errs[0].Index != hung ||
+		!errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want cell %d failed with a deadline", err, hung)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// The abandoned run returns now, into a closed journal.
+	close(release)
+	for i := range calls {
+		if n := calls[i].Load(); n != 1 {
+			t.Errorf("cell %d ran %d times, want once", i, n)
+		}
 	}
 	l, err := ckpt.Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range cells {
-		rec, ok := l.ByCell[c.ID]
-		if !ok {
-			t.Fatalf("cell %s not journaled", c.ID)
+	for i, c := range cells {
+		_, journaled := l.ByCell[c.ID]
+		if i == hung {
+			if journaled || out[i] != 0 {
+				t.Errorf("timed-out cell %d: journaled %v, result %d", i, journaled, out[i])
+			}
+			continue
 		}
-		if rec.Attempts != 2 {
-			t.Errorf("cell %s journaled %d attempts, want 2", c.ID, rec.Attempts)
+		if !journaled || out[i] != i+10 {
+			t.Errorf("cell %d: journaled %v, result %d, want %d", i, journaled, out[i], i+10)
 		}
 	}
 }
@@ -258,6 +272,54 @@ func TestJournalAppendFailureFailsSweep(t *testing.T) {
 	}
 }
 
+// Mix runs its no-HBM baseline as cell 0 of its own sweep, so the
+// baseline is observed and journaled like every design, and a resumed
+// mix replays every cell and reproduces the uninterrupted result.
+func TestMixBaselineInSweep(t *testing.T) {
+	names := []string{"mcf", "leela"}
+	h := &Harness{Scale: 1024, Accesses: 8000, Parallel: 2}
+	want, err := h.Mix(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := uint64(1 + len(Fig8Designs))
+	meta := ckpt.Meta{Tool: "harness-test", Experiment: "mix", Scale: 1024, Accesses: 8000}
+	dir := t.TempDir()
+	j, err := ckpt.Create(dir, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Journal, h.Obs = j, obs.NewSweep("mix")
+	if _, err := h.Mix(names); err != nil {
+		t.Fatal(err)
+	}
+	if snap := h.Obs.Snapshot(); snap.Planned != n || snap.Done != n {
+		t.Errorf("mix observed %d of %d planned cells done, want %d of %d", snap.Done, snap.Planned, n, n)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, l, err := ckpt.Resume(dir, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if _, ok := l.ByCell[cellID("mix", string(config.DesignNoHBM))]; !ok {
+		t.Fatal("mix baseline not journaled")
+	}
+	h.Journal, h.Obs = j2, obs.NewSweep("mix")
+	got, err := h.Mix(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap := h.Obs.Snapshot(); snap.Resumed != n {
+		t.Errorf("resumed %d mix cells, want %d", snap.Resumed, n)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed mix differs from the uninterrupted one:\n%+v\nvs\n%+v", got, want)
+	}
+}
+
 // A journal record made under another seed rule is not the cell's
 // result: resuming it fails the cell instead of mixing the two rules.
 func TestResumeRefusesOtherSeed(t *testing.T) {
@@ -270,7 +332,7 @@ func TestResumeRefusesOtherSeed(t *testing.T) {
 	}
 	defer j.Close()
 	id := cellID("table2", string(config.DesignNoHBM), b)
-	if err := j.Append(id, runner.Seed(string(config.DesignNoHBM), b), 1, Table2Row{}); err != nil {
+	if err := j.Append(id, runner.Seed(string(config.DesignNoHBM), b), Table2Row{}); err != nil {
 		t.Fatal(err)
 	}
 	h.Journal = j

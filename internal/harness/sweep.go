@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/ckpt"
 	"repro/internal/runner"
@@ -14,11 +13,11 @@ import (
 
 // This file is the crash-safe sweep core every experiment funnels
 // through: one helper that applies the harness's execution policy
-// (per-cell deadline, classified retries, cooperative interruption),
-// deterministic sharding, and the checkpoint journal (skip cells a
-// previous invocation already completed; durably record each fresh
-// completion) uniformly, so each figure's sweep stays a thin layer of
-// cell construction plus aggregation.
+// (per-cell deadline, cooperative interruption), deterministic sharding,
+// and the checkpoint journal (skip cells a previous invocation already
+// completed; durably record each fresh completion) uniformly, so each
+// figure's sweep stays a thin layer of cell construction plus
+// aggregation. A cell that fails or overruns its deadline fails once.
 
 // cell names one unit of sweep work: a stable identity (the journal
 // key, e.g. "fig8/bumblebee/mcf") and the replay seed recorded next to
@@ -35,25 +34,6 @@ func cellID(parts ...string) string {
 		id += "/" + p
 	}
 	return id
-}
-
-// attemptTracker counts retries per local cell index so the journal can
-// record how many attempts a result took.
-type attemptTracker struct {
-	mu sync.Mutex
-	m  map[int]int
-}
-
-func (a *attemptTracker) retried(i int) {
-	a.mu.Lock()
-	a.m[i]++
-	a.mu.Unlock()
-}
-
-func (a *attemptTracker) attempts(i int) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.m[i] + 1
 }
 
 // sweepCells fans cells out under the harness policy and returns their
@@ -101,20 +81,9 @@ func sweepCells[T any](h *Harness, cells []cell, order []int, run func(i int) (T
 			}
 		}
 	}
-	tracker := &attemptTracker{m: make(map[int]int)}
-	pol := runner.Policy{
-		Timeout:   h.CellTimeout,
-		Retry:     h.Retry,
-		Seed:      runner.Seed("retry-jitter"),
-		Interrupt: h.Interrupt,
-		OnRetry: func(li, attempt int, err error) {
-			tracker.retried(li)
-			h.Obs.CellRetried()
-			h.log("cell retry", "cell", cells[owned[li]].ID, "attempt", attempt, "err", err.Error())
-		},
-	}
+	pol := runner.Policy{Timeout: h.CellTimeout, Interrupt: h.Interrupt}
 	out := make([]T, len(cells))
-	flat, err := runner.MapPolicy(h.workers(), pol, owned, func(li int, gi int) (T, error) {
+	flat, err := runner.Map(h.workers(), pol, owned, func(_ int, gi int) (T, error) {
 		c := cells[gi]
 		var zero T
 		if h.Journal != nil {
@@ -134,7 +103,7 @@ func sweepCells[T any](h *Harness, cells []cell, order []int, run func(i int) (T
 				// result into the live alert monitor: after a resume the
 				// firing set must equal an uninterrupted run's.
 				h.alertReplay(v)
-				h.log("cell resumed", "cell", c.ID, "attempts", rec.Attempts)
+				h.log("cell resumed", "cell", c.ID)
 				return v, nil
 			}
 		}
@@ -143,7 +112,7 @@ func sweepCells[T any](h *Harness, cells []cell, order []int, run func(i int) (T
 			return zero, err
 		}
 		if h.Journal != nil {
-			if jerr := h.Journal.Append(c.ID, c.Seed, tracker.attempts(li), v); jerr != nil {
+			if jerr := h.Journal.Append(c.ID, c.Seed, v); jerr != nil {
 				return zero, jerr
 			}
 			h.Obs.Checkpointed(h.Journal.Fsyncs())

@@ -8,8 +8,6 @@ import (
 	"log/slog"
 	"runtime"
 	"time"
-
-	"repro/internal/runner"
 )
 
 // Flags is the flag set shared by the three cmd/ binaries. Before this
@@ -20,10 +18,6 @@ type Flags struct {
 	// Sweep scheduling (RegisterSweep).
 	Parallel    int
 	CellTimeout time.Duration
-
-	// Crash-safe retries (RegisterSweep; see runner.Retry).
-	Retry        int
-	RetryBackoff time.Duration
 
 	// Telemetry collection (RegisterTelemetry).
 	TelemetryEpoch uint64
@@ -47,10 +41,6 @@ func (f *Flags) RegisterSweep(fs *flag.FlagSet) {
 		"worker goroutines per sweep (results are identical at any value)")
 	fs.DurationVar(&f.CellTimeout, "cell-timeout", 0,
 		"per-cell deadline for sweeps (0 disables); a hung cell fails instead of blocking the sweep")
-	fs.IntVar(&f.Retry, "retry", 1,
-		"attempts per cell for transient failures (timeouts, injected I/O); 1 disables retries, permanent errors never retry")
-	fs.DurationVar(&f.RetryBackoff, "retry-backoff", 250*time.Millisecond,
-		"base delay before a retry, doubled each attempt with deterministic jitter")
 }
 
 // RegisterTelemetry registers the per-run telemetry flags.
@@ -126,11 +116,6 @@ func (f *Flags) Logger(w io.Writer) *slog.Logger {
 		lvl = slog.LevelInfo
 	}
 	return NewLeveledRunLogger(w, lvl)
-}
-
-// RetryPolicy converts the retry flags to the runner's retry config.
-func (f *Flags) RetryPolicy() runner.Retry {
-	return runner.Retry{MaxAttempts: f.Retry, Backoff: f.RetryBackoff}
 }
 
 // StartServer starts the observability endpoints the flags ask for (nil

@@ -75,8 +75,7 @@ type Sweep struct {
 	lastErr  string
 
 	// Resilience counters (the crash-safe execution layer reports these;
-	// see internal/ckpt and runner.Policy).
-	retried  uint64    // retry attempts consumed by transient cell failures
+	// see internal/ckpt).
 	resumed  uint64    // cells served from a checkpoint instead of re-run
 	fsyncs   uint64    // checkpoint journal fsyncs issued
 	lastCkpt time.Time // wall-clock time of the latest checkpoint append
@@ -172,16 +171,6 @@ func (s *Sweep) notifyAndUnlock() {
 	}
 }
 
-// CellRetried records one retry of a transiently-failed cell.
-func (s *Sweep) CellRetried() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.retried++
-	s.mu.Unlock()
-}
-
 // CellResumed records one cell served from the checkpoint journal
 // instead of being re-run. Resumed cells count as done — the sweep's
 // completion ratio and ETA cover them — but not toward the design
@@ -224,7 +213,6 @@ type Snapshot struct {
 	Designs        []string // first-seen order
 
 	// Resilience totals (zero unless the crash-safe layer is active).
-	Retried       uint64        // retry attempts consumed
 	Resumed       uint64        // cells served from the checkpoint journal
 	JournalFsyncs uint64        // checkpoint journal fsyncs issued
 	CheckpointAge time.Duration // age of the latest checkpoint append
@@ -252,7 +240,6 @@ func (s *Sweep) snapshotLocked() Snapshot {
 		LastError: s.lastErr,
 	}
 	snap.Designs = append(snap.Designs, s.order...)
-	snap.Retried = s.retried
 	snap.Resumed = s.resumed
 	snap.JournalFsyncs = s.fsyncs
 	if !s.lastCkpt.IsZero() {

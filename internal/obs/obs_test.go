@@ -40,9 +40,8 @@ func fixedSweep() *Sweep {
 		{Name: "served_dram", Value: 500},
 	}, nil)
 	s.CellFailed("alloy", "xz", errors.New("boom"))
-	// Resilience events: one retry, one cell resumed from the journal,
-	// an fsync, and a checkpoint append 6 s before the snapshot instant.
-	s.CellRetried()
+	// Resilience events: one cell resumed from the journal, an fsync,
+	// and a checkpoint append 6 s before the snapshot instant.
 	s.CellResumed()
 	now = t0.Add(4 * time.Second)
 	s.Checkpointed(1)
@@ -100,9 +99,8 @@ func TestSnapshotProgress(t *testing.T) {
 	if !strings.Contains(snap.LastError, "alloy/xz") {
 		t.Fatalf("last error %q does not name the failed cell", snap.LastError)
 	}
-	if snap.Retried != 1 || snap.Resumed != 1 || snap.JournalFsyncs != 1 {
-		t.Fatalf("retried/resumed/fsyncs = %d/%d/%d, want 1/1/1",
-			snap.Retried, snap.Resumed, snap.JournalFsyncs)
+	if snap.Resumed != 1 || snap.JournalFsyncs != 1 {
+		t.Fatalf("resumed/fsyncs = %d/%d, want 1/1", snap.Resumed, snap.JournalFsyncs)
 	}
 	if !snap.Checkpointed || snap.CheckpointAge != 6*time.Second {
 		t.Fatalf("checkpoint age = %v (checkpointed=%v), want 6s", snap.CheckpointAge, snap.Checkpointed)
@@ -138,7 +136,6 @@ func TestNilSweepSafe(t *testing.T) {
 	s.AddPlanned(3)
 	s.CellDone("d", "b", 1, nil, nil)
 	s.CellFailed("d", "b", errors.New("x"))
-	s.CellRetried()
 	s.CellResumed()
 	s.Checkpointed(1)
 	if snap := s.Snapshot(); snap.Done != 0 {

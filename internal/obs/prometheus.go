@@ -97,7 +97,6 @@ func (s *Sweep) WritePrometheus(w io.Writer) error {
 	gauge("bb_sweep_elapsed_seconds", "Wall-clock seconds since the sweep started.", fmtFloat(snap.Elapsed.Seconds()))
 	gauge("bb_sweep_accesses_per_second", "Simulated memory references per wall-clock second.", fmtFloat(snap.AccessesPerSec))
 	gauge("bb_sweep_eta_seconds", "Estimated wall-clock seconds until the sweep completes (0 when unknown).", fmtFloat(snap.ETA.Seconds()))
-	gauge("bb_sweep_cells_retried", "Retry attempts consumed by transiently-failed cells.", strconv.FormatUint(snap.Retried, 10))
 	gauge("bb_sweep_cells_resumed", "Cells served from the checkpoint journal instead of re-run.", strconv.FormatUint(snap.Resumed, 10))
 	gauge("bb_sweep_journal_fsyncs_total", "Checkpoint journal fsyncs issued.", strconv.FormatUint(snap.JournalFsyncs, 10))
 	ckptAge := "-1"

@@ -30,8 +30,8 @@ type Run struct {
 	Alerts *alert.Report
 
 	// Checkpoint is the run's crash-safety journal when one exists (nil
-	// otherwise). It is deliberately not a manifest output — attempt
-	// counts differ between interrupted and clean runs of the same sweep
+	// otherwise). It is deliberately not a manifest output — its record
+	// order differs between interrupted and clean runs of the same sweep
 	// — so it loads by its fixed name.
 	Checkpoint *ckpt.Loaded
 }
@@ -257,12 +257,9 @@ func writeRunSection(b *strings.Builder, run *Run, opts Options) {
 }
 
 // writeResilience renders the crash-safety journal, when one exists:
-// how many cells are checkpointed, which ones needed more than one
-// attempt, and whether a torn tail was dropped on load. Like the rest of
-// the report it is a pure function of the directory's bytes — but note
-// the journal legitimately differs between an interrupted-and-resumed
-// run and a clean one (attempt counts), even though their CSVs are
-// byte-identical.
+// how many cells are checkpointed, the shard, and whether a torn tail
+// was dropped on load. Like the rest of the report it is a pure function
+// of the directory's bytes.
 func writeResilience(b *strings.Builder, l *ckpt.Loaded) {
 	if l == nil {
 		return
@@ -275,28 +272,8 @@ func writeResilience(b *strings.Builder, l *ckpt.Loaded) {
 	fmt.Fprintf(b, "| field | value |\n|---|---|\n")
 	fmt.Fprintf(b, "| checkpointed cells | %d |\n", len(l.Records))
 	fmt.Fprintf(b, "| shard | %s |\n", shard)
-	retried := make([]ckpt.Record, 0, 4)
-	for _, r := range l.Records {
-		if r.Attempts > 1 {
-			retried = append(retried, r)
-		}
-	}
-	fmt.Fprintf(b, "| cells retried | %d |\n", len(retried))
 	if l.DroppedTail > 0 {
 		fmt.Fprintf(b, "| torn tail dropped on load | %d line(s) |\n", l.DroppedTail)
-	}
-	if len(retried) == 0 {
-		return
-	}
-	sort.Slice(retried, func(i, j int) bool { return retried[i].Cell < retried[j].Cell })
-	fmt.Fprintf(b, "\n| retried cell | attempts |\n|---|---|\n")
-	const maxListed = 20
-	for i, r := range retried {
-		if i == maxListed {
-			fmt.Fprintf(b, "| … %d more | |\n", len(retried)-maxListed)
-			break
-		}
-		fmt.Fprintf(b, "| `%s` | %d |\n", r.Cell, r.Attempts)
 	}
 }
 

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -9,114 +8,30 @@ import (
 	"time"
 )
 
-// This file is the crash-safe half of the runner: bounded retries with
-// classified backoff, cooperative interruption (drain in-flight cells,
-// stop scheduling new ones), and deterministic sharding of a sweep's cell
-// space across processes. None of it may violate the determinism
-// contract: retries re-run the identical cell function (a cell's result
-// depends only on its identity, so a retry that succeeds is
-// indistinguishable from a first attempt that succeeded), jitter only
-// perturbs wall-clock sleeps, and a shard's cell subset is a pure
-// function of (index, shard spec).
+// This file is the crash-safe half of the runner: per-cell deadlines,
+// cooperative interruption (drain in-flight cells, stop scheduling new
+// ones), and deterministic sharding of a sweep's cell space across
+// processes. None of it may violate the determinism contract: a shard's
+// cell subset is a pure function of (index, shard spec). Every cell runs
+// once; one that fails or overruns its deadline is not re-run, because
+// re-running a deterministic cell can only reproduce its failure.
 
 // ErrInterrupted marks a sweep that was asked to stop: in-flight cells
 // drained to completion, unstarted cells never ran. Callers test for it
 // with errors.Is and treat the run as resumable, not failed.
 var ErrInterrupted = errors.New("runner: sweep interrupted")
 
-// errTransient is the marker wrapped by Transient.
-var errTransient = errors.New("transient")
-
-// Transient marks err as retryable: a failure of the run, not of the
-// model (I/O hiccups, injected fault-path errors). Cell errors that are
-// not transient — model invariant violations above all — fail fast and
-// are never retried, because re-running a deterministic cell can only
-// reproduce them.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("%w: %w", errTransient, err)
-}
-
-// IsTransient reports whether a cell error may be retried: timeouts
-// (context.DeadlineExceeded) and anything marked with Transient.
-func IsTransient(err error) bool {
-	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, errTransient)
-}
-
-// Retry bounds the per-cell retry budget of a sweep.
-type Retry struct {
-	// MaxAttempts is the total number of times a cell may run; <= 1
-	// disables retries. Only transient failures (IsTransient) consume
-	// extra attempts — permanent failures stop at attempt one.
-	MaxAttempts int
-	// Backoff is the delay before the first retry; each further retry
-	// doubles it. <= 0 retries immediately.
-	Backoff time.Duration
-	// MaxBackoff caps the doubled delay; <= 0 picks DefaultMaxBackoff.
-	MaxBackoff time.Duration
-}
-
-// DefaultMaxBackoff caps exponential backoff when Retry.MaxBackoff is
-// unset.
-const DefaultMaxBackoff = 30 * time.Second
-
-// Policy bundles everything MapPolicy needs beyond the cell function:
-// the per-cell deadline, the retry budget, the interrupt channel, and
-// observation hooks. The zero value behaves exactly like Map.
+// Policy is everything Map needs beyond the cell function. The zero
+// value runs every cell inline with no deadline.
 type Policy struct {
 	// Timeout is the per-cell deadline; <= 0 disables it (cells run
 	// inline on the worker).
 	Timeout time.Duration
 
-	// Retry is the per-cell retry budget for transient failures.
-	Retry Retry
-
-	// Seed feeds the deterministic backoff jitter (splitmix64 over
-	// (Seed, cell index, attempt)). Jitter only perturbs sleeps, never
-	// results; a zero seed just means unjittered determinism of a
-	// different flavour.
-	Seed uint64
-
 	// Interrupt, when closed, drains the sweep: workers finish the cell
-	// they are running (and abandon retry sleeps), then stop taking new
-	// cells. The sweep returns an *Interrupted error.
+	// they are running, then stop taking new cells. The sweep returns an
+	// *Interrupted error.
 	Interrupt <-chan struct{}
-
-	// OnRetry observes every retry decision: the cell index, the attempt
-	// that just failed (1-based), and its error. Called from worker
-	// goroutines; must be safe for concurrent use. nil is ignored.
-	OnRetry func(index, attempt int, err error)
-
-	// sleep is the test seam for backoff waits; nil means time.Sleep
-	// bounded by the interrupt channel.
-	sleep func(d time.Duration, interrupt <-chan struct{})
-}
-
-// backoffFor returns the jittered delay before retry number `attempt`
-// (1-based: the delay after the attempt-th failure) of cell i.
-func (p *Policy) backoffFor(i, attempt int) time.Duration {
-	d := p.Retry.Backoff
-	if d <= 0 {
-		return 0
-	}
-	for k := 1; k < attempt; k++ {
-		d *= 2
-		max := p.Retry.MaxBackoff
-		if max <= 0 {
-			max = DefaultMaxBackoff
-		}
-		if d >= max {
-			d = max
-			break
-		}
-	}
-	// Deterministic jitter in [0, d/2): splitmix64 over the cell and
-	// attempt, so two processes sweeping different shards do not
-	// synchronize their retry bursts.
-	j := SeedFold(p.Seed, uint64(i)<<16|uint64(attempt))
-	return d + time.Duration(j%uint64(d/2+1))
 }
 
 // interrupted reports whether the interrupt channel is closed.
@@ -132,24 +47,7 @@ func (p *Policy) interrupted() bool {
 	}
 }
 
-// doSleep waits for d, abandoning the wait when the sweep is interrupted.
-func (p *Policy) doSleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if p.sleep != nil {
-		p.sleep(d, p.Interrupt)
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-p.Interrupt:
-	}
-}
-
-// Interrupted is the error MapPolicy returns for a drained sweep: how far
+// Interrupted is the error Map returns for a drained sweep: how far
 // it got, plus the real per-cell failures among the cells that did run.
 // errors.Is(err, ErrInterrupted) matches it.
 type Interrupted struct {

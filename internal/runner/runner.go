@@ -89,18 +89,11 @@ func CellInfo(seed, telemetryEpoch uint64) string {
 
 // CellError records the failure of one cell of a sweep.
 type CellError struct {
-	Index     int  // position in the input slice
-	Attempts  int  // times the cell ran before the sweep gave up (>= 1)
-	Transient bool // whether the final error was classified retryable
-	Err       error
+	Index int // position in the input slice
+	Err   error
 }
 
-func (e *CellError) Error() string {
-	if e.Attempts > 1 {
-		return fmt.Sprintf("cell %d (after %d attempts): %v", e.Index, e.Attempts, e.Err)
-	}
-	return fmt.Sprintf("cell %d: %v", e.Index, e.Err)
-}
+func (e *CellError) Error() string { return fmt.Sprintf("cell %d: %v", e.Index, e.Err) }
 
 // Unwrap exposes the underlying error to errors.Is/As.
 func (e *CellError) Unwrap() error { return e.Err }
@@ -138,36 +131,25 @@ func (es Errors) or() error {
 }
 
 // Map runs fn over every item with at most workers goroutines (workers <= 0
-// means DefaultWorkers) and returns the outputs in input order. Every cell
-// runs even when others fail; the returned error is nil when all cells
-// succeeded and an Errors aggregate otherwise (failed cells hold their
-// zero output value). A panic inside fn is recovered and reported as that
-// cell's error, so one bad cell cannot take down the whole sweep.
-func Map[I, O any](workers int, items []I, fn func(i int, item I) (O, error)) ([]O, error) {
-	return MapTimeout(workers, 0, items, fn)
-}
-
-// MapTimeout is Map with a per-cell deadline. timeout <= 0 disables the
-// deadline (cells run inline on the worker, exactly like Map). With a
-// deadline, each cell runs in its own goroutine; a cell that overruns
-// surfaces as a CellError wrapping context.DeadlineExceeded and the sweep
-// moves on instead of deadlocking. The overrunning goroutine itself
-// cannot be killed — it is abandoned and its eventual result discarded
-// (it only ever writes to a private buffered channel, so it cannot race
-// with the assembled output, and the buffer lets it exit the moment fn
-// returns instead of blocking forever on the send).
-func MapTimeout[I, O any](workers int, timeout time.Duration, items []I, fn func(i int, item I) (O, error)) ([]O, error) {
-	return MapPolicy(workers, Policy{Timeout: timeout}, items, fn)
-}
-
-// MapPolicy is Map under a full execution policy: per-cell deadline,
-// bounded retries with classified backoff (only transient failures
-// retry; permanent ones fail fast on attempt one), and cooperative
-// interruption (workers drain their in-flight cell, then stop). See
-// Policy. Like Map, the outputs come back in input order and every
-// failure is aggregated; an interrupted sweep returns an *Interrupted
-// error that errors.Is-matches ErrInterrupted.
-func MapPolicy[I, O any](workers int, pol Policy, items []I, fn func(i int, item I) (O, error)) ([]O, error) {
+// means DefaultWorkers) under pol, and returns the outputs in input order.
+// Every cell runs once, even when others fail; the returned error is nil
+// when all cells succeeded and an Errors aggregate otherwise (failed cells
+// hold their zero output value). A panic inside fn is recovered and
+// reported as that cell's error, so one bad cell cannot take down the
+// whole sweep.
+//
+// With pol.Timeout > 0, each cell runs in its own goroutine; a cell that
+// overruns surfaces as a CellError wrapping context.DeadlineExceeded and
+// the sweep moves on instead of deadlocking. The overrunning goroutine
+// itself cannot be killed — it is abandoned and its eventual result
+// discarded (it only ever writes to a private buffered channel, so it
+// cannot race with the assembled output, and the buffer lets it exit the
+// moment fn returns instead of blocking forever on the send).
+//
+// Closing pol.Interrupt drains the sweep: workers finish their in-flight
+// cell, then stop. If any cell never started, Map returns an
+// *Interrupted error that errors.Is-matches ErrInterrupted.
+func Map[I, O any](workers int, pol Policy, items []I, fn func(i int, item I) (O, error)) ([]O, error) {
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
@@ -180,17 +162,13 @@ func MapPolicy[I, O any](workers int, pol Policy, items []I, fn func(i int, item
 	if len(items) == 0 {
 		return out, nil
 	}
-	maxAttempts := pol.Retry.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
 	var (
 		next int
 		mu   sync.Mutex
 		wg   sync.WaitGroup
 	)
-	// runOnce runs cell i once, inline, converting a panic into an error.
-	runOnce := func(i int) (v O, err error) {
+	// call runs cell i, converting a panic into an error.
+	call := func(i int) (v O, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("panic: %v", r)
@@ -212,28 +190,17 @@ func MapPolicy[I, O any](workers int, pol Policy, items []I, fn func(i int, item
 		ch    chan result
 		timer *time.Timer
 	}
-	// attempt runs cell i once under the policy deadline and returns its
-	// error (nil on success, in which case out[i] is set).
-	attempt := func(st *workerState, i int) error {
+	// run runs cell i under the policy deadline.
+	run := func(st *workerState, i int) (O, error) {
 		if pol.Timeout <= 0 {
-			v, err := runOnce(i)
-			if err != nil {
-				return err
-			}
-			out[i] = v
-			return nil
+			return call(i)
 		}
 		if st.ch == nil {
 			st.ch = make(chan result, 1)
 		}
 		ch := st.ch
 		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					ch <- result{err: fmt.Errorf("panic: %v", r)}
-				}
-			}()
-			v, err := fn(i, items[i])
+			v, err := call(i)
 			ch <- result{v: v, err: err}
 		}()
 		if st.timer == nil {
@@ -250,36 +217,11 @@ func MapPolicy[I, O any](workers int, pol Policy, items []I, fn func(i int, item
 			if !st.timer.Stop() {
 				<-st.timer.C
 			}
-			if res.err != nil {
-				return res.err
-			}
-			out[i] = res.v
-			return nil
+			return res.v, res.err
 		case <-st.timer.C:
 			st.ch = nil // the abandoned goroutine keeps the old channel
-			return fmt.Errorf("timed out after %v: %w", pol.Timeout, context.DeadlineExceeded)
-		}
-	}
-	// runCell is the retry loop around attempt.
-	runCell := func(st *workerState, i int) {
-		for n := 1; ; n++ {
-			err := attempt(st, i)
-			if err == nil {
-				return
-			}
-			transient := IsTransient(err)
-			if !transient || n >= maxAttempts || pol.interrupted() {
-				errs[i] = &CellError{Index: i, Attempts: n, Transient: transient, Err: err}
-				return
-			}
-			if pol.OnRetry != nil {
-				pol.OnRetry(i, n, err)
-			}
-			pol.doSleep(pol.backoffFor(i, n))
-			if pol.interrupted() {
-				errs[i] = &CellError{Index: i, Attempts: n, Transient: transient, Err: err}
-				return
-			}
+			var zero O
+			return zero, fmt.Errorf("timed out after %v: %w", pol.Timeout, context.DeadlineExceeded)
 		}
 	}
 	wg.Add(workers)
@@ -298,7 +240,12 @@ func MapPolicy[I, O any](workers int, pol Policy, items []I, fn func(i int, item
 				if i >= len(items) {
 					return
 				}
-				runCell(&st, i)
+				v, err := run(&st, i)
+				if err != nil {
+					errs[i] = &CellError{Index: i, Err: err}
+				} else {
+					out[i] = v
+				}
 				mu.Lock()
 				done[i] = true
 				mu.Unlock()

@@ -63,7 +63,7 @@ func TestMapOrderedAndComplete(t *testing.T) {
 		items[i] = i
 	}
 	for _, workers := range []int{1, 3, 8, 200} {
-		out, err := Map(workers, items, func(_ int, v int) (int, error) { return v * v, nil })
+		out, err := Map(workers, Policy{}, items, func(_ int, v int) (int, error) { return v * v, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -76,7 +76,7 @@ func TestMapOrderedAndComplete(t *testing.T) {
 }
 
 func TestMapEmptyAndDefaultWorkers(t *testing.T) {
-	out, err := Map(0, nil, func(_ int, v int) (int, error) { return v, nil })
+	out, err := Map(0, Policy{}, nil, func(_ int, v int) (int, error) { return v, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty map: %v %v", out, err)
 	}
@@ -89,7 +89,7 @@ func TestMapErrorCapture(t *testing.T) {
 	sentinel := errors.New("boom")
 	items := []int{0, 1, 2, 3, 4, 5}
 	var ran atomic.Int32
-	out, err := Map(4, items, func(_ int, v int) (int, error) {
+	out, err := Map(4, Policy{}, items, func(_ int, v int) (int, error) {
 		ran.Add(1)
 		if v%2 == 1 {
 			return 0, fmt.Errorf("cell %d: %w", v, sentinel)
@@ -127,7 +127,7 @@ func TestMapErrorCapture(t *testing.T) {
 
 func TestMapPanicRecovered(t *testing.T) {
 	items := []int{0, 1, 2}
-	out, err := Map(2, items, func(_ int, v int) (string, error) {
+	out, err := Map(2, Policy{}, items, func(_ int, v int) (string, error) {
 		if v == 1 {
 			panic("cell exploded")
 		}
@@ -146,7 +146,7 @@ func TestMapBoundedConcurrency(t *testing.T) {
 	var cur, peak atomic.Int32
 	items := make([]int, 64)
 	var mu sync.Mutex
-	_, err := Map(workers, items, func(_ int, _ int) (int, error) {
+	_, err := Map(workers, Policy{}, items, func(_ int, _ int) (int, error) {
 		n := cur.Add(1)
 		mu.Lock()
 		if n > peak.Load() {
@@ -168,7 +168,7 @@ func TestMapTimeoutHungCell(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	items := []int{0, 1, 2, 3}
-	out, err := MapTimeout(2, 50*time.Millisecond, items, func(_ int, v int) (int, error) {
+	out, err := Map(2, Policy{Timeout: 50 * time.Millisecond}, items, func(_ int, v int) (int, error) {
 		if v == 1 {
 			<-release // hangs far past the deadline
 		}
@@ -197,9 +197,9 @@ func TestMapTimeoutHungCell(t *testing.T) {
 
 func TestMapTimeoutPassthrough(t *testing.T) {
 	// A generous deadline changes nothing: results, order and errors are
-	// exactly Map's.
+	// exactly those of Map with no deadline.
 	items := []int{0, 1, 2}
-	out, err := MapTimeout(2, time.Minute, items, func(_ int, v int) (int, error) {
+	out, err := Map(2, Policy{Timeout: time.Minute}, items, func(_ int, v int) (int, error) {
 		if v == 1 {
 			return 0, errors.New("boom")
 		}
@@ -215,7 +215,7 @@ func TestMapTimeoutPassthrough(t *testing.T) {
 }
 
 func TestMapTimeoutPanicRecovered(t *testing.T) {
-	out, err := MapTimeout(2, time.Minute, []int{0, 1}, func(_ int, v int) (string, error) {
+	out, err := Map(2, Policy{Timeout: time.Minute}, []int{0, 1}, func(_ int, v int) (string, error) {
 		if v == 1 {
 			panic("cell exploded")
 		}

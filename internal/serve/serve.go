@@ -62,7 +62,7 @@ var benchRE = regexp.MustCompile(`^[a-zA-Z0-9._-]{1,64}$`)
 // Start, mount Handler on an http.Server, and Drain on shutdown.
 type Server struct {
 	// Harness is the execution template every job copies: scale, cell
-	// timeout, per-job parallelism, retry policy. Required.
+	// timeout, per-job parallelism. Required.
 	Harness *harness.Harness
 
 	// DataDir is the service's state root: spooled uploads, accepted
@@ -714,10 +714,9 @@ func (s *Server) runJob(j *job) error {
 	}
 
 	// The sweep opens one reader over the spooled trace for all its
-	// designs — one decode span, one decode sample — plus one per cell a
-	// retry replays alone; handles are collected and closed when the
-	// sweep finishes (a run capped by Accesses does not drain its
-	// stream, so close-on-EOF would leak).
+	// designs — one decode span, one decode sample; handles are
+	// collected and closed when the sweep finishes (a run capped by
+	// Accesses does not drain its stream, so close-on-EOF would leak).
 	var fmu sync.Mutex
 	var files []*os.File
 	defer func() {
