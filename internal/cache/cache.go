@@ -1,3 +1,7 @@
+// Package cache implements the on-chip SRAM cache hierarchy of Table I:
+// set-associative write-back caches with LRU, SRRIP and DRRIP replacement,
+// composed into an L1/L2/L3 hierarchy that turns a core's load/store stream
+// into the LLC-miss stream consumed by the hybrid memory system.
 package cache
 
 import (
@@ -24,11 +28,12 @@ func (s Stats) HitRate() float64 {
 }
 
 // policyKind selects the replacement policy compiled into the access
-// loop. The standalone Policy implementations in policy.go describe the
-// same algorithms behind an interface; the cache keeps its policy state
-// in flat arrays and switches on the kind instead, so the hit/victim/fill
-// path runs without dynamic dispatch or per-set slice chasing. Decisions
-// are identical to the interface implementations.
+// loop. The cache keeps its policy state in flat arrays (RRIP's inside
+// the line words themselves) and switches on the kind, so the
+// hit/victim/fill path runs without dynamic dispatch or per-set slice
+// chasing. The reference Policy implementations in policy_test.go
+// describe the same algorithms behind an interface, and the tests there
+// hold the cache to their decisions.
 type policyKind uint8
 
 const (
@@ -37,17 +42,24 @@ const (
 	policyDRRIP
 )
 
+// rrpvMax is the 2-bit re-reference prediction value ceiling.
+const rrpvMax = 3
+
 const (
 	lineValid     = 1 << 0
 	lineDirty     = 1 << 1
-	lineShiftBits = 2 // tag occupies bits [2,64)
+	rrpvShift     = 2
+	lineRRPV      = rrpvMax << rrpvShift // RRIP's 2-bit RRPV, bits [2,4)
+	lineMeta      = lineDirty | lineRRPV // what a tag probe ignores
+	lineShiftBits = 4                    // tag occupies bits [4,64)
 )
 
 // Cache is one set-associative write-back, write-allocate cache level.
 // Line state is struct-of-arrays: each line is a single packed word
-// (tag<<2 | dirty | valid) in one flat slice indexed by set*ways+way, so a
-// tag probe scans one contiguous run of machine words with one load per
-// way.
+// (tag<<4 | rrpv<<2 | dirty | valid) in one flat slice indexed by
+// set*ways+way, so a tag probe, an RRIP victim scan and RRIP aging each
+// read one contiguous run of machine words with one load per way. LRU
+// leaves the RRPV field zero.
 type Cache struct {
 	name      string
 	sets      int
@@ -57,23 +69,23 @@ type Cache struct {
 	setMask   uint64 // sets-1 (sets is a power of two)
 	setShift  uint   // log2(sets)
 
-	lines []uint64 // [set*ways+way]: tag<<2 | lineDirty | lineValid
+	lines []uint64 // [set*ways+way]: tag<<4 | rrpv<<2 | lineDirty | lineValid
 
 	kind policyKind
 	// LRU state: per-line stamps against a per-set logical clock.
 	stamp []uint64 // [set*ways+way]
 	clock []uint64 // [set]
-	// RRIP state, shared by SRRIP and DRRIP. (The original DRRIP kept one
-	// RRPV array per component policy, but every operation left the two
-	// arrays equal, so one array carries both.)
-	rrpv  []uint8 // [set*ways+way]
-	fills uint64  // BRRIP bimodal fill counter (DRRIP only)
-	psel  int     // DRRIP set-dueling selector
+	// RRIP state beyond the RRPVs in the line words, shared by SRRIP and
+	// DRRIP. (The reference DRRIP keeps one RRPV array per component
+	// policy, but every operation leaves the two equal, so one field
+	// carries both.)
+	fills uint64 // BRRIP bimodal fill counter (DRRIP only)
+	psel  int    // DRRIP set-dueling selector
 	stats Stats
 }
 
 // drripDuelMask picks the leader sets: set&mask==0 leads SRRIP, ==1 leads
-// BRRIP (matching the standalone DRRIP policy).
+// BRRIP (matching the reference DRRIP policy).
 const drripDuelMask = 31
 
 // NewCache builds a cache level from its Table I description.
@@ -114,11 +126,6 @@ func NewCache(cfg config.CacheLevel) (*Cache, error) {
 	if c.kind == policyLRU {
 		c.stamp = make([]uint64, sets*cfg.Ways)
 		c.clock = make([]uint64, sets)
-	} else {
-		c.rrpv = make([]uint8, sets*cfg.Ways)
-		for i := range c.rrpv {
-			c.rrpv[i] = rrpvMax
-		}
 	}
 	return c, nil
 }
@@ -140,48 +147,38 @@ type Eviction struct {
 	Dirty bool
 }
 
-// onHit updates replacement state for a hit on way of set.
-func (c *Cache) onHit(set, base, way int) {
-	if c.kind == policyLRU {
-		c.clock[set]++
-		c.stamp[base+way] = c.clock[set]
-		return
-	}
-	c.rrpv[base+way] = 0
-}
-
-// onFill updates replacement state for a fill into way of set.
-func (c *Cache) onFill(set, base, way int) {
+// onFill updates replacement state for a fill into way of set and
+// returns the RRPV the new line starts with (0 under LRU).
+func (c *Cache) onFill(set, base, way int) uint64 {
 	switch c.kind {
 	case policyLRU:
 		c.clock[set]++
 		c.stamp[base+way] = c.clock[set]
+		return 0
 	case policySRRIP:
-		c.rrpv[base+way] = rrpvMax - 1 // long re-reference interval
-	default: // DRRIP
-		// A fill means the previous access to this set missed; leaders vote.
-		switch set & drripDuelMask {
-		case 0:
-			if c.psel < 512 {
-				c.psel++ // SRRIP leader missed: penalize SRRIP
-			}
-		case 1:
-			if c.psel > -512 {
-				c.psel--
-			}
+		return rrpvMax - 1 // long re-reference interval
+	}
+	// DRRIP. A fill means the previous access to this set missed; leaders
+	// vote.
+	switch set & drripDuelMask {
+	case 0:
+		if c.psel < 512 {
+			c.psel++ // SRRIP leader missed: penalize SRRIP
 		}
-		if c.useSRRIP(set) {
-			c.rrpv[base+way] = rrpvMax - 1
-		} else {
-			// BRRIP: mostly distant (rrpvMax), occasionally long.
-			c.fills++
-			if c.fills%32 == 0 {
-				c.rrpv[base+way] = rrpvMax - 1
-			} else {
-				c.rrpv[base+way] = rrpvMax
-			}
+	case 1:
+		if c.psel > -512 {
+			c.psel--
 		}
 	}
+	if c.useSRRIP(set) {
+		return rrpvMax - 1
+	}
+	// BRRIP: mostly distant (rrpvMax), occasionally long.
+	c.fills++
+	if c.fills%32 == 0 {
+		return rrpvMax - 1
+	}
+	return rrpvMax
 }
 
 func (c *Cache) useSRRIP(set int) bool {
@@ -194,14 +191,15 @@ func (c *Cache) useSRRIP(set int) bool {
 	return c.psel <= 0
 }
 
-// victim selects the way to evict from set. Every way is valid.
-func (c *Cache) victim(set, base int) int {
+// victim selects the way of row (the set starting at base) to evict.
+// Every way is valid.
+func (c *Cache) victim(base int, row []uint64) int {
 	if c.kind == policyLRU {
-		row := c.stamp[base : base+c.ways]
-		victim, min := 0, row[0]
-		for w := 1; w < len(row); w++ {
-			if row[w] < min {
-				victim, min = w, row[w]
+		stamps := c.stamp[base : base+len(row)]
+		victim, min := 0, stamps[0]
+		for w := 1; w < len(stamps); w++ {
+			if stamps[w] < min {
+				victim, min = w, stamps[w]
 			}
 		}
 		return victim
@@ -210,14 +208,15 @@ func (c *Cache) victim(set, base int) int {
 	// everything by one until a line reaches it is the same as aging every
 	// line by the distance of the oldest line and evicting the first line
 	// that was at the maximum.
-	row := c.rrpv[base : base+c.ways]
-	victim, max := 0, row[0]
-	for w := 1; w < len(row); w++ {
-		if row[w] > max {
-			victim, max = w, row[w]
+	victim, max := 0, row[0]&lineRRPV
+	for w := 1; w < len(row) && max != lineRRPV; w++ {
+		if r := row[w] & lineRRPV; r > max {
+			victim, max = w, r
 		}
 	}
-	if d := rrpvMax - max; d > 0 {
+	// Every RRPV is at most max, so adding the distance to every word
+	// leaves each field at most rrpvMax and cannot carry into the tag.
+	if d := lineRRPV - max; d > 0 {
 		for w := range row {
 			row[w] += d
 		}
@@ -233,18 +232,24 @@ func (c *Cache) Access(a addr.Addr, write bool) (hit bool, ev Eviction, evicted 
 	base := set * c.ways
 	row := c.lines[base : base+c.ways]
 	// One pass finds both a hit and the first invalid way. Folding the
-	// dirty bit makes the probe a single compare: only a valid line with
-	// a matching tag can equal the target (the valid bit differs
-	// otherwise).
-	target := tag<<lineShiftBits | lineDirty | lineValid
+	// dirty bit and the RRPV makes the probe a single compare: only a
+	// valid line with a matching tag can equal the target (the valid bit
+	// differs otherwise).
+	target := tag<<lineShiftBits | lineMeta | lineValid
 	way := -1
 	for w, v := range row {
-		if v|lineDirty == target {
+		if v|lineMeta == target {
 			c.stats.Hits++
-			c.onHit(set, base, w)
-			if write {
-				row[w] = v | lineDirty
+			if c.kind == policyLRU {
+				c.clock[set]++
+				c.stamp[base+w] = c.clock[set]
+			} else {
+				v &^= lineRRPV // re-referenced: RRPV 0
 			}
+			if write {
+				v |= lineDirty
+			}
+			row[w] = v
 			return true, Eviction{}, false
 		}
 		if v&lineValid == 0 && way == -1 {
@@ -253,7 +258,7 @@ func (c *Cache) Access(a addr.Addr, write bool) (hit bool, ev Eviction, evicted 
 	}
 	c.stats.Misses++
 	if way == -1 {
-		way = c.victim(set, base)
+		way = c.victim(base, row)
 		old := row[way]
 		dirty := old&lineDirty != 0
 		ev = Eviction{Addr: c.lineAddr(set, old>>lineShiftBits), Dirty: dirty}
@@ -262,12 +267,11 @@ func (c *Cache) Access(a addr.Addr, write bool) (hit bool, ev Eviction, evicted 
 			c.stats.Writebacks++
 		}
 	}
-	v := tag<<lineShiftBits | lineValid
+	v := tag<<lineShiftBits | c.onFill(set, base, way)<<rrpvShift | lineValid
 	if write {
 		v |= lineDirty
 	}
 	row[way] = v
-	c.onFill(set, base, way)
 	return false, ev, evicted
 }
 
@@ -276,9 +280,9 @@ func (c *Cache) Access(a addr.Addr, write bool) (hit bool, ev Eviction, evicted 
 func (c *Cache) Contains(a addr.Addr) bool {
 	set, tag := c.index(a)
 	base := set * c.ways
-	target := tag<<lineShiftBits | lineValid
+	target := tag<<lineShiftBits | lineMeta | lineValid
 	for _, v := range c.lines[base : base+c.ways] {
-		if v|lineDirty == target|lineDirty {
+		if v|lineMeta == target {
 			return true
 		}
 	}

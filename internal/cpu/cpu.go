@@ -195,7 +195,8 @@ func (c *Core) Finish() Result {
 }
 
 // missWindow holds the completion times of outstanding LLC misses,
-// bounded by the core's MLP.
+// bounded by the core's MLP, in ascending order: the earliest completion
+// is first and the latest last.
 type missWindow []float64
 
 // issue sends one LLC miss to mem. If the window is full the core first
@@ -205,33 +206,32 @@ type missWindow []float64
 func (w *missWindow) issue(time float64, mlp int, lookup float64, mem Memory, a addr.Addr, write bool) (float64, uint64) {
 	o := *w
 	if len(o) >= mlp {
-		min, idx := o[0], 0
-		for i, c := range o {
-			if c < min {
-				min, idx = c, i
-			}
+		if o[0] > time {
+			time = o[0]
 		}
-		if min > time {
-			time = min
-		}
-		o[idx] = o[len(o)-1]
-		o = o[:len(o)-1]
+		o = o[:copy(o, o[1:])]
 	}
 	issue := time + lookup
 	done := float64(mem.Access(uint64(issue), a, write))
 	if done < issue {
 		done = issue
 	}
-	*w = append(o, done)
+	// Completions mostly grow, so the shift that keeps the window sorted
+	// is usually empty.
+	o = append(o, done)
+	i := len(o) - 1
+	for ; i > 0 && o[i-1] > done; i-- {
+		o[i] = o[i-1]
+	}
+	o[i] = done
+	*w = o
 	return time, uint64(done - time)
 }
 
 // drain returns the time at which every outstanding miss has returned.
 func (w missWindow) drain(time float64) float64 {
-	for _, c := range w {
-		if c > time {
-			time = c
-		}
+	if n := len(w); n > 0 && w[n-1] > time {
+		return w[n-1]
 	}
 	return time
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/addr"
@@ -198,6 +199,87 @@ func TestRunEqualsHalves(t *testing.T) {
 		for i, c := range cores {
 			if got := c.Finish(); got != want {
 				t.Errorf("buffer %d, core %d: %+v, want %+v", bufLen, i, got, want)
+			}
+		}
+	}
+}
+
+// scanWindow is the unsorted MLP window that missWindow replaced: a full
+// window scans every slot for the earliest completion, removes it by
+// swapping in the last slot, and drain scans for the latest.
+type scanWindow []float64
+
+func (w *scanWindow) issue(time float64, mlp int, lookup float64, mem Memory, a addr.Addr, write bool) (float64, uint64) {
+	o := *w
+	if len(o) >= mlp {
+		min, idx := o[0], 0
+		for i, c := range o {
+			if c < min {
+				min, idx = c, i
+			}
+		}
+		if min > time {
+			time = min
+		}
+		o[idx] = o[len(o)-1]
+		o = o[:len(o)-1]
+	}
+	issue := time + lookup
+	done := float64(mem.Access(uint64(issue), a, write))
+	if done < issue {
+		done = issue
+	}
+	*w = append(o, done)
+	return time, uint64(done - time)
+}
+
+func (w scanWindow) drain(time float64) float64 {
+	for _, c := range w {
+		if c > time {
+			time = c
+		}
+	}
+	return time
+}
+
+// jitterMem completes each miss a pseudo-random time after it issues —
+// sometimes before it, which the window must clamp — so completions
+// arrive out of order. Two jitterMems with one seed answer identically.
+type jitterMem struct{ r *rand.Rand }
+
+func (m *jitterMem) Access(now uint64, a addr.Addr, write bool) uint64 {
+	if m.r.Intn(8) == 0 {
+		return now - uint64(m.r.Intn(int(now%64)+1))
+	}
+	return now + uint64(m.r.Intn(600))
+}
+
+func (m *jitterMem) Writeback(now uint64, a addr.Addr) {}
+
+// TestMissWindowMatchesScan drives the sorted window and the scanning
+// one with the same random completions at every MLP from 1 to 8: each
+// issue must return the same (time, latency) pair, and drain the same
+// end time, at every step.
+func TestMissWindowMatchesScan(t *testing.T) {
+	for mlp := 1; mlp <= 8; mlp++ {
+		for seed := int64(0); seed < 20; seed++ {
+			got, want := make(missWindow, 0, mlp), make(scanWindow, 0, mlp)
+			gotMem, wantMem := &jitterMem{rand.New(rand.NewSource(seed))}, &jitterMem{rand.New(rand.NewSource(seed))}
+			steps := rand.New(rand.NewSource(^seed))
+			gt, wt := 0.0, 0.0
+			for i := 0; i < 2000; i++ {
+				gap := float64(steps.Intn(40)) * 0.75
+				lookup := float64(steps.Intn(60))
+				gt, wt = gt+gap, wt+gap
+				var glat, wlat uint64
+				gt, glat = got.issue(gt, mlp, lookup, gotMem, 0, false)
+				wt, wlat = want.issue(wt, mlp, lookup, wantMem, 0, false)
+				if gt != wt || glat != wlat {
+					t.Fatalf("mlp %d seed %d issue %d: sorted (%v, %d), scan (%v, %d)", mlp, seed, i, gt, glat, wt, wlat)
+				}
+				if g, w := got.drain(gt), want.drain(wt); g != w {
+					t.Fatalf("mlp %d seed %d issue %d: drain sorted %v, scan %v", mlp, seed, i, g, w)
+				}
 			}
 		}
 	}

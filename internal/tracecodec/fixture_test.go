@@ -5,57 +5,36 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/trace"
 )
 
 // The committed fixture under testdata/ is one short recording of the
 // scaled "roms" workload (footprint ~85 MiB at scale 128, an order of
 // magnitude over the scaled HBM, so replaying it makes every design
-// behave differently) committed in all three writable encodings, plus
+// behave differently), committed in all three writable encodings, plus
 // the legacy .bbtr recording the old writer made of it. The replay
 // golden test in internal/harness runs these exact files through every
 // design and pins the runs CSV; this test pins the trace bytes
 // themselves, so either layer drifting is a reviewed change.
+//
+// fixture.txt is the source of truth. It was recorded from the
+// synthetic generator (roms at scale 128, seed 0xf1c5, no
+// initialization sweep, 6000 accesses, cycle = running sum of gaps),
+// but it is data now: changing the generator's sampling does not touch
+// it, and the other encodings are derived from it.
 
-const (
-	fixtureAccesses = 6000 // crosses a BBT1 frame boundary (frameRecs)
-	fixtureSeed     = 0xf1c5
-	fixtureScale    = 128
-)
+// fixtureAccesses crosses a BBT1 frame boundary (frameRecs).
+const fixtureAccesses = 6000
 
-// fixtureRecs regenerates the fixture's record stream from the repo's
-// own synthetic generator.
+// fixtureRecs decodes the committed text fixture.
 func fixtureRecs(t *testing.T) []Rec {
 	t.Helper()
-	var prof trace.Profile
-	for _, b := range trace.TableII() {
-		if b.Profile.Name == "roms" {
-			prof = b.Scale(fixtureScale).Profile
-		}
-	}
-	if prof.Name == "" {
-		t.Fatal("roms not in TableII")
-	}
-	prof.Seed = fixtureSeed
-	// Skip the sequential init sweep: at this length it would fill the
-	// whole fixture with one monotone scan, and the point is a recording
-	// whose hot/cold mix actually exercises caching and migration.
-	prof.InitSweep = false
-	gen, err := trace.NewSynthetic(prof)
+	raw, err := os.ReadFile(filepath.Join("testdata", "fixture.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &trace.Limit{S: gen, N: fixtureAccesses}
-	recs := make([]Rec, 0, fixtureAccesses)
-	cycle := uint64(0)
-	for {
-		a, ok := st.Next()
-		if !ok {
-			break
-		}
-		cycle += uint64(a.Gap)
-		recs = append(recs, Rec{Cycle: cycle, Addr: uint64(a.Addr), Write: a.Write})
+	recs, err := decodeAll(t, raw)
+	if err != nil {
+		t.Fatalf("fixture.txt: %v", err)
 	}
 	return recs
 }
@@ -69,19 +48,21 @@ var fixtureFiles = []struct {
 	{"fixture.bbt1.gz", Format{Kind: KindBinary, Gzip: true}},
 }
 
-// TestFixtureFilesInSync regenerates the fixture encodings in memory
-// and byte-compares them to the committed files (UPDATE_GOLDEN=1
-// rewrites them). gzip output has no timestamp by construction
-// (gzip.Writer leaves ModTime zero), so all three are deterministic.
+// TestFixtureFilesInSync re-encodes the records of fixture.txt in every
+// writable encoding and byte-compares them to the committed files
+// (UPDATE_GOLDEN=1 rewrites the binary ones from the text). Re-encoding
+// the text must reproduce it exactly too. gzip output has no timestamp
+// by construction (gzip.Writer leaves ModTime zero), so all three are
+// deterministic.
 func TestFixtureFilesInSync(t *testing.T) {
 	recs := fixtureRecs(t)
 	if len(recs) != fixtureAccesses {
-		t.Fatalf("fixture generated %d recs, want %d", len(recs), fixtureAccesses)
+		t.Fatalf("fixture.txt holds %d recs, want %d", len(recs), fixtureAccesses)
 	}
 	for _, ff := range fixtureFiles {
 		path := filepath.Join("testdata", ff.name)
 		enc := encodeAll(t, recs, ff.format)
-		if os.Getenv("UPDATE_GOLDEN") != "" {
+		if os.Getenv("UPDATE_GOLDEN") != "" && ff.format.Kind != KindText {
 			if err := os.WriteFile(path, enc, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -92,16 +73,16 @@ func TestFixtureFilesInSync(t *testing.T) {
 			t.Fatalf("missing fixture (run with UPDATE_GOLDEN=1 to create): %v", err)
 		}
 		if !bytes.Equal(got, enc) {
-			t.Errorf("%s (%d bytes) no longer matches the generator (%d bytes); regenerate with UPDATE_GOLDEN=1", path, len(got), len(enc))
+			t.Errorf("%s (%d bytes) no longer matches fixture.txt re-encoded (%d bytes); regenerate with UPDATE_GOLDEN=1", path, len(got), len(enc))
 		}
 	}
 }
 
 // decodeOnlyFixtures are committed encodings of the fixture that
-// nothing writes any more: fixture.bbtr is fixtureRecs recorded by the
-// retired .bbtr writer, with each gap the cycle delta to the previous
-// record. TestFixtureFilesInSync cannot regenerate them, so this test
-// is what pins them.
+// nothing writes any more: fixture.bbtr is the fixture's records written
+// by the retired .bbtr writer, with each gap the cycle delta to the
+// previous record. TestFixtureFilesInSync cannot regenerate them, so
+// this test is what pins them.
 var decodeOnlyFixtures = []string{"fixture.bbtr"}
 
 // TestFixtureFilesDecodeIdentically proves the committed files are the
