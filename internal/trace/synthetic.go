@@ -100,8 +100,8 @@ type Synthetic struct {
 	// hotList holds the scattered hot words when ScatteredHot is set.
 	hotList []uint32
 
-	// Precomputed integer-domain sampling constants (see trace.go): same
-	// RNG stream and branches as the float originals, cheaper per draw.
+	// Precomputed sampling constants (see trace.go): inverse-CDF
+	// geometrics and integer-domain Bernoulli thresholds, one draw each.
 	gapGeom     geomParams
 	runGeom     geomParams
 	hotThresh   uint64

@@ -159,12 +159,15 @@ func (r *rng) float64() float64 {
 	return float64(r.next()>>11) / (1 << 53)
 }
 
-// The comparisons the generators make against float64() can be evaluated
-// exactly in the integer domain: float64() is float64(x)/2^53 for the
+// The generators' two kinds of sampling both cost one draw each. A
+// Bernoulli draw (a run is hot, a run writes) compares the draw against
+// a threshold in the integer domain: float64() is float64(x)/2^53 for the
 // 53-bit draw x, the division is exact (exponent scaling), and so is
-// multiplying the probability by 2^53. That turns the per-draw
-// int->float conversion and float compare into one integer compare while
-// consuming the identical RNG stream and taking the identical branches.
+// multiplying the probability by 2^53, so one integer compare decides
+// exactly what r.float64() < q would. A geometric draw (instruction
+// gaps, run lengths) inverts the distribution's CDF at one uniform
+// variate (geometricP) instead of counting Bernoulli trials, so its cost
+// does not grow with the mean.
 
 // ltThresh returns t such that r.float64() < q  <=>  r.next()>>11 < t.
 // For integer q*2^53, x < q*2^53 directly; otherwise x < q*2^53 iff
@@ -173,36 +176,34 @@ func ltThresh(q float64) uint64 {
 	return uint64(math.Ceil(q * (1 << 53)))
 }
 
-// geomParams precomputes the loop constants of geometric(mean).
+// geomParams precomputes the constants of a geometric sample with a
+// given mean.
 type geomParams struct {
-	one    bool   // mean <= 1: always 1, no RNG draw
-	thresh uint64 // continue while next()>>11 > thresh
-	max    uint64 // iteration cap, uint64(mean*16)
+	one    bool    // mean <= 1: always 1, no RNG draw
+	invLog float64 // 1 / ln(1-p) for success probability p = 1/mean
+	max    uint64  // sample cap, uint64(mean*16)
 }
 
 func makeGeom(mean float64) geomParams {
 	if mean <= 1 {
 		return geomParams{one: true}
 	}
-	// float64(x)/2^53 > p  <=>  float64(x) > p*2^53  <=>  x > floor(p*2^53)
-	// (x is an exact integer in float64; truncation is floor for p >= 0).
-	return geomParams{thresh: uint64((1 / mean) * (1 << 53)), max: uint64(mean * 16)}
+	return geomParams{invLog: 1 / math.Log1p(-1/mean), max: uint64(mean * 16)}
 }
 
-// geometricP is geometric(mean) with precomputed parameters: same draws,
-// same branches, no float math in the loop.
+// geometricP returns a geometric sample >= 1 (the number of trials up to
+// the first success, success probability p = 1/mean), capped at
+// 16*mean, from exactly one RNG draw by inverting the CDF: with u
+// uniform on (0, 1], n = 1 + floor(ln(u) / ln(1-p)) satisfies
+// P(n > k) = P(u <= (1-p)^k) = (1-p)^k.
 func (r *rng) geometricP(g geomParams) uint64 {
 	if g.one {
 		return 1
 	}
-	n := uint64(1)
-	for r.next()>>11 > g.thresh && n < g.max {
-		n++
+	u := float64(r.next()>>11+1) / (1 << 53)
+	n := 1 + uint64(math.Log(u)*g.invLog)
+	if n > g.max {
+		n = g.max
 	}
 	return n
-}
-
-// geometric returns a sample >= 1 with the given mean (mean >= 1).
-func (r *rng) geometric(mean float64) uint64 {
-	return r.geometricP(makeGeom(mean))
 }

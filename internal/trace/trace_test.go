@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/addr"
@@ -196,16 +197,64 @@ func TestLimitStream(t *testing.T) {
 	}
 }
 
-func TestRNGGeometricMean(t *testing.T) {
-	r := newRNG(42)
-	const n = 100000
-	var sum uint64
-	for i := 0; i < n; i++ {
-		sum += r.geometric(8)
+// TestRNGGeometricDistribution checks the inverse-CDF sampler against
+// the geometric distribution it stands for, across the range of means
+// the Table II profiles use (run lengths near 1, gaps up to 220): with
+// p = 1/mean, P(n=1) = p, E[n] = 1/p and Var[n] = (1-p)/p^2, within five
+// standard errors over 1M samples. Every sample lies in [1, 16*mean]
+// and advances the RNG exactly once.
+func TestRNGGeometricDistribution(t *testing.T) {
+	const n = 1 << 20
+	for _, mean := range []float64{1.3, 6, 40, 220} {
+		g := makeGeom(mean)
+		r := newRNG(uint64(mean * 1000))
+		var ones, max uint64
+		var sum, sumSq float64
+		for i := 0; i < n; i++ {
+			before := *r
+			k := r.geometricP(g)
+			before.next()
+			if r.s != before.s {
+				t.Fatalf("mean %v: sample %d did not advance the RNG exactly once", mean, i)
+			}
+			if k == 1 {
+				ones++
+			}
+			if k > max {
+				max = k
+			}
+			if k == 0 {
+				t.Fatalf("mean %v: sample 0", mean)
+			}
+			sum += float64(k)
+			sumSq += float64(k) * float64(k)
+		}
+		p := 1 / mean
+		wantVar := (1 - p) / (p * p)
+		gotP1 := float64(ones) / n
+		gotMean := sum / n
+		gotVar := sumSq/n - gotMean*gotMean
+		if d := math.Abs(gotP1 - p); d > 5*math.Sqrt(p*(1-p)/n) {
+			t.Errorf("mean %v: P(n=1) = %.5f, want %.5f", mean, gotP1, p)
+		}
+		if d := math.Abs(gotMean - mean); d > 5*math.Sqrt(wantVar/n) {
+			t.Errorf("mean %v: sample mean = %.4f", mean, gotMean)
+		}
+		// The sample variance's standard error is about
+		// Var*sqrt((kurtosis-1)/n), and a geometric's kurtosis is
+		// 9 + p^2/(1-p).
+		if d := math.Abs(gotVar/wantVar - 1); d > 5*math.Sqrt((8+p*p/(1-p))/n) {
+			t.Errorf("mean %v: sample variance = %.4f, want %.4f", mean, gotVar, wantVar)
+		}
+		if max > uint64(16*mean) {
+			t.Errorf("mean %v: sample %d over the cap %d", mean, max, uint64(16*mean))
+		}
 	}
-	mean := float64(sum) / n
-	if mean < 6.5 || mean > 9.5 {
-		t.Errorf("geometric(8) mean = %f", mean)
+	// A mean of at most 1 is the constant 1 and draws nothing.
+	r := newRNG(1)
+	before := *r
+	if k := r.geometricP(makeGeom(1)); k != 1 || *r != before {
+		t.Errorf("geometric(1) = %d, state moved %v", k, *r != before)
 	}
 }
 
