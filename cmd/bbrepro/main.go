@@ -180,9 +180,13 @@ func main() {
 	// in the same directory but is NOT a manifest output: its records
 	// follow cell completion order, which legitimately differs across
 	// -parallel settings and between an interrupted-and-resumed run and a
-	// clean one. Without -csv, rd is nil and discards every output.
+	// clean one. Without -csv, rd is nil and discards every output, and
+	// the journal lives in memory: either way an experiment is served the
+	// simulations an earlier experiment of this invocation ran.
 	var rd *report.RunDir
-	if *csvDir != "" {
+	if *csvDir == "" {
+		h.Journal = ckpt.InMemory()
+	} else {
 		man := report.New("bbrepro", *experiment, *scale, *accesses, of.TelemetryEpoch)
 		man.Flags = map[string]string{"faults": *faults}
 		if *shardSpec != "" {

@@ -137,3 +137,21 @@ func TestCheckpointResume(t *testing.T) {
 		t.Errorf("-resume A -checkpoint B succeeded:\n%s", stderr)
 	}
 }
+
+// TestResumeWithOtherSystemFlags: the journal header does not carry
+// -block, -page or -faults, but each journaled cell's key covers the
+// whole system, so resuming a matrix under other values re-runs every
+// cell those values change and prints what a fresh run prints.
+func TestResumeWithOtherSystemFlags(t *testing.T) {
+	dir := t.TempDir()
+	matrix := []string{"-design", "bumblebee,alloy", "-bench", "mcf,wrf", "-scale", "1024", "-accesses", "20000", "-parallel", "2"}
+	sim(t, append(matrix, "-block", "2", "-checkpoint", dir)...)
+	for _, flags := range [][]string{{"-block", "4"}, {"-faults", "10"}} {
+		args := append(append([]string{}, matrix...), flags...)
+		fresh := sim(t, args...)
+		resumed := sim(t, append(args, "-resume", dir)...)
+		if resumed != fresh {
+			t.Errorf("resume with %v differs from a fresh run\n--- resumed ---\n%s--- fresh ---\n%s", flags, resumed, fresh)
+		}
+	}
+}

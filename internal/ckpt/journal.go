@@ -21,7 +21,10 @@
 // the sweep's deterministic identity (tool, experiment, scale, accesses,
 // telemetry epoch, shard). Resume refuses a journal whose header does
 // not match the resuming invocation — a checkpoint from a different
-// sweep must never silently poison another's results.
+// sweep must never silently poison another's results. A record's key
+// names what its cell simulates (the harness hashes the whole spec into
+// it), so knobs the header lacks still separate cells. Version 1
+// journals keyed cells by figure cell ID; Load refuses them.
 package ckpt
 
 import (
@@ -49,9 +52,9 @@ func Digest(payload []byte) string {
 // FileName is the journal's fixed name inside a run directory.
 const FileName = "checkpoint.jsonl"
 
-// Version is the journal format this package writes and the newest it
-// understands.
-const Version = 1
+// Version is the journal format this package writes and the only one it
+// reads.
+const Version = 2
 
 // magic identifies a bumblebee checkpoint header line.
 const magic = "bumblebee-checkpoint"
@@ -93,10 +96,9 @@ func (m Meta) matches(o Meta) bool {
 		m.TelemetryEpoch == o.TelemetryEpoch && m.Shard == o.Shard
 }
 
-// Record is one completed cell. Journals written by earlier versions
-// also carry an "attempts" field per record; the loader ignores it.
+// Record is one completed cell.
 type Record struct {
-	Cell    string          `json:"cell"`    // canonical identity, e.g. "fig8/bumblebee/mcf"
+	Cell    string          `json:"cell"`    // content key, e.g. "bumblebee/mcf/6a09e667f3bcc908"; fig1 and mix cells keep "fig1/mcf/64B"-style IDs
 	Seed    string          `json:"seed"`    // 0x-hex cell RNG seed (replay identity)
 	Digest  string          `json:"digest"`  // SHA-256 hex of Payload
 	Payload json.RawMessage `json:"payload"` // the serialized cell result
@@ -152,7 +154,7 @@ type Loaded struct {
 // Load reads dir's journal. A missing file is not an error: it returns
 // (nil, nil). Damage confined to the tail is recovered by dropping the
 // tail (reported via DroppedTail/Warning); structural problems that
-// cannot be safely skipped — a bad header, a future version, two records
+// cannot be safely skipped — a bad header, another version, two records
 // for one cell with different digests — are errors.
 func Load(dir string) (*Loaded, error) {
 	path := filepath.Join(dir, FileName)
@@ -210,6 +212,10 @@ func Load(dir string) (*Loaded, error) {
 				return nil, fmt.Errorf("journal: %s: version %d written by a newer tool (this binary understands <= %d)",
 					path, l.Meta.Version, Version)
 			}
+			if l.Meta.Version < Version {
+				return nil, fmt.Errorf("journal: %s: version %d was keyed by figure cell IDs, which this binary no longer uses; start a fresh run (remove the journal or pick another directory)",
+					path, l.Meta.Version)
+			}
 		} else {
 			var rec Record
 			if err := json.Unmarshal(js, &rec); err != nil {
@@ -220,10 +226,9 @@ func Load(dir string) (*Loaded, error) {
 					return nil, fmt.Errorf("journal: %s: cell %q recorded twice with different digests (%s vs %s) — determinism violation, refusing to resume",
 						path, rec.Cell, prev.Digest, rec.Digest)
 				}
-				// Same digest: one result appended twice, as a journal
-				// written by a version that retried timed-out cells can
-				// hold (the abandoned attempt's late record beside its
-				// retry's). Keep the later record; note it.
+				// Same digest: one result appended twice, as when one
+				// sweep names the same simulation twice (a matrix listing
+				// a design twice). Keep the later record; note it.
 				for i := range l.Records {
 					if l.Records[i].Cell == rec.Cell {
 						l.Records[i] = rec
@@ -272,6 +277,12 @@ type Journal struct {
 	resumed int // completed cells carried over from a previous invocation
 	pending int // appends since the last fsync
 	fsyncs  uint64
+}
+
+// InMemory returns a journal that keeps its records in memory only: no
+// file, no fsync. Sweeps that share one serve each other's cells.
+func InMemory() *Journal {
+	return &Journal{w: io.Discard, cached: make(map[string]Record)}
 }
 
 // Create starts a fresh journal in dir, truncating any previous one, and
@@ -417,6 +428,14 @@ func (j *Journal) syncLocked() error {
 	}
 	j.fsyncs++
 	return nil
+}
+
+// Durable reports whether appends reach a file, as opposed to an
+// InMemory journal's.
+func (j *Journal) Durable() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.f != nil
 }
 
 // Fsyncs reports how many fsyncs the journal has issued.

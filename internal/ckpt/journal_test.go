@@ -245,45 +245,49 @@ func TestDuplicateCellDigestConflictRefused(t *testing.T) {
 	}
 }
 
-// A journal written before records lost their attempt count: these two
-// lines are byte for byte what that version wrote for one cell whose
-// result took two attempts. They must still load and resume.
-const attemptsJournal = `f060f251 {"format":"bumblebee-checkpoint","version":1,"tool":"bbrepro","experiment":"fig8","scale":1024,"accesses":2000,"telemetry_epoch":0}
+// A version 1 journal, byte for byte what that version wrote for one
+// cell: it keyed the cell by its figure ID, so resuming it is refused
+// with a message that says to start over.
+const version1Journal = `f060f251 {"format":"bumblebee-checkpoint","version":1,"tool":"bbrepro","experiment":"fig8","scale":1024,"accesses":2000,"telemetry_epoch":0}
 88a64ebd {"cell":"fig8/alloy/mcf","seed":"0x000000000000002a","attempts":2,"digest":"02e04c620b0511f4ca3eca46606745982a1e745ad47a60491768b9b4f761d11a","payload":{"Bench":"mcf","Design":"alloy","IPC":1.25}}
 `
 
-func TestResumeJournalWithAttempts(t *testing.T) {
+func TestResumeRefusesVersion1(t *testing.T) {
 	dir := t.TempDir()
-	rewrite(t, dir, []byte(attemptsJournal))
+	rewrite(t, dir, []byte(version1Journal))
 	meta := Meta{Tool: "bbrepro", Experiment: "fig8", Scale: 1024, Accesses: 2000}
-	j, l, err := Resume(dir, meta)
+	_, _, err := Resume(dir, meta)
+	if err == nil || !strings.Contains(err.Error(), "figure cell IDs") || !strings.Contains(err.Error(), "start a fresh run") {
+		t.Fatalf("version 1 journal: err = %v, want a refusal that says to start a fresh run", err)
+	}
+}
+
+// An in-memory journal serves what it recorded, writes no file and
+// issues no fsync.
+func TestInMemory(t *testing.T) {
+	j := InMemory()
+	if j.Durable() {
+		t.Fatal("in-memory journal reports itself durable")
+	}
+	res := cellResult{Design: "alloy", Bench: "mcf", AMAT: 2.5}
+	if err := j.Append("alloy/mcf/00", 7, res); err != nil {
+		t.Fatal(err)
+	}
+	rec, ok := j.Lookup("alloy/mcf/00")
+	var got cellResult
+	if !ok || json.Unmarshal(rec.Payload, &got) != nil || got != res || rec.Seed != FormatSeed(7) {
+		t.Fatalf("lookup = %+v, %v; want the appended result", rec, ok)
+	}
+	if err := j.Close(); err != nil || j.Fsyncs() != 0 {
+		t.Fatalf("close = %v after %d fsyncs, want nil after 0", err, j.Fsyncs())
+	}
+	disk, err := Create(t.TempDir(), testMeta())
 	if err != nil {
-		t.Fatalf("journal with attempt counts refused: %v", err)
-	}
-	if l == nil || len(l.Records) != 1 || l.DroppedTail != 0 || l.Warning != "" {
-		t.Fatalf("loaded %+v, want one clean record", l)
-	}
-	rec, ok := j.Lookup("fig8/alloy/mcf")
-	if !ok {
-		t.Fatal("resumed journal does not hold the recorded cell")
-	}
-	if rec.Seed != FormatSeed(0x2a) || rec.Digest != Digest(rec.Payload) {
-		t.Fatalf("record %+v: seed or digest does not match", rec)
-	}
-	var got map[string]any
-	if err := json.Unmarshal(rec.Payload, &got); err != nil || got["IPC"] != 1.25 {
-		t.Fatalf("payload %s (%v), want the recorded result", rec.Payload, err)
-	}
-	// The resumed journal takes new records after the old one.
-	if err := j.Append("fig8/alloy/wrf", 0x2b, cellResult{Design: "alloy", Bench: "wrf"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l, err = Load(dir)
-	if err != nil || len(l.Records) != 2 {
-		t.Fatalf("reload: %v, %d records, want 2", err, len(l.Records))
+	defer disk.Close()
+	if !disk.Durable() {
+		t.Error("file journal reports itself not durable")
 	}
 }
 

@@ -187,3 +187,48 @@ func TestAlertsSurviveResume(t *testing.T) {
 		t.Errorf("resumed transition total = %d, want %d", mon2.Total(), mon1.Total())
 	}
 }
+
+// Every resumed cell reaches the live monitor, whatever its figure
+// keeps: Overfetch reduces its runs to byte totals, but its journal
+// holds whole runs, so a resume from the complete journal fires exactly
+// what the uninterrupted run fired.
+func TestOverfetchAlertsSurviveResume(t *testing.T) {
+	meta := ckpt.Meta{Tool: "harness-test", Experiment: "overfetch", Scale: 1024, Accesses: 6000, TelemetryEpoch: 2000}
+	dir := t.TempDir()
+	run := func(j *ckpt.Journal) *alert.Monitor {
+		t.Helper()
+		h := resumeHarness()
+		h.Journal = j
+		h.Alerts = alert.NewMonitor(alertRules())
+		if _, err := h.Overfetch(); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return h.Alerts
+	}
+	j, err := ckpt.Create(dir, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run(j)
+	if len(want.Firing()) == 0 {
+		t.Fatal("no alerts fired in the uninterrupted run")
+	}
+	j2, _, err := ckpt.Resume(dir, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := run(j2)
+	if n := 2 * len(resumeHarness().Benchmarks()); j2.Resumed() != n {
+		t.Fatalf("resumed %d cells, want all %d", j2.Resumed(), n)
+	}
+	if !reflect.DeepEqual(alertKeys(got.Firing()), alertKeys(want.Firing())) {
+		t.Errorf("resumed firing set differs:\nresumed: %v\noriginal: %v",
+			alertKeys(got.Firing()), alertKeys(want.Firing()))
+	}
+	if got.Total() != want.Total() {
+		t.Errorf("resumed transition total = %d, want %d", got.Total(), want.Total())
+	}
+}

@@ -110,15 +110,3 @@ func (h *Harness) feedAlerts(r RunResult) {
 	}
 	cm.Done(runSample(r), latencySamples(r))
 }
-
-// alertReplay type-asserts a resumed journal payload back to a
-// RunResult and feeds it to the monitor (sweeps whose cell type is
-// not RunResult have nothing to feed).
-func (h *Harness) alertReplay(v any) {
-	if h.Alerts == nil {
-		return
-	}
-	if r, ok := v.(RunResult); ok {
-		h.feedAlerts(r)
-	}
-}

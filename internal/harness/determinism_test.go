@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/config"
+	"repro/internal/trace"
 )
 
 // The sweep determinism contract: the same sweep produces byte-identical
@@ -179,15 +180,17 @@ func TestFig7JournalSeedsReplayCells(t *testing.T) {
 	h.Journal = nil
 	for _, b := range h.Benchmarks() {
 		var base RunResult
-		rec := l.ByCell[cellID("baseline", string(config.DesignNoHBM), b.Profile.Name)]
+		rec := l.ByCell[h.syntheticCell(config.DesignNoHBM, h.System(), b).id]
 		if err := json.Unmarshal(rec.Payload, &base); err != nil {
 			t.Fatal(err)
 		}
 		for _, v := range Fig7Variants() {
-			id := cellID("fig7", v.Label, b.Profile.Name)
+			sys := h.System()
+			v.Apply(&sys)
+			id := h.syntheticCell(config.DesignBumblebee, sys, b).id
 			rec, ok := l.ByCell[id]
 			if !ok {
-				t.Fatalf("%s not journaled", id)
+				t.Fatalf("%s %s not journaled", v.Label, id)
 			}
 			var journaled RunResult
 			if err := json.Unmarshal(rec.Payload, &journaled); err != nil {
@@ -198,8 +201,6 @@ func TestFig7JournalSeedsReplayCells(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys := h.System()
-			v.Apply(&sys)
 			mem, err := Build(config.DesignBumblebee, sys)
 			if err != nil {
 				t.Fatal(err)
@@ -213,6 +214,44 @@ func TestFig7JournalSeedsReplayCells(t *testing.T) {
 			if got := r.CPU.IPC() / base.CPU.IPC(); got != want {
 				t.Errorf("%s: journal seed %s replays speedup %v, journaled %v", id, rec.Seed, got, want)
 			}
+		}
+	}
+}
+
+// Every Fig7 ablation must change what the full design does on at
+// least one benchmark, or its bar measures nothing. A variant whose
+// journaled result has the full design's digest on a benchmark is inert
+// there; those benchmarks are logged, not hidden.
+func TestFig7AblationsFire(t *testing.T) {
+	h := &Harness{Scale: 1024, Accesses: 20000, Parallel: 2, Journal: ckpt.InMemory()}
+	if _, err := h.Fig7(); err != nil {
+		t.Fatal(err)
+	}
+	digest := func(sys config.System, b trace.Benchmark) string {
+		t.Helper()
+		rec, ok := h.Journal.Lookup(h.syntheticCell(config.DesignBumblebee, sys, b).id)
+		if !ok {
+			t.Fatalf("%s: cell not journaled", b.Profile.Name)
+		}
+		return rec.Digest
+	}
+	bs := h.Benchmarks()
+	for _, v := range Fig7Variants() {
+		if v.Label == "Bumblebee" {
+			continue // the full design itself
+		}
+		sys := h.System()
+		v.Apply(&sys)
+		var inert []string
+		for _, b := range bs {
+			if digest(sys, b) == digest(h.System(), b) {
+				inert = append(inert, b.Profile.Name)
+			}
+		}
+		if len(inert) == len(bs) {
+			t.Errorf("%s equals the full design on every benchmark", v.Label)
+		} else if len(inert) > 0 {
+			t.Logf("%s is inert on %v", v.Label, inert)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"cmp"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"slices"
 	"strconv"
@@ -32,7 +34,8 @@ import (
 // and the design it drives. Cells with equal keys read the same accesses
 // through the same cache configuration.
 type shared struct {
-	key    string
+	id     string                       // the journal key: a content key (see contentKey), or a replay cell's name
+	key    string                       // the trace group key
 	open   func() (trace.Stream, error) // a fresh reader over the cell's (capped) trace
 	sys    config.System
 	design config.Design
@@ -70,10 +73,26 @@ func (h *Harness) syntheticCell(design config.Design, sys config.System, b trace
 		p.Seed = runner.Seed("bench", p.Name)
 	}
 	return shared{
+		id:   h.contentKey(design, sys, p),
 		key:  cellID("synthetic", p.Name, strconv.FormatUint(p.Seed, 16), fmt.Sprint(sys.Caches)),
 		open: h.synthetic(p), sys: sys, design: design, build: builder(design, sys),
 		bench: p.Name, seed: p.Seed,
 	}
+}
+
+// contentKey is a synthetic cell's journal key, <design>/<bench>/<16
+// hex>: a SHA-256 prefix over the design, the resolved system, the
+// seeded profile and h.Accesses. Cells that simulate the same thing, in
+// one figure or in two, share it.
+func (h *Harness) contentKey(design config.Design, sys config.System, p trace.Profile) string {
+	sum := sha256.New()
+	fmt.Fprintf(sum, "%#v", struct {
+		Design   config.Design
+		Sys      config.System
+		Profile  trace.Profile
+		Accesses uint64
+	}{design, sys, p, h.Accesses})
+	return cellID(string(design), p.Name, hex.EncodeToString(sum.Sum(nil)[:8]))
 }
 
 // runAlone runs one cell as a one-member group.
@@ -104,27 +123,27 @@ func (h *Harness) endSpan(sp obs.SpanID, r RunResult, err error) {
 	h.Spans.End(sp)
 }
 
-// sweepShared is sweepCells for the cells named by ids and described by
-// spec; each cell's journal seed is its spec's trace seed. Cells that the
-// harness owns, that the journal does not already hold, and whose keys
-// are equal run as one group, and the workers take cells in
-// dispatchOrder. done turns a cell's outcome into its sweep value.
+// sweepShared is sweepCells for the n cells spec describes, journaled
+// under the spec's id and trace seed. Cells that the harness owns, that
+// the journal does not already hold, and whose keys are equal run as
+// one group, and the workers take cells in dispatchOrder. done, when
+// set, sees each simulated cell's outcome and returns its error.
 // Everything per cell — journal records, sharding, resume, deadline,
 // interrupt, observation — stays sweepCells'.
-func sweepShared[T any](h *Harness, ids []string, spec func(i int) shared, done func(i int, r RunResult, err error) (T, error)) ([]T, error) {
-	cells := make([]cell, len(ids))
-	keys := make([]string, len(ids))
-	groups := make([]*group, len(ids))
+func sweepShared(h *Harness, n int, spec func(i int) shared, done func(i int, r RunResult, err error) error) ([]RunResult, error) {
+	cells := make([]cell, n)
+	keys := make([]string, n)
+	groups := make([]*group, n)
 	byKey := map[string]*group{}
-	for i, id := range ids {
+	for i := range cells {
 		s := spec(i)
-		cells[i] = cell{ID: id, Seed: s.seed}
+		cells[i] = cell{ID: s.id, Seed: s.seed}
 		keys[i] = s.key
 		if !h.Shard.Owns(i) {
 			continue
 		}
 		if h.Journal != nil {
-			if _, ok := h.Journal.Lookup(id); ok {
+			if _, ok := h.Journal.Lookup(s.id); ok {
 				continue
 			}
 		}
@@ -136,9 +155,12 @@ func sweepShared[T any](h *Harness, ids []string, spec func(i int) shared, done 
 		g.add(i, s)
 		groups[i] = g
 	}
-	return sweepCells(h, cells, dispatchOrder(keys), func(i int) (T, error) {
+	return sweepCells(h, cells, dispatchOrder(keys), func(i int) (RunResult, error) {
 		r, err := groups[i].result(i)
-		return done(i, r, err)
+		if done != nil {
+			err = done(i, r, err)
+		}
+		return r, err
 	})
 }
 

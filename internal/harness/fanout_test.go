@@ -244,12 +244,8 @@ func TestFanOutConsumerFailureIsolated(t *testing.T) {
 	open := syntheticOpener(20*4096, &opens) // more chunks than the ring holds
 	h := fanoutHarness(2)
 	want := soloRuns(t, h, open)
-	ids := make([]string, len(AllDesigns))
-	for i, d := range AllDesigns {
-		ids[i] = cellID("fanout", string(d))
-	}
 	sys := h.System()
-	got, err := sweepShared(h, ids,
+	got, err := sweepShared(h, len(AllDesigns),
 		func(i int) shared {
 			s := h.replayCell(AllDesigns[i], "fanout", sys, open)
 			if i == bad {
@@ -260,8 +256,7 @@ func TestFanOutConsumerFailureIsolated(t *testing.T) {
 				}
 			}
 			return s
-		},
-		func(i int, r RunResult, err error) (RunResult, error) { return r, err })
+		}, nil)
 	var errs runner.Errors
 	if !errors.As(err, &errs) || len(errs) != 1 || errs[0].Index != bad {
 		t.Fatalf("err = %v, want exactly cell %d failed", err, bad)
@@ -417,12 +412,8 @@ func TestDispatchOrderSweep(t *testing.T) {
 	} {
 		h := &Harness{Scale: 1024, Parallel: 1, Shard: tc.shard}
 		sys := h.System()
-		ids := make([]string, len(keys))
-		for i := range ids {
-			ids[i] = cellID("order", strconv.Itoa(i))
-		}
 		var order []int
-		got, err := sweepShared(h, ids,
+		got, err := sweepShared(h, len(keys),
 			func(i int) shared {
 				s := h.replayCell(AllDesigns[i], "order", sys, open)
 				s.key = keys[i]
@@ -431,9 +422,9 @@ func TestDispatchOrderSweep(t *testing.T) {
 				}
 				return s
 			},
-			func(i int, r RunResult, err error) (string, error) {
+			func(i int, r RunResult, err error) error {
 				order = append(order, i)
-				return r.Design, err
+				return err
 			})
 		if !reflect.DeepEqual(order, tc.want) {
 			t.Errorf("shard %q: cells dispatched %v, want %v", tc.shard, order, tc.want)
@@ -442,8 +433,8 @@ func TestDispatchOrderSweep(t *testing.T) {
 		if tc.shard.Owns(bad) && (!errors.As(err, &errs) || len(errs) != 1 || errs[0].Index != bad) {
 			t.Errorf("shard %q: err = %v, want cell %d failed", tc.shard, err, bad)
 		}
-		for i, d := range got {
-			if want := string(AllDesigns[i]); tc.shard.Owns(i) && i != bad && d != want {
+		for i, r := range got {
+			if d, want := r.Design, string(AllDesigns[i]); tc.shard.Owns(i) && i != bad && d != want {
 				t.Errorf("shard %q: result %d is %q, want %q", tc.shard, i, d, want)
 			}
 		}

@@ -36,7 +36,7 @@ func TestFig8DesignsSeeSameTrace(t *testing.T) {
 	bs := h.Benchmarks()
 	for bi, b := range bs {
 		name := b.Profile.Name
-		rec, ok := l.ByCell[cellID("baseline", string(config.DesignNoHBM), name)]
+		rec, ok := l.ByCell[h.syntheticCell(config.DesignNoHBM, h.System(), b).id]
 		if !ok {
 			t.Fatalf("no baseline cell journaled for %s", name)
 		}

@@ -85,26 +85,21 @@ func (h *Harness) FigFaultWith(designs []config.Design, rates []float64) (*FigFa
 	// Every (design, rate) cell of a benchmark runs the same trace, and
 	// designs and fault injection both live below the LLC, so each
 	// benchmark's cells share one filtered stream.
-	ids := grid(cells, bs, func(ci, bi int) string {
-		c := cells[ci]
-		label := fmt.Sprintf("%s@%s", c.design, strconv.FormatFloat(c.rate, 'g', -1, 64))
-		return cellID("figfault", label, bs[bi].Profile.Name)
-	})
-	flat, err := sweepShared(h, ids,
+	flat, err := sweepShared(h, len(cells)*len(bs),
 		func(i int) shared {
 			c := cells[i/len(bs)]
 			sys := h.System()
 			sys.Faults = FaultsAtRate(c.rate)
 			return h.syntheticCell(c.design, sys, bs[i%len(bs)])
 		},
-		func(i int, r RunResult, err error) (RunResult, error) {
+		func(i int, r RunResult, err error) error {
 			c, b := cells[i/len(bs)], bs[i%len(bs)].Profile.Name
 			if err != nil {
-				return RunResult{}, fmt.Errorf("figfault %s@%g/%s: %w", c.design, c.rate, b, err)
+				return fmt.Errorf("figfault %s@%g/%s: %w", c.design, c.rate, b, err)
 			}
 			h.log("figfault", "design", string(c.design), "rate", c.rate,
 				"bench", b, "ipc", r.CPU.IPC(), "frames_retired", r.Counters.FramesRetired)
-			return r, nil
+			return nil
 		})
 	if err != nil {
 		return nil, err

@@ -97,8 +97,9 @@ type Harness struct {
 	Interrupt <-chan struct{}
 
 	// Journal is the checkpoint journal (see internal/ckpt): when set,
-	// every completed cell is recorded durably and cells completed by a
-	// previous invocation are served from the journal instead of re-run.
+	// every completed cell is recorded and cells it already holds — from
+	// a previous invocation, or from an earlier sweep that ran the same
+	// simulation (see contentKey) — are served from it instead of re-run.
 	// The determinism contract is what makes the substitution sound — a
 	// cell's result depends only on its identity, so replayed bytes and
 	// re-computed bytes are identical.
@@ -238,9 +239,11 @@ func (h *Harness) capped(st trace.Stream) trace.Stream {
 
 // replayCell describes one design's replay of a recorded trace on sys:
 // opened by open and capped at h.Accesses. A recording carries no seed;
-// its identity is the trace itself.
+// its identity is the trace itself, so the cell is named, not hashed:
+// replay/<design>/<bench>.
 func (h *Harness) replayCell(design config.Design, bench string, sys config.System, open func() (trace.Stream, error)) shared {
 	return shared{
+		id:  cellID("replay", string(design), bench),
 		key: cellID("replay", bench, fmt.Sprint(sys.Caches)),
 		open: func() (trace.Stream, error) {
 			st, err := open()
@@ -260,19 +263,14 @@ func (h *Harness) replayCell(design config.Design, bench string, sys config.Syst
 // trace bytes per call (reopen the file). It is called from worker
 // goroutines and must be safe for concurrent use.
 func (h *Harness) ReplaySweep(designs []config.Design, bench string, open func() (trace.Stream, error)) ([]RunResult, error) {
-	ids := make([]string, len(designs))
-	for i, d := range designs {
-		ids[i] = cellID("replay", string(d), bench)
-	}
 	sys := h.System()
-	return sweepShared(h, ids,
+	return sweepShared(h, len(designs),
 		func(i int) shared { return h.replayCell(designs[i], bench, sys, open) },
-		func(i int, r RunResult, err error) (RunResult, error) {
-			if err != nil {
-				return RunResult{}, err
+		func(i int, r RunResult, err error) error {
+			if err == nil {
+				h.log("replay", "design", r.Design, "bench", bench, "ipc", r.CPU.IPC())
 			}
-			h.log("replay", "design", r.Design, "bench", bench, "ipc", r.CPU.IPC())
-			return r, nil
+			return err
 		})
 }
 
@@ -374,8 +372,7 @@ func (s *sim) finish(res cpu.Result, err error) (RunResult, error) {
 }
 
 // row is one row of a figure's row × benchmark matrix: a design on a
-// system, and the experiment and label that name its cells
-// (exp/label/<bench>).
+// system, and the experiment and label that name it in logs and errors.
 type row struct {
 	exp, label string
 	design     config.Design
@@ -384,7 +381,7 @@ type row struct {
 
 // baselineRow is the no-HBM row the figures normalize by: its run of a
 // benchmark is the denominator of that benchmark's IPC, traffic and
-// energy. Its cells are baseline/no-hbm/<bench>.
+// energy.
 func (h *Harness) baselineRow() row {
 	return row{exp: "baseline", label: string(config.DesignNoHBM), design: config.DesignNoHBM, sys: h.System()}
 }
@@ -404,22 +401,19 @@ func speedups(base, runs []RunResult) []float64 {
 // same trace (see syntheticCell), so a benchmark's rows that share
 // their caches are one group and its trace is filtered once.
 func (h *Harness) sweepRows(rows []row, bs []trace.Benchmark) ([][]RunResult, error) {
-	ids := grid(rows, bs, func(ri, bi int) string {
-		return cellID(rows[ri].exp, rows[ri].label, bs[bi].Profile.Name)
-	})
-	flat, err := sweepShared(h, ids,
+	flat, err := sweepShared(h, len(rows)*len(bs),
 		func(i int) shared {
 			r := rows[i/len(bs)]
 			return h.syntheticCell(r.design, r.sys, bs[i%len(bs)])
 		},
-		func(i int, r RunResult, err error) (RunResult, error) {
+		func(i int, r RunResult, err error) error {
 			row, b := rows[i/len(bs)], bs[i%len(bs)].Profile.Name
 			if err != nil {
-				return RunResult{}, fmt.Errorf("%s %s/%s: %w", row.exp, row.label, b, err)
+				return fmt.Errorf("%s %s/%s: %w", row.exp, row.label, b, err)
 			}
 			h.log(row.exp, "row", row.label, "bench", b,
 				"ipc", r.CPU.IPC(), "hbm_bytes", r.HBMBytes, "dram_bytes", r.DRAMBytes)
-			return r, nil
+			return nil
 		})
 	return byRow(flat, len(rows), len(bs)), err
 }

@@ -22,34 +22,24 @@ type MALResult struct {
 }
 
 // MAL measures the metadata access latency share for every Table II
-// benchmark: one cell per (benchmark, metadata placement), fanned out
-// across the pool. A benchmark's pair runs the same deterministic stream
-// through the same caches, so it shares one filtered stream.
+// benchmark: one cell per (benchmark, metadata placement) — Figure 7's
+// Bumblebee and Meta-H runs — fanned out across the pool. A
+// benchmark's pair runs the same deterministic stream through the same
+// caches, so it shares one filtered stream.
 func (h *Harness) MAL() ([]MALResult, error) {
 	bs := h.Benchmarks()
-	places := []string{"sram", "hbm"}
-	ids := grid(bs, places, func(bi, pi int) string {
-		return cellID("mal", places[pi], bs[bi].Profile.Name)
-	})
-	const d = config.DesignBumblebee
-	lat, err := sweepShared(h, ids,
+	runs, err := sweepShared(h, 2*len(bs),
 		func(i int) shared {
 			sys := h.System()
-			sys.Bumblebee.MetadataInHBM = places[i%2] == "hbm"
-			return h.syntheticCell(d, sys, bs[i/2])
-		},
-		func(i int, r RunResult, err error) (float64, error) {
-			if err != nil {
-				return 0, fmt.Errorf("mal %s: %w", bs[i/2].Profile.Name, err)
-			}
-			return r.CPU.AvgMissLatency(), nil
-		})
+			sys.Bumblebee.MetadataInHBM = i%2 == 1
+			return h.syntheticCell(config.DesignBumblebee, sys, bs[i/2])
+		}, nil)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]MALResult, len(bs))
 	for bi, b := range bs {
-		r := MALResult{Bench: b.Profile.Name, SRAMLat: lat[2*bi], HBMLat: lat[2*bi+1]}
+		r := MALResult{Bench: b.Profile.Name, SRAMLat: runs[2*bi].CPU.AvgMissLatency(), HBMLat: runs[2*bi+1].CPU.AvgMissLatency()}
 		if r.HBMLat > 0 && r.HBMLat > r.SRAMLat {
 			r.MALShare = (r.HBMLat - r.SRAMLat) / r.HBMLat
 		}

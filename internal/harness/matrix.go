@@ -15,10 +15,7 @@ import (
 // it takes the system verbatim so flag overrides (block size, faults)
 // apply to every cell.
 func (h *Harness) Matrix(sys config.System, designs, benches []string) ([][]RunResult, error) {
-	ids := grid(designs, benches, func(di, bi int) string {
-		return cellID("matrix", designs[di], benches[bi])
-	})
-	flat, err := sweepShared(h, ids,
+	flat, err := sweepShared(h, len(designs)*len(benches),
 		func(i int) shared {
 			d, bench := designs[i/len(benches)], benches[i%len(benches)]
 			b, err := trace.ByName(bench)
@@ -26,13 +23,13 @@ func (h *Harness) Matrix(sys config.System, designs, benches []string) ([][]RunR
 				// An unknown benchmark fails its cells when the trace opens.
 				err = fmt.Errorf("unknown benchmark %q (known: %s)", bench, strings.Join(trace.Names(), ", "))
 				return shared{
+					id:     cellID("unknown", d, bench),
 					key:    cellID("unknown", bench),
 					open:   func() (trace.Stream, error) { return nil, err },
 					design: config.Design(d), bench: bench,
 				}
 			}
 			return h.syntheticCell(config.Design(d), sys, b.Scale(h.Scale))
-		},
-		func(i int, r RunResult, err error) (RunResult, error) { return r, err })
+		}, nil)
 	return byRow(flat, len(designs), len(benches)), err
 }

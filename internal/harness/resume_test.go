@@ -324,15 +324,15 @@ func TestMixBaselineInSweep(t *testing.T) {
 // result: resuming it fails the cell instead of mixing the two rules.
 func TestResumeRefusesOtherSeed(t *testing.T) {
 	h := &Harness{Scale: 1024, Accesses: 2000, Parallel: 2}
-	b := h.Benchmarks()[0].Profile.Name
+	b := h.Benchmarks()[0]
 	dir := t.TempDir()
 	j, err := ckpt.Create(dir, ckpt.Meta{Tool: "harness-test", Experiment: "table2", Scale: 1024, Accesses: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	id := cellID("table2", string(config.DesignNoHBM), b)
-	if err := j.Append(id, runner.Seed(string(config.DesignNoHBM), b), Table2Row{}); err != nil {
+	id := h.syntheticCell(config.DesignNoHBM, h.System(), b).id
+	if err := j.Append(id, runner.Seed(string(config.DesignNoHBM), b.Profile.Name), RunResult{}); err != nil {
 		t.Fatal(err)
 	}
 	h.Journal = j
@@ -415,5 +415,35 @@ func TestShardedFig8PartitionsExactly(t *testing.T) {
 	}
 	if total != len(full.PerRun) {
 		t.Errorf("shards cover %d cells, want %d", total, len(full.PerRun))
+	}
+}
+
+// One invocation runs each distinct simulation once: with an in-memory
+// journal attached, as bbrepro attaches one without -csv, the six
+// figure sweeps of the paper's evaluation simulate 24 cells per
+// benchmark and serve the other 9 from the journal. An in-memory
+// journal is not a checkpoint, so the sweep reports no checkpoint age
+// and no fsyncs.
+func TestSweepsShareSimulations(t *testing.T) {
+	h := &Harness{Scale: 1024, Accesses: 2000, Parallel: 2, Journal: ckpt.InMemory(), Obs: obs.NewSweep("all")}
+	for _, run := range []func() error{
+		func() error { _, err := h.Table2(); return err },
+		func() error { _, err := h.Fig6(); return err },
+		func() error { _, err := h.Fig7(); return err },
+		func() error { _, err := h.Fig8(); return err },
+		func() error { _, err := h.MAL(); return err },
+		func() error { _, err := h.Overfetch(); return err },
+	} {
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := uint64(len(h.Benchmarks()))
+	snap := h.Obs.Snapshot()
+	if sims := snap.Done - snap.Resumed; snap.Done != 33*n || sims != 24*n {
+		t.Errorf("%d cells done, %d simulated; want %d done, %d simulated", snap.Done, sims, 33*n, 24*n)
+	}
+	if snap.Checkpointed || snap.JournalFsyncs != 0 {
+		t.Errorf("in-memory journal reported checkpoint age (%v) or %d fsyncs", snap.Checkpointed, snap.JournalFsyncs)
 	}
 }

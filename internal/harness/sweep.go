@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/ckpt"
 	"repro/internal/runner"
@@ -20,21 +21,16 @@ import (
 // aggregation. A cell that fails or overruns its deadline fails once.
 
 // cell names one unit of sweep work: a stable identity (the journal
-// key, e.g. "fig8/bumblebee/mcf") and the replay seed recorded next to
-// its result.
+// key: a content key such as "bumblebee/mcf/6a09e667f3bcc908" for a
+// simulation, see contentKey, or an experiment ID such as "mix/alloy")
+// and the replay seed recorded next to its result.
 type cell struct {
 	ID   string
 	Seed uint64
 }
 
-// cellID renders the canonical cell identity: experiment/config/bench.
-func cellID(parts ...string) string {
-	id := parts[0]
-	for _, p := range parts[1:] {
-		id += "/" + p
-	}
-	return id
-}
+// cellID joins the parts of a cell identity with slashes.
+func cellID(parts ...string) string { return strings.Join(parts, "/") }
 
 // sweepCells fans cells out under the harness policy and returns their
 // results indexed like cells. run(i) computes cell i, one simulation.
@@ -102,7 +98,9 @@ func sweepCells[T any](h *Harness, cells []cell, order []int, run func(i int) (T
 				// Resumed cells never simulate, so replay the recorded
 				// result into the live alert monitor: after a resume the
 				// firing set must equal an uninterrupted run's.
-				h.alertReplay(v)
+				if r, ok := any(v).(RunResult); ok {
+					h.feedAlerts(r)
+				}
 				h.log("cell resumed", "cell", c.ID)
 				return v, nil
 			}
@@ -115,7 +113,9 @@ func sweepCells[T any](h *Harness, cells []cell, order []int, run func(i int) (T
 			if jerr := h.Journal.Append(c.ID, c.Seed, v); jerr != nil {
 				return zero, jerr
 			}
-			h.Obs.Checkpointed(h.Journal.Fsyncs())
+			if h.Journal.Durable() {
+				h.Obs.Checkpointed(h.Journal.Fsyncs())
+			}
 		}
 		return v, nil
 	})

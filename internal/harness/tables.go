@@ -46,31 +46,29 @@ type Table2Row struct {
 }
 
 // Table2 measures the MPKI and footprint our synthetic stand-ins actually
-// produce, next to the paper's reported values. One benchmark per cell.
+// produce, next to the paper's reported values: each benchmark's no-HBM
+// run, the Figure 6-8 baseline.
 func (h *Harness) Table2() ([]Table2Row, error) {
-	const d = config.DesignNoHBM
 	bs := h.Benchmarks()
-	ids := make([]string, len(bs))
-	for i, b := range bs {
-		ids[i] = cellID("table2", string(d), b.Profile.Name)
+	sys := h.System()
+	runs, err := sweepShared(h, len(bs),
+		func(i int) shared { return h.syntheticCell(config.DesignNoHBM, sys, bs[i]) }, nil)
+	if err != nil {
+		return nil, err
 	}
-	return sweepShared(h, ids,
-		func(i int) shared { return h.syntheticCell(d, h.System(), bs[i]) },
-		func(i int, r RunResult, err error) (Table2Row, error) {
-			b := bs[i]
-			if err != nil {
-				return Table2Row{}, fmt.Errorf("table2 %s: %w", b.Profile.Name, err)
-			}
-			h.log("table2", "bench", b.Profile.Name, "mpki", r.CPU.MPKI(), "paper_mpki", b.PaperMPKI)
-			return Table2Row{
-				Bench:       b.Profile.Name,
-				Class:       b.Class,
-				PaperMPKI:   b.PaperMPKI,
-				MeasMPKI:    r.CPU.MPKI(),
-				PaperGB:     b.PaperGB,
-				FootprintGB: float64(b.Profile.FootprintBytes) * float64(h.Scale) / float64(addr.GiB),
-			}, nil
-		})
+	rows := make([]Table2Row, len(bs))
+	for i, b := range bs {
+		rows[i] = Table2Row{
+			Bench:       b.Profile.Name,
+			Class:       b.Class,
+			PaperMPKI:   b.PaperMPKI,
+			MeasMPKI:    runs[i].CPU.MPKI(),
+			PaperGB:     b.PaperGB,
+			FootprintGB: float64(b.Profile.FootprintBytes) * float64(h.Scale) / float64(addr.GiB),
+		}
+		h.log("table2", "bench", b.Profile.Name, "mpki", rows[i].MeasMPKI, "paper_mpki", b.PaperMPKI)
+	}
+	return rows, nil
 }
 
 // Table2Text renders the measured Table II.
@@ -118,40 +116,23 @@ type OverfetchResult struct {
 var overfetchDesigns = []config.Design{config.DesignBumblebee, config.DesignHybrid2}
 
 // Overfetch measures over-fetching across all Table II benchmarks, one
-// cell per (benchmark, design); totals accumulate in benchmark order
-// after the sweep so the result is scheduling-independent.
+// cell per (benchmark, design) — the Figure 8 runs of both designs;
+// totals accumulate in benchmark order after the sweep so the result is
+// scheduling-independent.
 func (h *Harness) Overfetch() (OverfetchResult, error) {
-	// Exported fields: the checkpoint journal round-trips cell payloads
-	// through JSON, so sweep payload types must serialize completely.
-	type cellOut struct {
-		Fetched, Used uint64
-	}
-	var res OverfetchResult
 	bs := h.Benchmarks()
-	ids := grid(bs, overfetchDesigns, func(bi, di int) string {
-		return cellID("overfetch", string(overfetchDesigns[di]), bs[bi].Profile.Name)
-	})
+	sys := h.System()
 	n := len(overfetchDesigns)
-	cells, err := sweepShared(h, ids,
-		func(i int) shared {
-			d := overfetchDesigns[i%n]
-			return h.syntheticCell(d, h.System(), bs[i/n])
-		},
-		func(i int, r RunResult, err error) (cellOut, error) {
-			d, b := overfetchDesigns[i%n], bs[i/n].Profile.Name
-			if err != nil {
-				return cellOut{}, fmt.Errorf("overfetch %s/%s: %w", d, b, err)
-			}
-			h.log("overfetch", "design", string(d), "bench", b, "pct", r.Counters.OverfetchRate()*100)
-			return cellOut{Fetched: r.Counters.FetchedBytes, Used: r.Counters.UsedBytes}, nil
-		})
+	runs, err := sweepShared(h, len(bs)*n,
+		func(i int) shared { return h.syntheticCell(overfetchDesigns[i%n], sys, bs[i/n]) }, nil)
 	if err != nil {
-		return res, err
+		return OverfetchResult{}, err
 	}
 	var fetched, used [2]uint64
-	for i, c := range cells {
-		fetched[i%n] += c.Fetched
-		used[i%n] += c.Used
+	for i, r := range runs {
+		fetched[i%n] += r.Counters.FetchedBytes
+		used[i%n] += r.Counters.UsedBytes
+		h.log("overfetch", "design", r.Design, "bench", r.Bench, "pct", r.Counters.OverfetchRate()*100)
 	}
 	rate := func(k int) float64 {
 		if fetched[k] == 0 {
@@ -159,6 +140,5 @@ func (h *Harness) Overfetch() (OverfetchResult, error) {
 		}
 		return 1 - min(float64(used[k])/float64(fetched[k]), 1)
 	}
-	res.Bumblebee, res.Hybrid2 = rate(0), rate(1)
-	return res, nil
+	return OverfetchResult{Bumblebee: rate(0), Hybrid2: rate(1)}, nil
 }
