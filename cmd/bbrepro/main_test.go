@@ -107,3 +107,21 @@ func TestFig6RunDirVerifies(t *testing.T) {
 		t.Error("fig6 -csv wrote no outputs")
 	}
 }
+
+// TestResumeRefusesOtherTraceDepth: -trace-depth bounds the event tail
+// each journaled run keeps, so a journal written at one depth must not
+// serve a resume at another.
+func TestResumeRefusesOtherTraceDepth(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "run")
+	args := append([]string{"-experiment", "fig8", "-telemetry-epoch", "2000"}, small...)
+	bbrepro(t, append([]string{"-csv", dir, "-trace-depth", "8"}, args...)...)
+	cmd := exec.Command(os.Args[0], append([]string{"-resume", dir, "-trace-depth", "16"}, args...)...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("resume at another -trace-depth succeeded:\n%s", out)
+	}
+	if !strings.Contains(string(out), "trace_depth=8") || !strings.Contains(string(out), "trace_depth=16") {
+		t.Errorf("refusal does not name the trace depths:\n%s", out)
+	}
+}

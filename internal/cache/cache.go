@@ -2,10 +2,30 @@
 // set-associative write-back caches with LRU, SRRIP and DRRIP replacement,
 // composed into an L1/L2/L3 hierarchy that turns a core's load/store stream
 // into the LLC-miss stream consumed by the hybrid memory system.
+//
+// A Cache keeps its state in two flat slices of machine words:
+//
+//   - One word per line, tag<<2 | dirty | valid, indexed by set*ways+way;
+//     an empty way is 0. A fill always takes the first empty way and
+//     nothing invalidates a line, so a set's valid ways form a prefix and
+//     a probe stops at the first empty word.
+//   - One replacement word per set. Under LRU it is the set's recency
+//     order: 4-bit way numbers, the way at rank r (0 the most recent) in
+//     bits [4r, 4r+4). Under SRRIP and DRRIP it holds every way's 2-bit
+//     RRPV side by side, way w in bits [2w, 2w+2).
+//
+// Every replacement decision is a handful of word operations with no
+// branch on the data. LRU finds a way's rank with a zero-nibble search
+// and evicts the way at rank ways-1. RRIP ages every RRPV with one add
+// and evicts the first way at the maximum. Sixteen 4-bit way numbers
+// fill the word, so a cache has at most 16 ways (config.MaxCacheWays).
+// The reference model in policy_test.go holds every decision to the
+// plain algorithms.
 package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/addr"
 	"repro/internal/config"
@@ -28,12 +48,11 @@ func (s Stats) HitRate() float64 {
 }
 
 // policyKind selects the replacement policy compiled into the access
-// loop. The cache keeps its policy state in flat arrays (RRIP's inside
-// the line words themselves) and switches on the kind, so the
-// hit/victim/fill path runs without dynamic dispatch or per-set slice
-// chasing. The reference Policy implementations in policy_test.go
-// describe the same algorithms behind an interface, and the tests there
-// hold the cache to their decisions.
+// loop. The cache keeps its policy state in one word per set and
+// switches on the kind, so the hit/victim/fill path runs without dynamic
+// dispatch or per-set slice chasing. The reference Policy
+// implementations in policy_test.go describe the same algorithms behind
+// an interface, and the tests there hold the cache to their decisions.
 type policyKind uint8
 
 const (
@@ -46,39 +65,37 @@ const (
 const rrpvMax = 3
 
 const (
-	lineValid     = 1 << 0
-	lineDirty     = 1 << 1
-	rrpvShift     = 2
-	lineRRPV      = rrpvMax << rrpvShift // RRIP's 2-bit RRPV, bits [2,4)
-	lineMeta      = lineDirty | lineRRPV // what a tag probe ignores
-	lineShiftBits = 4                    // tag occupies bits [4,64)
+	lineValid    = 1 << 0
+	lineDirty    = 1 << 1
+	lineTagShift = 2 // tag occupies bits [2,64)
 )
 
-// Cache is one set-associative write-back, write-allocate cache level.
-// Line state is struct-of-arrays: each line is a single packed word
-// (tag<<4 | rrpv<<2 | dirty | valid) in one flat slice indexed by
-// set*ways+way, so a tag probe, an RRIP victim scan and RRIP aging each
-// read one contiguous run of machine words with one load per way. LRU
-// leaves the RRPV field zero.
+const (
+	nibbleLow = 0x1111111111111111 // the low bit of every 4-bit field
+	// lruIdentity is a set's LRU order before any fill: rank r holds way
+	// r. A touch only moves ways below the cache's associativity, so the
+	// ranks at and past it keep numbers no way has.
+	lruIdentity = 0xFEDCBA9876543210
+)
+
+// Cache is one set-associative write-back, write-allocate cache level,
+// laid out as the package documentation describes.
 type Cache struct {
 	name      string
-	sets      int
 	ways      int
-	lineBytes uint64
 	lineShift uint
 	setMask   uint64 // sets-1 (sets is a power of two)
 	setShift  uint   // log2(sets)
 
-	lines []uint64 // [set*ways+way]: tag<<4 | rrpv<<2 | lineDirty | lineValid
+	lines []uint64 // [set*ways+way]: tag<<2 | lineDirty | lineValid
+	repl  []uint64 // [set]: LRU recency order or packed RRPVs
 
-	kind policyKind
-	// LRU state: per-line stamps against a per-set logical clock.
-	stamp []uint64 // [set*ways+way]
-	clock []uint64 // [set]
-	// RRIP state beyond the RRPVs in the line words, shared by SRRIP and
-	// DRRIP. (The reference DRRIP keeps one RRPV array per component
-	// policy, but every operation leaves the two equal, so one field
-	// carries both.)
+	kind    policyKind
+	lruLast uint   // LRU: bit offset of rank ways-1, the victim's
+	rrpvLow uint64 // RRIP: the low bit of every way's RRPV field
+	// RRIP state beyond the RRPVs, shared by SRRIP and DRRIP. (The
+	// reference DRRIP keeps one RRPV array per component policy, but
+	// every operation leaves the two equal, so one word carries both.)
 	fills uint64 // BRRIP bimodal fill counter (DRRIP only)
 	psel  int    // DRRIP set-dueling selector
 	stats Stats
@@ -93,6 +110,9 @@ func NewCache(cfg config.CacheLevel) (*Cache, error) {
 	if cfg.LineBytes == 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		return nil, fmt.Errorf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineBytes)
 	}
+	if err := cfg.CheckWays(); err != nil {
+		return nil, err
+	}
 	linesTotal := cfg.SizeBytes / cfg.LineBytes
 	if uint64(cfg.Ways) > linesTotal || linesTotal%uint64(cfg.Ways) != 0 {
 		return nil, fmt.Errorf("cache %s: %d lines not divisible into %d ways", cfg.Name, linesTotal, cfg.Ways)
@@ -102,12 +122,13 @@ func NewCache(cfg config.CacheLevel) (*Cache, error) {
 		return nil, fmt.Errorf("cache %s: %d sets not a power of two", cfg.Name, sets)
 	}
 	c := &Cache{
-		name:      cfg.Name,
-		sets:      sets,
-		ways:      cfg.Ways,
-		lineBytes: cfg.LineBytes,
-		setMask:   uint64(sets - 1),
-		lines:     make([]uint64, sets*cfg.Ways),
+		name:    cfg.Name,
+		ways:    cfg.Ways,
+		setMask: uint64(sets - 1),
+		lines:   make([]uint64, sets*cfg.Ways),
+		repl:    make([]uint64, sets),
+		lruLast: 4 * uint(cfg.Ways-1),
+		rrpvLow: 0x5555555555555555 >> (64 - 2*cfg.Ways),
 	}
 	for s := cfg.LineBytes; s > 1; s >>= 1 {
 		c.lineShift++
@@ -122,10 +143,9 @@ func NewCache(cfg config.CacheLevel) (*Cache, error) {
 		c.kind = policyDRRIP
 	default:
 		c.kind = policyLRU
-	}
-	if c.kind == policyLRU {
-		c.stamp = make([]uint64, sets*cfg.Ways)
-		c.clock = make([]uint64, sets)
+		for i := range c.repl {
+			c.repl[i] = lruIdentity
+		}
 	}
 	return c, nil
 }
@@ -147,15 +167,39 @@ type Eviction struct {
 	Dirty bool
 }
 
-// onFill updates replacement state for a fill into way of set and
-// returns the RRPV the new line starts with (0 under LRU).
-func (c *Cache) onFill(set, base, way int) uint64 {
-	switch c.kind {
-	case policyLRU:
-		c.clock[set]++
-		c.stamp[base+way] = c.clock[set]
-		return 0
-	case policySRRIP:
+// lruTouch moves way to rank 0 of the recency order, and every way more
+// recent than it up one rank.
+func lruTouch(order uint64, way int) uint64 {
+	// order is a permutation of the 16 nibble values, so x has exactly
+	// one zero nibble, at way's rank. The zero-nibble test can also mark
+	// nibbles above a zero one, never below, so its lowest mark is exact.
+	x := order ^ uint64(way)*nibbleLow
+	at := uint(bits.TrailingZeros64((x-nibbleLow)&^x&(nibbleLow<<3))) - 3 // 4*rank
+	newer := uint64(1)<<at - 1                                            // ranks below way's
+	return order&^(newer<<4|0xF) | (order&newer)<<4 | uint64(way)
+}
+
+// rripVictim ages every RRPV in rrpv by the distance from the largest to
+// rrpvMax and returns the first way then at rrpvMax, with the aged word.
+// low marks the low bit of each way's field. This is the reference's
+// loop of "scan for rrpvMax, else age everything by one" in closed form.
+func rripVictim(rrpv, low uint64) (int, uint64) {
+	high := rrpv & (low << 1)
+	anyHigh := (high | -high) >> 63 // 1 when some RRPV is 2 or 3
+	// The largest RRPV's low bit: set among the ways whose high bit is
+	// set, or among all ways when no high bit is.
+	top := rrpv & (high>>1 | low&(anyHigh-1))
+	max := anyHigh<<1 | (top|-top)>>63
+	// Every field is at most max, so adding the distance to each field
+	// in one add cannot carry into its neighbour.
+	rrpv += (rrpvMax - max) * low
+	return bits.TrailingZeros64(rrpv&(rrpv>>1)&low) >> 1, rrpv
+}
+
+// fillRRPV updates RRIP state for a fill into set and returns the RRPV
+// the new line starts with.
+func (c *Cache) fillRRPV(set int) uint64 {
+	if c.kind == policySRRIP {
 		return rrpvMax - 1 // long re-reference interval
 	}
 	// DRRIP. A fill means the previous access to this set missed; leaders
@@ -191,102 +235,60 @@ func (c *Cache) useSRRIP(set int) bool {
 	return c.psel <= 0
 }
 
-// victim selects the way of row (the set starting at base) to evict.
-// Every way is valid.
-func (c *Cache) victim(base int, row []uint64) int {
-	if c.kind == policyLRU {
-		stamps := c.stamp[base : base+len(row)]
-		victim, min := 0, stamps[0]
-		for w := 1; w < len(stamps); w++ {
-			if stamps[w] < min {
-				victim, min = w, stamps[w]
-			}
-		}
-		return victim
-	}
-	// RRIP aging, collapsed: repeatedly scanning for rrpvMax and aging
-	// everything by one until a line reaches it is the same as aging every
-	// line by the distance of the oldest line and evicting the first line
-	// that was at the maximum.
-	victim, max := 0, row[0]&lineRRPV
-	for w := 1; w < len(row) && max != lineRRPV; w++ {
-		if r := row[w] & lineRRPV; r > max {
-			victim, max = w, r
-		}
-	}
-	// Every RRPV is at most max, so adding the distance to every word
-	// leaves each field at most rrpvMax and cannot carry into the tag.
-	if d := lineRRPV - max; d > 0 {
-		for w := range row {
-			row[w] += d
-		}
-	}
-	return victim
-}
-
 // Access looks up a in the cache. On a miss the line is allocated
 // (write-allocate) and the victim, if any, is returned. write marks the
 // line dirty.
 func (c *Cache) Access(a addr.Addr, write bool) (hit bool, ev Eviction, evicted bool) {
 	set, tag := c.index(a)
-	base := set * c.ways
-	row := c.lines[base : base+c.ways]
-	// One pass finds both a hit and the first invalid way. Folding the
-	// dirty bit and the RRPV makes the probe a single compare: only a
-	// valid line with a matching tag can equal the target (the valid bit
-	// differs otherwise).
-	target := tag<<lineShiftBits | lineMeta | lineValid
-	way := -1
+	row := c.lines[set*c.ways : (set+1)*c.ways]
+	var dirty uint64
+	if write {
+		dirty = lineDirty
+	}
+	// Ignoring the dirty bit makes the probe a single compare: only a
+	// valid line with a matching tag can equal the target.
+	target := tag<<lineTagShift | lineValid
+	way := len(row) // the first empty way; len(row) when the set is full
 	for w, v := range row {
-		if v|lineMeta == target {
+		if v&^lineDirty == target {
 			c.stats.Hits++
+			row[w] = v | dirty
 			if c.kind == policyLRU {
-				c.clock[set]++
-				c.stamp[base+w] = c.clock[set]
+				c.repl[set] = lruTouch(c.repl[set], w)
 			} else {
-				v &^= lineRRPV // re-referenced: RRPV 0
+				c.repl[set] &^= rrpvMax << (2 * uint(w)) // re-referenced: RRPV 0
 			}
-			if write {
-				v |= lineDirty
-			}
-			row[w] = v
 			return true, Eviction{}, false
 		}
-		if v&lineValid == 0 && way == -1 {
+		if v == 0 {
 			way = w
+			break
 		}
 	}
 	c.stats.Misses++
-	if way == -1 {
-		way = c.victim(base, row)
+	r := c.repl[set]
+	if way == len(row) {
+		if c.kind == policyLRU {
+			way = int(r >> c.lruLast & 0xF)
+		} else {
+			way, r = rripVictim(r, c.rrpvLow)
+		}
 		old := row[way]
-		dirty := old&lineDirty != 0
-		ev = Eviction{Addr: c.lineAddr(set, old>>lineShiftBits), Dirty: dirty}
+		ev = Eviction{Addr: c.lineAddr(set, old>>lineTagShift), Dirty: old&lineDirty != 0}
 		evicted = true
-		if dirty {
+		if ev.Dirty {
 			c.stats.Writebacks++
 		}
 	}
-	v := tag<<lineShiftBits | c.onFill(set, base, way)<<rrpvShift | lineValid
-	if write {
-		v |= lineDirty
+	if c.kind == policyLRU {
+		r = lruTouch(r, way)
+	} else {
+		at := 2 * uint(way)
+		r = r&^(rrpvMax<<at) | c.fillRRPV(set)<<at
 	}
-	row[way] = v
+	c.repl[set] = r
+	row[way] = target | dirty
 	return false, ev, evicted
-}
-
-// Contains reports whether the line holding a is resident (no side
-// effects).
-func (c *Cache) Contains(a addr.Addr) bool {
-	set, tag := c.index(a)
-	base := set * c.ways
-	target := tag<<lineShiftBits | lineMeta | lineValid
-	for _, v := range c.lines[base : base+c.ways] {
-		if v|lineMeta == target {
-			return true
-		}
-	}
-	return false
 }
 
 func (c *Cache) lineAddr(set int, tag uint64) addr.Addr {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/addr"
@@ -19,16 +20,46 @@ func smallCache(t *testing.T, policy string) *Cache {
 	return c
 }
 
+// contains reports whether the line holding a is resident in c, without
+// touching replacement state.
+func contains(c *Cache, a addr.Addr) bool {
+	set, tag := c.index(a)
+	for _, v := range c.lines[set*c.ways : (set+1)*c.ways] {
+		if v&^lineDirty == tag<<lineTagShift|lineValid {
+			return true
+		}
+	}
+	return false
+}
+
 func TestNewCacheRejectsBadGeometry(t *testing.T) {
 	cases := []config.CacheLevel{
 		{Name: "badline", SizeBytes: 1024, Ways: 2, LineBytes: 48},
 		{Name: "badways", SizeBytes: 192, Ways: 4, LineBytes: 64},
 		{Name: "badsets", SizeBytes: 3 * 64 * 2, Ways: 2, LineBytes: 64},
+		{Name: "noways", SizeBytes: 1024, Ways: 0, LineBytes: 64},
 	}
 	for _, cfg := range cases {
 		if _, err := NewCache(cfg); err == nil {
 			t.Errorf("NewCache(%q) accepted invalid geometry", cfg.Name)
 		}
+	}
+}
+
+// TestNewCacheRefusesMoreThan16Ways: a set's LRU order is 16 nibbles of
+// one word, so 16 ways is the widest cache; config.Validate refuses the
+// same geometry with the same message.
+func TestNewCacheRefusesMoreThan16Ways(t *testing.T) {
+	if _, err := NewCache(config.CacheLevel{Name: "wide", SizeBytes: 16 * 64 * 4, Ways: 16, LineBytes: 64, Policy: "LRU"}); err != nil {
+		t.Fatalf("16 ways refused: %v", err)
+	}
+	cfg := config.CacheLevel{Name: "wide", SizeBytes: 17 * 64 * 4, Ways: 17, LineBytes: 64, Policy: "LRU"}
+	_, err := NewCache(cfg)
+	if err == nil {
+		t.Fatal("NewCache accepted 17 ways")
+	}
+	if want := `cache "wide": 17 ways, want 1 to 16`; err.Error() != want {
+		t.Errorf("NewCache error %q, want %q", err, want)
 	}
 }
 
@@ -67,7 +98,7 @@ func TestLRUEvictsOldest(t *testing.T) {
 	if ev.Addr != a4 {
 		t.Errorf("evicted %#x, want %#x (LRU)", uint64(ev.Addr), uint64(a4))
 	}
-	if !c.Contains(a0) || c.Contains(a4) || !c.Contains(a8) {
+	if !contains(c, a0) || contains(c, a4) || !contains(c, a8) {
 		t.Error("residency after eviction wrong")
 	}
 }
@@ -213,4 +244,41 @@ func TestHierarchyLLCFilter(t *testing.T) {
 	if got := h.LLC().Stats().Misses; got != miss0 {
 		t.Errorf("LLC misses grew from %d to %d on resident set", miss0, got)
 	}
+}
+
+// BenchmarkHierarchyAccess times the Table I hierarchy at the harness's
+// default scale of 128 (L1D 1 KiB, L2 2 KiB, L3 64 KiB, the geometry
+// harness.System builds) over a fixed, seeded stream of sequential runs:
+// each run starts at a random line of a 256 MiB footprint and walks 1 to
+// 16 lines, a third of them writes. It reports ns per access.
+func BenchmarkHierarchyAccess(b *testing.B) {
+	const scale = 128
+	levels := config.Default().Caches
+	for i := range levels {
+		levels[i].SizeBytes = max(levels[i].SizeBytes/scale, uint64(levels[i].Ways)*levels[i].LineBytes*4)
+	}
+	h, err := NewHierarchy(levels)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	type op struct {
+		a     addr.Addr
+		write bool
+	}
+	ops := make([]op, 0, 1<<16)
+	for len(ops) < cap(ops) {
+		line := rng.Int63n(256 * addr.MiB / 64)
+		for n := 1 + rng.Intn(16); n > 0 && len(ops) < cap(ops); n-- {
+			ops = append(ops, op{addr.Addr(line * 64), rng.Intn(3) == 0})
+			line++
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, o := range ops {
+			h.Access(o.a, o.write)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ops)), "ns/access")
 }

@@ -11,8 +11,8 @@ import (
 // This file is the reference model the cache is held to: each
 // replacement policy written plainly behind an interface, with per-set
 // slices and no packing, driving a plain tag array (refCache). Cache
-// compiles the same algorithms into its access loop and keeps RRIP state
-// inside the line words; TestCacheMatchesReferencePolicy and
+// compiles the same algorithms into its access loop and keeps each set's
+// replacement state in one packed word; TestCacheMatchesReferencePolicy and
 // FuzzCacheMatchesReference check that the two make identical decisions.
 
 // Policy is a per-cache replacement policy. Implementations keep all
@@ -285,22 +285,31 @@ func diffAgainstReference(t *testing.T, policy string, sets, ways int, ops []uin
 
 var refPolicies = []string{"LRU", "SRRIP", "DRRIP"}
 
-// TestCacheMatchesReferencePolicy runs random geometries and streams
-// through every policy. Line numbers are drawn from a space a few times
-// the cache's capacity, so hits, clean and dirty evictions, RRIP aging
-// and (with 64+ sets) DRRIP's follower sets all occur.
+// TestCacheMatchesReferencePolicy runs random and fixed geometries and
+// streams through every policy. Line numbers are drawn from a space a
+// few times the cache's capacity, so hits, clean and dirty evictions,
+// RRIP aging and (with 64+ sets) DRRIP's follower sets all occur. The
+// fixed geometries pin the edges of the packed replacement word: one
+// way, 15 ways (the highest LRU nibble unused) and 16 (every nibble a
+// way), and a 16-way cache with 256 sets, so DRRIP has follower sets.
 func TestCacheMatchesReferencePolicy(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	run := func(policy string, sets, ways int) {
+		span := 1 + rng.Intn(4*sets*ways)
+		ops := make([]uint32, 20000)
+		for i := range ops {
+			ops[i] = uint32(rng.Intn(span))<<1 | uint32(rng.Intn(2))
+		}
+		diffAgainstReference(t, policy, sets, ways, ops)
+	}
 	for _, policy := range refPolicies {
 		for trial := 0; trial < 40; trial++ {
-			sets := 1 << rng.Intn(9) // 1..256
-			ways := 1 + rng.Intn(16)
-			span := 1 + rng.Intn(4*sets*ways)
-			ops := make([]uint32, 20000)
-			for i := range ops {
-				ops[i] = uint32(rng.Intn(span))<<1 | uint32(rng.Intn(2))
-			}
-			diffAgainstReference(t, policy, sets, ways, ops)
+			run(policy, 1<<rng.Intn(9), 1+rng.Intn(16)) // 1..256 sets, 1..16 ways
+		}
+	}
+	for _, policy := range refPolicies {
+		for _, g := range []struct{ sets, ways int }{{16, 1}, {16, 15}, {16, 16}, {256, 16}} {
+			run(policy, g.sets, g.ways)
 		}
 	}
 }

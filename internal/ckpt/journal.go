@@ -79,7 +79,11 @@ type Meta struct {
 	Scale          uint64 `json:"scale"`
 	Accesses       uint64 `json:"accesses"`
 	TelemetryEpoch uint64 `json:"telemetry_epoch"`
-	Shard          string `json:"shard,omitempty"` // "k/n" when the run is one shard
+	// TraceDepth is the event ring capacity each telemetry-enabled run
+	// keeps, which bounds the event tail a record holds; 0 when the sweep
+	// runs without telemetry.
+	TraceDepth int    `json:"trace_depth,omitempty"`
+	Shard      string `json:"shard,omitempty"` // "k/n" when the run is one shard
 }
 
 // stamp fills the fixed header fields.
@@ -93,7 +97,8 @@ func (m Meta) stamp() Meta {
 func (m Meta) matches(o Meta) bool {
 	return m.Tool == o.Tool && m.Experiment == o.Experiment &&
 		m.Scale == o.Scale && m.Accesses == o.Accesses &&
-		m.TelemetryEpoch == o.TelemetryEpoch && m.Shard == o.Shard
+		m.TelemetryEpoch == o.TelemetryEpoch && m.TraceDepth == o.TraceDepth &&
+		m.Shard == o.Shard
 }
 
 // Record is one completed cell.
@@ -316,10 +321,10 @@ func Resume(dir string, meta Meta) (*Journal, *Loaded, error) {
 		return j, nil, err
 	}
 	if want := meta.stamp(); !l.Meta.matches(want) {
-		return nil, nil, fmt.Errorf("journal: %s belongs to a different sweep (%s/%s scale=%d accesses=%d epoch=%d shard=%q; resuming %s/%s scale=%d accesses=%d epoch=%d shard=%q)",
+		return nil, nil, fmt.Errorf("journal: %s belongs to a different sweep (%s/%s scale=%d accesses=%d epoch=%d trace_depth=%d shard=%q; resuming %s/%s scale=%d accesses=%d epoch=%d trace_depth=%d shard=%q)",
 			filepath.Join(dir, FileName),
-			l.Meta.Tool, l.Meta.Experiment, l.Meta.Scale, l.Meta.Accesses, l.Meta.TelemetryEpoch, l.Meta.Shard,
-			want.Tool, want.Experiment, want.Scale, want.Accesses, want.TelemetryEpoch, want.Shard)
+			l.Meta.Tool, l.Meta.Experiment, l.Meta.Scale, l.Meta.Accesses, l.Meta.TelemetryEpoch, l.Meta.TraceDepth, l.Meta.Shard,
+			want.Tool, want.Experiment, want.Scale, want.Accesses, want.TelemetryEpoch, want.TraceDepth, want.Shard)
 	}
 	f, err := os.OpenFile(filepath.Join(dir, FileName), os.O_WRONLY, 0o644)
 	if err != nil {

@@ -27,6 +27,20 @@ type CacheLevel struct {
 	LatencyCyc uint64 // hit latency in core cycles
 }
 
+// MaxCacheWays is the widest cache set the SRAM model supports: it keeps
+// a set's LRU order as 4-bit way numbers in one 64-bit word. Table I's
+// widest level, the L3, has 16 ways.
+const MaxCacheWays = 16
+
+// CheckWays refuses an associativity the cache model cannot hold.
+// System.Validate and cache.NewCache both report it.
+func (c CacheLevel) CheckWays() error {
+	if c.Ways < 1 || c.Ways > MaxCacheWays {
+		return fmt.Errorf("cache %q: %d ways, want 1 to %d", c.Name, c.Ways, MaxCacheWays)
+	}
+	return nil
+}
+
 // DRAMTiming captures the first-order timing of one DRAM-like device
 // (Table I gives tCAS-tRCD-tRP in device clocks; refresh and turnaround
 // use standard values for the densities involved).
@@ -247,6 +261,9 @@ func (s System) Validate() error {
 	for _, c := range s.Caches {
 		if c.SizeBytes == 0 || c.Ways <= 0 || c.LineBytes == 0 {
 			return fmt.Errorf("config: cache %q has zero size, ways, or line", c.Name)
+		}
+		if err := c.CheckWays(); err != nil {
+			return err
 		}
 		if c.SizeBytes%(uint64(c.Ways)*c.LineBytes) != 0 {
 			return fmt.Errorf("config: cache %q size not divisible by ways*line", c.Name)

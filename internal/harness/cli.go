@@ -10,6 +10,7 @@ import (
 	"repro/internal/alert"
 	"repro/internal/ckpt"
 	"repro/internal/obs"
+	"repro/internal/telemetry"
 )
 
 // CLIConfig identifies one command-line sweep for StartCLI.
@@ -88,6 +89,15 @@ func (c *CLI) OpenJournal(experiment, shard string) error {
 	h := c.Harness
 	meta := ckpt.Meta{Tool: c.cfg.Tool, Experiment: experiment, Scale: h.Scale,
 		Accesses: h.Accesses, TelemetryEpoch: h.TelemetryEpoch, Shard: shard}
+	if h.TelemetryEpoch > 0 {
+		// The ring capacity bounds each record's event tail. A sweep
+		// without telemetry records none, so its header keeps the bytes
+		// it had before the field existed.
+		meta.TraceDepth = h.TraceDepth
+		if meta.TraceDepth <= 0 {
+			meta.TraceDepth = telemetry.DefaultTraceDepth
+		}
+	}
 	if !c.cfg.Resume {
 		jn, err := ckpt.Create(c.cfg.Dir, meta)
 		if err != nil {
