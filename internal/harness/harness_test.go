@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -354,6 +355,26 @@ func TestMixSmall(t *testing.T) {
 	if !strings.Contains(txt, "bumblebee") || !strings.Contains(txt, "weighted") {
 		t.Errorf("mix table incomplete:\n%s", txt)
 	}
+}
+
+// The default mix's table and every per-core result field are pinned.
+// Each core runs 100 000 accesses, past the generators' initialization
+// sweep (up to 65536 accesses), so the pin covers the seeded part of
+// every stream. Regenerate with UPDATE_GOLDEN=1.
+func TestMixGolden(t *testing.T) {
+	h := &Harness{Scale: 1024, Accesses: 400000, Parallel: 2}
+	res, err := h.Mix(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	b.WriteString(MixTable(nil, res))
+	for _, r := range res {
+		for i, c := range r.PerCore {
+			fmt.Fprintf(&b, "%s core %d (%s): %+v\n", r.Design, i, DefaultMix[i], c)
+		}
+	}
+	checkGolden(t, "mix.golden.txt", []byte(b.String()))
 }
 
 // Fig6 and Fig7 normalize every row by the no-HBM baseline row, which
