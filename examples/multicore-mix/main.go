@@ -23,10 +23,10 @@ const (
 	scale           = 256
 )
 
-// buildThreads creates one thread per benchmark, each offset into its own
-// address-space slice.
-func buildThreads(sys config.System, names []string) ([]*cpu.Thread, error) {
-	var threads []*cpu.Thread
+// buildStreams creates one stream per benchmark, each offset into its
+// own address-space slice.
+func buildStreams(sys config.System, names []string) ([]trace.Stream, error) {
+	streams := make([]trace.Stream, len(names))
 	slice := (sys.DRAM.CapacityBytes + sys.HBM.CapacityBytes) / uint64(len(names))
 	for i, name := range names {
 		b, err := trace.ByName(name)
@@ -38,16 +38,12 @@ func buildThreads(sys config.System, names []string) ([]*cpu.Thread, error) {
 		if err != nil {
 			return nil, err
 		}
-		th, err := cpu.NewThread(sys.Caches[:2], &trace.Offset{
+		streams[i] = &trace.Offset{
 			S:     &trace.Limit{S: gen, N: accessesPerCore},
 			Delta: addr.Addr(uint64(i) * slice),
-		})
-		if err != nil {
-			return nil, err
 		}
-		threads = append(threads, th)
 	}
-	return threads, nil
+	return streams, nil
 }
 
 func run(design config.Design, names []string) ([]cpu.Result, error) {
@@ -58,15 +54,12 @@ func run(design config.Design, names []string) ([]cpu.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	threads, err := buildThreads(sys, names)
+	streams, err := buildStreams(sys, names)
 	if err != nil {
 		return nil, err
 	}
-	llc, err := cpu.NewSharedLLC(sys.Caches[2])
-	if err != nil {
-		return nil, err
-	}
-	return cpu.RunMulti(sys.Core, threads, llc, mem)
+	// The last cache level is the shared LLC; L1 and L2 are per core.
+	return cpu.RunMulti(sys.Core, sys.Caches, streams, mem)
 }
 
 func main() {

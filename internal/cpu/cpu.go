@@ -5,6 +5,10 @@
 // model's purpose is relative IPC between memory designs, which is driven
 // by average miss latency and bandwidth contention — exactly what the
 // interval abstraction captures.
+//
+// Run drives one core and RunMulti drives several cores that share the
+// LLC and the memory system. Both filter each core's stream through its
+// caches with a Filter and advance time only in Core.Replay.
 package cpu
 
 import (
