@@ -127,6 +127,9 @@ func (o *Offset) NextBatch(dst []Access) int {
 	return n
 }
 
+// Err implements Failable, forwarding the wrapped stream's error.
+func (o *Offset) Err() error { return Err(o.S) }
+
 // rng is a deterministic xorshift64* generator. The simulator must be
 // reproducible run to run, and a local implementation keeps streams stable
 // regardless of stdlib changes.
