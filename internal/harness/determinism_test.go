@@ -130,6 +130,27 @@ func TestWriteFig7CSVGolden(t *testing.T) {
 	}
 }
 
+// Fig 7's per-run rows, past the generators' 65536-access
+// initialization sweep, are pinned: the emitter goldens above never leave
+// the sweep, so they barely reach the movement decisions, HMF and mode
+// switches every variant exercises. Regenerate with UPDATE_GOLDEN=1.
+func TestFig7SteadyGolden(t *testing.T) {
+	h := &Harness{Scale: 1024, Accesses: 150000, Parallel: 2}
+	runs, err := h.sweepRows(h.fig7Rows(Fig7Variants()), h.Benchmarks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flat []RunResult
+	for _, r := range runs {
+		flat = append(flat, r...)
+	}
+	var buf bytes.Buffer
+	if err := WriteRunsCSV(&buf, flat); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fig7_steady.golden.csv", buf.Bytes())
+}
+
 // The seed rule itself: the same (design, benchmark) cell reproduces
 // bit-identically run-to-run, and run results do not depend on which
 // other cells ran first.

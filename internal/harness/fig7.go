@@ -25,18 +25,8 @@ func (h *Harness) Fig7() ([]Fig7Result, error) {
 	if h.Shard.Active() {
 		return nil, fmt.Errorf("fig7: sharding unsupported (every variant normalizes against the no-HBM baseline, which another shard may own); use -shard with fig8")
 	}
-	bs := h.Benchmarks()
 	vs := Fig7Variants()
-	// The no-HBM baseline is row 0. Every variant runs Bumblebee on the
-	// same per-benchmark trace (see syntheticCell) through the same
-	// caches, so each benchmark's eleven cells share one filtered stream.
-	rows := []row{h.baselineRow()}
-	for _, v := range vs {
-		sys := h.System()
-		v.Apply(&sys)
-		rows = append(rows, row{exp: "fig7", label: v.Label, design: config.DesignBumblebee, sys: sys})
-	}
-	runs, err := h.sweepRows(rows, bs)
+	runs, err := h.sweepRows(h.fig7Rows(vs), h.Benchmarks())
 	if err != nil {
 		return nil, err
 	}
@@ -50,6 +40,20 @@ func (h *Harness) Fig7() ([]Fig7Result, error) {
 		h.log("fig7", "variant", v.Label, "speedup", gm)
 	}
 	return out, nil
+}
+
+// fig7Rows returns the sweep rows of Figure 7: the no-HBM baseline as
+// row 0, then one Bumblebee row per variant of vs. Every variant runs
+// the same per-benchmark trace (see syntheticCell) through the same
+// caches, so each benchmark's cells share one filtered stream.
+func (h *Harness) fig7Rows(vs []Variant) []row {
+	rows := []row{h.baselineRow()}
+	for _, v := range vs {
+		sys := h.System()
+		v.Apply(&sys)
+		rows = append(rows, row{exp: "fig7", label: v.Label, design: config.DesignBumblebee, sys: sys})
+	}
+	return rows
 }
 
 // Fig7Table renders the breakdown like the figure.
