@@ -77,6 +77,7 @@ func (b *Bumblebee) allocate(now uint64, setIdx uint64, s *pset, orig int16) uin
 		e.orig = orig
 		e.valid.reset()
 		e.dirty.reset()
+		b.recount(s, w)
 		b.pushHBMQueue(0, setIdx, s, hotEntry{orig: orig, count: 1})
 	}
 	s.noteAlloc(orig)

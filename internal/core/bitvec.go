@@ -20,7 +20,6 @@ func newBitvec(nbits int) bitvec {
 
 func (v bitvec) get(i uint64) bool { return v[i/64]&(1<<(i%64)) != 0 }
 func (v bitvec) set(i uint64)      { v[i/64] |= 1 << (i % 64) }
-func (v bitvec) clear(i uint64)    { v[i/64] &^= 1 << (i % 64) }
 
 // setAll sets the first nbits bits.
 func (v bitvec) setAll(nbits int) {

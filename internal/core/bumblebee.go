@@ -27,7 +27,8 @@ type Bumblebee struct {
 	sets []*pset
 	cnt  hmm.Counters
 
-	m, n          int // DRAM and HBM pages per set
+	pages         uint64 // pages in the flat address space
+	m, n          int    // DRAM and HBM pages per set
 	blocksPerPage int
 	halfBlocks    int // "most blocks" threshold
 	cacheWays     int // fixed cHBM ways per set; -1 when adaptive
@@ -65,6 +66,7 @@ func NewWithDevices(sys config.System, dev *hmm.Devices) (*Bumblebee, error) {
 		geom:          g,
 		meta:          hmm.NewMeta(sys, dev, sys.Bumblebee.MetadataInHBM),
 		ft:            hmm.NewFetchTracker(g.PageSize),
+		pages:         g.DRAMPages() + g.HBMPages(),
 		m:             int(g.DRAMPagesPerSet()),
 		n:             int(g.HBMPagesPerSet()),
 		blocksPerPage: int(g.BlocksPerPage()),
@@ -143,31 +145,20 @@ func (b *Bumblebee) Counters() hmm.Counters {
 }
 
 // FrameModes reports how many HBM page frames currently serve as cHBM,
-// as mHBM, and are free — the live cHBM:mHBM ratio that the statically
-// reconfigurable designs of Figure 7 pin at boot.
+// as mHBM, and are free (retired frames included) — the live cHBM:mHBM
+// ratio that the statically reconfigurable designs of Figure 7 pin at
+// boot. It is a view of TelemetryState's frame tally.
 func (b *Bumblebee) FrameModes() (cached, mhbm, free int) {
-	for _, s := range b.sets {
-		for w := range s.bles {
-			switch s.bles[w].mode {
-			case bleCached:
-				cached++
-			case bleMHBM:
-				mhbm++
-			default:
-				free++
-			}
-		}
-	}
-	return cached, mhbm, free
+	st := b.TelemetryState()
+	return int(st.CHBMFrames), int(st.MHBMFrames), int(st.FreeFrames + st.RetiredFrames)
 }
 
 // clampPage folds pages beyond the flat address space back into it; the
 // synthetic OS never allocates past physical memory, so this only guards
 // against malformed traces.
 func (b *Bumblebee) clampPage(p uint64) uint64 {
-	total := b.geom.DRAMPages() + b.geom.HBMPages()
-	if p >= total {
-		return p % total
+	if p >= b.pages {
+		return p % b.pages
 	}
 	return p
 }
@@ -183,8 +174,9 @@ func (b *Bumblebee) Access(now uint64, a addr.Addr, write bool) uint64 {
 	tier := telemetry.TierDRAM
 	b.cnt.Requests++
 	b.drainRetirements(now)
-	now = b.osmem.Admit(now, b.geom.PageOf(a))
-	p := b.clampPage(b.geom.PageOf(a))
+	pg := b.geom.PageOf(a)
+	now = b.osmem.Admit(now, pg)
+	p := b.clampPage(pg)
 	setIdx := b.geom.SetOf(p)
 	s := b.sets[setIdx]
 
@@ -207,7 +199,7 @@ func (b *Bumblebee) Access(now uint64, a addr.Addr, write bool) uint64 {
 				s.freeHBMWay(b.m, 0, b.n) < 0 && s.freeDRAMSlot(b.m) < 0 {
 				b.flushCHBMBatch(now, setIdx)
 			}
-		} else if s.cHBMOff && s.countFreeHBM(b.m) >= 2 {
+		} else if s.cHBMOff && s.countFreeHBM(b.n) >= 2 {
 			s.cHBMOff = false
 		}
 	}
@@ -245,6 +237,7 @@ func (b *Bumblebee) Access(now uint64, a addr.Addr, write bool) uint64 {
 		if write {
 			e.dirty.set(blk) // diverges from any shadow copy
 		}
+		b.recount(s, w)
 		b.ft.OnUse(frame, off, 64)
 		b.touchHBMPage(now, setIdx, s, orig)
 		b.cnt.ServedHBM++
@@ -281,8 +274,7 @@ func (b *Bumblebee) Access(now uint64, a addr.Addr, write bool) uint64 {
 				// fills too — "only blocks in a page whose hotness value
 				// is larger than T are permitted to be cached".
 				b.touchHBMPage(now, setIdx, s, orig)
-				highRh := s.occupiedHBM(b.m) >= s.availHBM(b.n)
-				if !highRh || s.hot.hbm.count(orig) > s.hot.hbm.minCount() {
+				if !s.fullHBM(b.n) || s.hot.hbm.count(orig) > s.hot.hbm.minCount() {
 					b.cacheBlock(now, setIdx, s, w, orig, actual, blk)
 				}
 			} else {
@@ -322,6 +314,7 @@ func (b *Bumblebee) Writeback(now uint64, a addr.Addr) {
 		w := wayOfSlot(actual, b.m)
 		s.bles[w].valid.set(blk)
 		s.bles[w].dirty.set(blk)
+		b.recount(s, w)
 		return
 	}
 	if w := s.findCachedWay(orig); w >= 0 && s.bles[w].valid.get(blk) {

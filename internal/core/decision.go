@@ -30,10 +30,8 @@ func (b *Bumblebee) pomRegion() (int, int) {
 // moveDecision applies rule (1): an access to an off-chip DRAM page that
 // is not cached.
 func (b *Bumblebee) moveDecision(now uint64, setIdx uint64, s *pset, orig, actual int16, blk uint64, hotness uint32) {
-	nc, na, nn := s.localityCounts(b.halfBlocks)
+	nc, na, nn := s.localityCounts()
 	sl := na - nn - nc
-	highRh := s.occupiedHBM(b.m) >= s.availHBM(b.n)
-	t := s.hot.hbm.minCount()
 
 	wantMigrate := sl > 0
 	if b.cacheWays == 0 {
@@ -52,9 +50,9 @@ func (b *Bumblebee) moveDecision(now uint64, setIdx uint64, s *pset, orig, actua
 		wantMigrate = true
 	}
 
-	if highRh && hotness <= t {
-		// Weak temporal locality under pressure: keep low-frequency data
-		// out of HBM entirely.
+	if s.fullHBM(b.n) && hotness <= s.hot.hbm.minCount() {
+		// Weak temporal locality under pressure (hotness at or below the
+		// threshold T): keep low-frequency data out of HBM entirely.
 		return
 	}
 	// Movement is asynchronous and bandwidth-bounded: when the movement
@@ -139,6 +137,7 @@ func (b *Bumblebee) switchToMHBM(now uint64, setIdx uint64, s *pset, w int, orig
 	e.shadow = actual
 	s.newPLE[orig] = int16(b.m + w)
 	s.occupant[b.m+w] = orig
+	b.recount(s, w)
 	b.cnt.ModeSwitches++
 	b.dev.Tel.Event(now, telemetry.EvModeSwitch, setIdx, uint64(uint16(orig)), 1)
 	return done
@@ -170,6 +169,7 @@ func (b *Bumblebee) cacheNewPage(now uint64, setIdx uint64, s *pset, orig, actua
 	}
 	b.ft.OnFetch(frame, boff, b.geom.BlockSize)
 	e.valid.set(blk)
+	b.recount(s, w)
 	b.cnt.BlockFills++
 	// The page is now HBM-resident: its hot entry moves to the HBM queue.
 	he, ok := s.hot.dram.remove(orig)
@@ -220,6 +220,7 @@ func (b *Bumblebee) migrateToMHBM(now uint64, setIdx uint64, s *pset, orig, actu
 	e.shadow = actual
 	s.newPLE[orig] = int16(b.m + w)
 	s.occupant[b.m+w] = orig
+	b.recount(s, w)
 	b.cnt.PageMigrations++
 	b.dev.Tel.Event(now, telemetry.EvMigration, setIdx, uint64(uint16(orig)), frame)
 	he, ok := s.hot.dram.remove(orig)
@@ -263,6 +264,7 @@ func (b *Bumblebee) swapWithColdest(now uint64, setIdx uint64, s *pset, orig, ac
 	e.valid.reset()
 	e.valid.set(blk)
 	e.dirty.reset()
+	b.recount(s, w)
 	b.cnt.PageSwaps++
 	b.dev.Tel.Event(now, telemetry.EvRemap, setIdx, uint64(uint16(orig)), uint64(uint16(cold.orig)))
 	b.ft.OnEvict(hframe)
@@ -383,6 +385,7 @@ func (b *Bumblebee) evictMHBMPage(now uint64, setIdx uint64, s *pset, e hotEntry
 	be.valid.reset()
 	be.dirty.reset()
 	be.shadow = -1
+	b.recount(s, w)
 	b.ft.OnEvict(hframe)
 	b.cnt.Evictions++
 	b.dev.Tel.Event(now, telemetry.EvEviction, setIdx, uint64(uint16(e.orig)), 0)
@@ -428,6 +431,7 @@ func (b *Bumblebee) demoteToCache(now uint64, setIdx uint64, s *pset, e hotEntry
 	be.shadow = -1
 	s.newPLE[e.orig] = d
 	s.occupant[hbmSlot] = -1
+	b.recount(s, w)
 	b.cnt.ModeSwitches++
 	b.dev.Tel.Event(now, telemetry.EvModeSwitch, setIdx, uint64(uint16(e.orig)), 0)
 	done := now
@@ -470,6 +474,7 @@ func (b *Bumblebee) evictCachedWay(now uint64, setIdx uint64, s *pset, w int) ui
 	e.orig = -1
 	e.valid.reset()
 	e.dirty.reset()
+	b.recount(s, w)
 	b.ft.OnEvict(frame)
 	b.cnt.Evictions++
 	b.dev.Tel.Event(now, telemetry.EvEviction, setIdx, uint64(uint16(orig)), 1)
@@ -483,7 +488,7 @@ func (b *Bumblebee) zombieCheck(now uint64, setIdx uint64, s *pset) {
 	if b.opt.NoHMF {
 		return
 	}
-	if s.occupiedHBM(b.m) < s.availHBM(b.n) {
+	if !s.fullHBM(b.n) {
 		s.zombieStale = 0
 		return
 	}

@@ -94,10 +94,6 @@ func TestBitvec(t *testing.T) {
 	if !v.get(63) || !v.get(64) || v.get(50) {
 		t.Error("get/set mismatch")
 	}
-	v.clear(63)
-	if v.get(63) || v.popcount() != 3 {
-		t.Error("clear failed")
-	}
 	v.setAll(100)
 	if v.popcount() != 100 {
 		t.Errorf("setAll popcount = %d, want 100", v.popcount())

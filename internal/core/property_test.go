@@ -136,8 +136,10 @@ func TestBitvecMatchesMapModel(t *testing.T) {
 				v.set(idx)
 				ref[idx] = true
 			case 1:
-				v.clear(idx)
-				delete(ref, idx)
+				if idx%16 == 0 {
+					v.reset()
+					ref = map[uint64]bool{}
+				}
 			}
 		}
 		if v.popcount() != len(ref) {

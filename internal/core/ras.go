@@ -75,6 +75,7 @@ func (b *Bumblebee) retireFrame(now uint64, frame uint64, tries int) bool {
 		// below re-homes it.
 		e.mode = bleMHBM
 		e.orig = s.occupant[b.m+way]
+		b.recount(s, way)
 	}
 	modeHeld := e.mode
 	switch e.mode {
@@ -138,6 +139,7 @@ func (b *Bumblebee) aliasOutRetired(now uint64, setIdx uint64, s *pset, way int)
 	e.valid.reset()
 	e.dirty.reset()
 	e.shadow = -1
+	b.recount(s, way)
 	b.ft.OnEvict(hframe)
 	b.cnt.Evictions++
 	b.AllocOverflow++

@@ -72,6 +72,35 @@ type pset struct {
 	zombieOrig  int16
 	zombieCount uint32
 	zombieStale uint32
+
+	// Summaries of the BLE array, kept current by Bumblebee.recount:
+	// occupied counts frames in use in either mode (the numerator of the
+	// HBM occupied ratio Rh); classes[c] counts the ways of class c, so
+	// classes[classCached], classes[classDense] and classes[classSparse]
+	// are Equation 1's Nc, Na and Nn; cachedWay[orig] is the way caching
+	// page orig, or -1; tally[w] is what way w contributes to them.
+	occupied  int
+	classes   [numClasses]int
+	cachedWay []int16
+	tally     []wayTally
+}
+
+// wayClass is the frame-mode and spatial-locality class of one HBM way.
+type wayClass uint8
+
+const (
+	classFree   wayClass = iota // frame holds no page (retired frames included)
+	classCached                 // cHBM page: counted in Nc
+	classDense                  // mHBM page with most blocks accessed: Na
+	classSparse                 // mHBM page without: Nn
+	numClasses
+)
+
+// wayTally is one way's contribution to its set's summaries.
+type wayTally struct {
+	occupied bool
+	class    wayClass
+	cached   int16 // the page the way caches (classCached), else -1
 }
 
 func newPset(m, n, blocksPerPage, hotDepth, recentAllocDepth int) *pset {
@@ -84,10 +113,13 @@ func newPset(m, n, blocksPerPage, hotDepth, recentAllocDepth int) *pset {
 		hot:         newHotTable(n, hotDepth),
 		recentAlloc: make([]int16, recentAllocDepth),
 		zombieOrig:  -1,
+		cachedWay:   make([]int16, m+n),
+		tally:       make([]wayTally, n),
 	}
 	for i := range s.newPLE {
 		s.newPLE[i] = -1
 		s.occupant[i] = -1
+		s.cachedWay[i] = -1
 	}
 	for i := range s.bles {
 		s.bles[i] = ble{
@@ -96,7 +128,9 @@ func newPset(m, n, blocksPerPage, hotDepth, recentAllocDepth int) *pset {
 			dirty:  newBitvec(blocksPerPage),
 			shadow: -1,
 		}
+		s.tally[i] = wayTally{class: classFree, cached: -1}
 	}
+	s.classes[classFree] = n
 	for i := range s.recentAlloc {
 		s.recentAlloc[i] = -1
 	}
@@ -104,13 +138,44 @@ func newPset(m, n, blocksPerPage, hotDepth, recentAllocDepth int) *pset {
 }
 
 // findCachedWay returns the HBM way caching original page orig, or -1.
-func (s *pset) findCachedWay(orig int16) int {
-	for w := range s.bles {
-		if s.bles[w].mode == bleCached && s.bles[w].orig == orig {
-			return w
+func (s *pset) findCachedWay(orig int16) int { return int(s.cachedWay[orig]) }
+
+// recount brings set s's summaries up to date with way w. It is the one
+// place they change, and it must run after every change to the way's
+// BLE mode, orig or valid bits, or to occupant[m+w]. A cHBM way's
+// class does not depend on its valid bits, so block fills into a cached
+// page need no recount.
+func (b *Bumblebee) recount(s *pset, w int) {
+	e := &s.bles[w]
+	t := wayTally{occupied: e.mode != bleFree || s.occupant[b.m+w] != -1, class: classFree, cached: -1}
+	switch e.mode {
+	case bleCached:
+		t.class, t.cached = classCached, e.orig
+	case bleMHBM:
+		t.class = classSparse
+		if e.valid.popcount() > b.halfBlocks {
+			t.class = classDense
 		}
 	}
-	return -1
+	old := s.tally[w]
+	if t == old {
+		return
+	}
+	if old.occupied {
+		s.occupied--
+	}
+	if t.occupied {
+		s.occupied++
+	}
+	s.classes[old.class]--
+	s.classes[t.class]++
+	if old.cached >= 0 {
+		s.cachedWay[old.cached] = -1
+	}
+	if t.cached >= 0 {
+		s.cachedWay[t.cached] = int16(w)
+	}
+	s.tally[w] = t
 }
 
 // wayOfSlot converts an HBM slot index to a way index given m.
@@ -157,52 +222,25 @@ func (s *pset) reclaimShadow(m int) int16 {
 	return -1
 }
 
-// countFreeHBM counts completely free, non-retired HBM frames.
-func (s *pset) countFreeHBM(m int) int {
-	n := 0
-	for w := range s.bles {
-		if s.bles[w].mode == bleFree && s.occupant[m+w] == -1 && !s.retired[w] {
-			n++
-		}
-	}
-	return n
-}
-
-// occupiedHBM counts HBM frames in use (either mode) — the numerator of
-// the HBM occupied ratio Rh.
-func (s *pset) occupiedHBM(m int) int {
-	n := 0
-	for w := range s.bles {
-		if s.bles[w].mode != bleFree || s.occupant[m+w] != -1 {
-			n++
-		}
-	}
-	return n
-}
-
 // availHBM returns the set's effective HBM capacity: its n ways minus
 // retired frames. Full-occupancy (Rh) checks compare against this, so a
 // degraded set behaves like a smaller set rather than never reaching
 // pressure thresholds.
 func (s *pset) availHBM(n int) int { return n - s.retiredCount }
 
+// countFreeHBM counts completely free, non-retired HBM frames. A retired
+// frame is never occupied (CheckInvariants asserts it), so they are the
+// effective capacity less the occupied frames.
+func (s *pset) countFreeHBM(n int) int { return s.availHBM(n) - s.occupied }
+
+// fullHBM reports whether the set's HBM occupied ratio Rh is full.
+func (s *pset) fullHBM(n int) bool { return s.occupied >= s.availHBM(n) }
+
 // localityCounts returns (Nc, Na, Nn): the number of cHBM pages, mHBM
 // pages with most blocks accessed, and mHBM pages without, for the
 // spatial-locality degree SL = Na - Nn - Nc (Equation 1).
-func (s *pset) localityCounts(half int) (nc, na, nn int) {
-	for w := range s.bles {
-		switch s.bles[w].mode {
-		case bleCached:
-			nc++
-		case bleMHBM:
-			if s.bles[w].valid.popcount() > half {
-				na++
-			} else {
-				nn++
-			}
-		}
-	}
-	return nc, na, nn
+func (s *pset) localityCounts() (nc, na, nn int) {
+	return s.classes[classCached], s.classes[classDense], s.classes[classSparse]
 }
 
 // noteAlloc records orig in the recent-allocation ring.
