@@ -1,7 +1,7 @@
 // Command bbserve is the trace-replay simulation service: POST a memory
-// trace (zsim-style text, BBT1 binary, a legacy .bbtr recording, or any of
-// those gzipped — chunked bodies are fine) and get back a
-// manifest-verified run directory simulated on the design matrix.
+// trace (zsim-style text or BBT1 binary, either of them gzipped — chunked
+// bodies are fine) and get back a manifest-verified run directory
+// simulated on the design matrix.
 //
 //	bbserve -addr :8380 -data ./bbserve-data
 //

@@ -1,7 +1,7 @@
 // Command bbtrace generates, inspects, converts, and characterizes
 // memory access traces. It writes the encodings internal/tracecodec
 // writes: BBT1 framed binary (the default) and zsim-style text, either
-// optionally gzipped. It reads those and the legacy .bbtr recording.
+// optionally gzipped, and reads only those.
 //
 //	bbtrace gen -bench mcf -n 1000000                 # record a synthetic stream to mcf.bbt1
 //	bbtrace gen -bench mcf -format text -gz -o mcf.txt.gz
@@ -198,8 +198,8 @@ func gen(args []string) {
 		sink.Count(), path, float64(st.Size())/1e6, float64(st.Size())/float64(sink.Count()))
 }
 
-// convert re-encodes a trace file: the input format (including legacy
-// .bbtr recordings and gzip) is sniffed from its bytes, the output
+// convert re-encodes a trace file: the input format (including gzip)
+// is sniffed from its bytes, the output
 // format is chosen with -to/-gz. Conversion is streaming and
 // bounded-memory, and refuses damaged input rather than writing a short
 // output.

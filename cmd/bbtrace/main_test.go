@@ -114,7 +114,7 @@ func TestConvertRoundTripViaSinks(t *testing.T) {
 }
 
 // TestInfoReadsEveryEncoding: info characterizes the committed fixture
-// identically whichever encoding holds it, including the legacy .bbtr.
+// identically whichever encoding holds it.
 func TestInfoReadsEveryEncoding(t *testing.T) {
 	const dir = "../../internal/tracecodec/testdata/"
 	want, err := characterizeFile(dir+"fixture.txt", 1<<62)
@@ -124,7 +124,7 @@ func TestInfoReadsEveryEncoding(t *testing.T) {
 	if want.Accesses != 6000 {
 		t.Fatalf("fixture.txt: %d accesses, want 6000", want.Accesses)
 	}
-	for _, name := range []string{"fixture.bbt1", "fixture.bbt1.gz", "fixture.bbtr"} {
+	for _, name := range []string{"fixture.bbt1", "fixture.bbt1.gz"} {
 		got, err := characterizeFile(dir+name, 1<<62)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -10,7 +10,7 @@
 //	bumblebee-sim -design bumblebee -trace run.bbt1.gz
 //
 // -trace replays a recorded trace in any encoding bbserve accepts (BBT1
-// binary, text, or a .bbtr recording, each optionally gzipped) instead
+// binary or text, each optionally gzipped) instead
 // of a benchmark. Its first access gets an instruction gap of 1, as in
 // bbserve.
 //
@@ -45,7 +45,7 @@ func main() {
 	var (
 		design    = flag.String("design", "bumblebee", "memory design to simulate (comma-separated list runs a matrix)")
 		bench     = flag.String("bench", "mcf", "Table II benchmark name (comma-separated list runs a matrix)")
-		traceFile = flag.String("trace", "", "replay a recorded trace (BBT1, text or .bbtr, optionally gzipped) instead of a benchmark")
+		traceFile = flag.String("trace", "", "replay a recorded trace (BBT1 or text, optionally gzipped) instead of a benchmark")
 		scale     = flag.Uint64("scale", 128, "capacity scale factor versus Table I")
 		accesses  = flag.Uint64("accesses", 1_000_000, "memory references to simulate")
 		blockKB   = flag.Uint64("block", 2, "Bumblebee block size in KB")

@@ -416,13 +416,6 @@ func (j *Journal) Append(cell string, seed uint64, payload any) (err error) {
 	return nil
 }
 
-// Sync forces an fsync of everything appended so far.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.syncLocked()
-}
-
 func (j *Journal) syncLocked() error {
 	j.pending = 0
 	if j.f == nil {

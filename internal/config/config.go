@@ -294,6 +294,10 @@ func (s System) Validate() error {
 	if s.Bumblebee.AllocAllDRAM && s.Bumblebee.AllocAllHBM {
 		return fmt.Errorf("config: Alloc-D and Alloc-H are mutually exclusive")
 	}
+	if s.Bumblebee.HotQueueDepth < 1 || s.Bumblebee.ZombieWindow < 1 || s.MoveBatch < 1 {
+		return fmt.Errorf("config: hot queue depth %d, zombie window %d and move batch %d must each be at least 1",
+			s.Bumblebee.HotQueueDepth, s.Bumblebee.ZombieWindow, s.MoveBatch)
+	}
 	return s.Faults.Validate()
 }
 

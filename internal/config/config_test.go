@@ -77,6 +77,9 @@ func TestValidateRejects(t *testing.T) {
 			s.Bumblebee.AllocAllHBM = true
 		}, "mutually exclusive"},
 		{"bad block", func(s *System) { s.BlockBytes = 3000 }, "multiple"},
+		{"zero hot queue depth", func(s *System) { s.Bumblebee.HotQueueDepth = 0 }, "hot queue depth 0"},
+		{"zero zombie window", func(s *System) { s.Bumblebee.ZombieWindow = 0 }, "zombie window 0"},
+		{"zero move batch", func(s *System) { s.MoveBatch = 0 }, "move batch 0"},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {

@@ -24,7 +24,7 @@ func (b *Bumblebee) allocate(now uint64, setIdx uint64, s *pset, orig int16) uin
 	slot := int16(-1)
 	lo, hi := b.pomRegion()
 	if preferHBM {
-		if w := s.freeHBMWay(b.m, lo, hi); w >= 0 {
+		if w := s.freeHBMWay(lo, hi); w >= 0 {
 			slot = int16(b.m + w)
 		}
 	}
@@ -38,7 +38,7 @@ func (b *Bumblebee) allocate(now uint64, setIdx uint64, s *pset, orig int16) uin
 	}
 	if slot < 0 {
 		// DRAM exhausted: the OS must use HBM page space.
-		if w := s.freeHBMWay(b.m, lo, hi); w >= 0 {
+		if w := s.freeHBMWay(lo, hi); w >= 0 {
 			slot = int16(b.m + w)
 		}
 	}
@@ -48,9 +48,7 @@ func (b *Bumblebee) allocate(now uint64, setIdx uint64, s *pset, orig int16) uin
 		// free its frame. The requester waits for the eviction.
 		for w := lo; w < hi; w++ {
 			if s.bles[w].mode == bleCached {
-				s.hot.hbm.remove(s.bles[w].orig)
-				s.hot.dram.remove(s.bles[w].orig)
-				ready = b.evictCachedWay(now, setIdx, s, w)
+				ready = b.dropCachedWay(now, setIdx, s, w)
 				slot = int16(b.m + w)
 				break
 			}

@@ -97,19 +97,12 @@ func NewWithDevices(sys config.System, dev *hmm.Devices) (*Bumblebee, error) {
 	}
 	b.osmem = hmm.NewOSMem(visible, g.PageSize, sys.PageFaultNS, sys.Core.FreqMHz)
 
-	hotDepth := b.opt.HotQueueDepth
-	if hotDepth <= 0 {
-		hotDepth = 8
-	}
-	if b.opt.ZombieWindow == 0 {
-		b.opt.ZombieWindow = 4096
-	}
 	if b.m+b.n > math.MaxInt16 {
 		return nil, fmt.Errorf("core: %d pages per set exceeds PLE range", b.m+b.n)
 	}
 	b.sets = make([]*pset, g.Sets())
 	for i := range b.sets {
-		b.sets[i] = newPset(b.m, b.n, b.blocksPerPage, hotDepth, 4)
+		b.sets[i] = newPset(b.m, b.n, b.blocksPerPage, b.opt.HotQueueDepth, 4)
 	}
 	return b, nil
 }
@@ -196,10 +189,10 @@ func (b *Bumblebee) Access(now uint64, a addr.Addr, write bool) uint64 {
 	if !b.opt.NoHMF {
 		if b.geom.IsHBMPage(p) {
 			if s.newPLE[orig] == -1 && !s.cHBMOff &&
-				s.freeHBMWay(b.m, 0, b.n) < 0 && s.freeDRAMSlot(b.m) < 0 {
+				s.freeHBMWay(0, b.n) < 0 && s.freeDRAMSlot(b.m) < 0 {
 				b.flushCHBMBatch(now, setIdx)
 			}
-		} else if s.cHBMOff && s.countFreeHBM(b.n) >= 2 {
+		} else if s.cHBMOff && s.countFreeHBM() >= 2 {
 			s.cHBMOff = false
 		}
 	}
@@ -229,10 +222,6 @@ func (b *Bumblebee) Access(now uint64, a addr.Addr, write bool) uint64 {
 			dataDone = b.dev.ReadHBM(done, frame, off, 64)
 		}
 		e := &s.bles[w]
-		if e.mode != bleMHBM { // page allocated straight into HBM
-			e.mode = bleMHBM
-			e.orig = orig
-		}
 		e.valid.set(blk) // spatial-locality tracking
 		if write {
 			e.dirty.set(blk) // diverges from any shadow copy
@@ -274,7 +263,7 @@ func (b *Bumblebee) Access(now uint64, a addr.Addr, write bool) uint64 {
 				// fills too — "only blocks in a page whose hotness value
 				// is larger than T are permitted to be cached".
 				b.touchHBMPage(now, setIdx, s, orig)
-				if !s.fullHBM(b.n) || s.hot.hbm.count(orig) > s.hot.hbm.minCount() {
+				if !s.fullHBM() || s.hot.hbm.count(orig) > s.hot.hbm.minCount() {
 					b.cacheBlock(now, setIdx, s, w, orig, actual, blk)
 				}
 			} else {

@@ -50,7 +50,7 @@ func (b *Bumblebee) moveDecision(now uint64, setIdx uint64, s *pset, orig, actua
 		wantMigrate = true
 	}
 
-	if s.fullHBM(b.n) && hotness <= s.hot.hbm.minCount() {
+	if s.fullHBM() && hotness <= s.hot.hbm.minCount() {
 		// Weak temporal locality under pressure (hotness at or below the
 		// threshold T): keep low-frequency data out of HBM entirely.
 		return
@@ -66,7 +66,7 @@ func (b *Bumblebee) moveDecision(now uint64, setIdx uint64, s *pset, orig, actua
 	} else {
 		lo, hi := b.cacheRegion()
 		est := b.geom.BlockSize
-		if s.freeHBMWay(b.m, lo, hi) < 0 {
+		if s.freeHBMWay(lo, hi) < 0 {
 			est += b.geom.PageSize // an eviction chain may have to run first
 		}
 		if !b.mover.TryStart(now, est) {
@@ -148,10 +148,10 @@ func (b *Bumblebee) switchToMHBM(now uint64, setIdx uint64, s *pset, w int, orig
 func (b *Bumblebee) cacheNewPage(now uint64, setIdx uint64, s *pset, orig, actual int16, blk uint64) uint64 {
 	lo, hi := b.cacheRegion()
 	done := now
-	w := s.freeHBMWay(b.m, lo, hi)
+	w := s.freeHBMWay(lo, hi)
 	if w < 0 {
 		done = b.evictOne(now, setIdx, s, lo, hi)
-		w = s.freeHBMWay(b.m, lo, hi)
+		w = s.freeHBMWay(lo, hi)
 	}
 	if w < 0 {
 		return done // nothing evictable; skip caching
@@ -188,10 +188,10 @@ func (b *Bumblebee) cacheNewPage(now uint64, setIdx uint64, s *pset, orig, actua
 func (b *Bumblebee) migrateToMHBM(now uint64, setIdx uint64, s *pset, orig, actual int16, blk uint64, hotness uint32) uint64 {
 	lo, hi := b.pomRegion()
 	done := now
-	w := s.freeHBMWay(b.m, lo, hi)
+	w := s.freeHBMWay(lo, hi)
 	if w < 0 {
 		done = b.evictOne(now, setIdx, s, lo, hi)
-		w = s.freeHBMWay(b.m, lo, hi)
+		w = s.freeHBMWay(lo, hi)
 	}
 	if w < 0 {
 		// HMF(4): every frame is OS-occupied mHBM; swap with the coldest
@@ -290,7 +290,7 @@ func (b *Bumblebee) swapWithColdest(now uint64, setIdx uint64, s *pset, orig, ac
 func (b *Bumblebee) evictOne(now uint64, setIdx uint64, s *pset, lo, hi int) uint64 {
 	done := now
 	for i := 0; i <= b.n; i++ {
-		if s.freeHBMWay(b.m, lo, hi) >= 0 {
+		if s.freeHBMWay(lo, hi) >= 0 {
 			return done
 		}
 		e, ok := s.hot.hbm.popLRU()
@@ -299,8 +299,7 @@ func (b *Bumblebee) evictOne(now uint64, setIdx uint64, s *pset, lo, hi int) uin
 			// them; evict one directly.
 			for w := lo; w < hi; w++ {
 				if s.bles[w].mode == bleCached {
-					s.hot.dram.remove(s.bles[w].orig)
-					if d := b.evictCachedWay(now, setIdx, s, w); d > done {
+					if d := b.dropCachedWay(now, setIdx, s, w); d > done {
 						done = d
 					}
 					return done
@@ -481,6 +480,16 @@ func (b *Bumblebee) evictCachedWay(now uint64, setIdx uint64, s *pset, w int) ui
 	return done
 }
 
+// dropCachedWay evicts a cHBM page outside the hot-queue flow: the page
+// leaves both hot queues, then evictCachedWay writes its dirty blocks
+// back and frees the frame.
+func (b *Bumblebee) dropCachedWay(now uint64, setIdx uint64, s *pset, w int) uint64 {
+	orig := s.bles[w].orig
+	s.hot.hbm.remove(orig)
+	s.hot.dram.remove(orig)
+	return b.evictCachedWay(now, setIdx, s, w)
+}
+
 // zombieCheck implements HMF rule (3): under full HBM occupancy, a head
 // page whose identity and counter have not changed for ZombieWindow set
 // accesses is evicted, because nothing else can push it out.
@@ -488,7 +497,7 @@ func (b *Bumblebee) zombieCheck(now uint64, setIdx uint64, s *pset) {
 	if b.opt.NoHMF {
 		return
 	}
-	if !s.fullHBM(b.n) {
+	if !s.fullHBM() {
 		s.zombieStale = 0
 		return
 	}
@@ -527,9 +536,6 @@ func (b *Bumblebee) zombieCheck(now uint64, setIdx uint64, s *pset) {
 // eviction latency from the later allocations' critical path.
 func (b *Bumblebee) flushCHBMBatch(now uint64, setIdx uint64) {
 	batch := b.sys.MoveBatch
-	if batch < 1 {
-		batch = 1
-	}
 	b.dev.Tel.Event(now, telemetry.EvFlush, setIdx, uint64(batch), 0)
 	for k := 0; k < batch; k++ {
 		idx := (setIdx + uint64(k)) % uint64(len(b.sets))
@@ -540,9 +546,7 @@ func (b *Bumblebee) flushCHBMBatch(now uint64, setIdx uint64) {
 		s.cHBMOff = true
 		for w := range s.bles {
 			if s.bles[w].mode == bleCached {
-				s.hot.hbm.remove(s.bles[w].orig)
-				s.hot.dram.remove(s.bles[w].orig)
-				_ = b.evictCachedWay(now, idx, s, w)
+				b.dropCachedWay(now, idx, s, w)
 			}
 		}
 	}

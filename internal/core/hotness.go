@@ -132,9 +132,9 @@ func (q *hotQueue) halve() {
 
 // hotTable is the per-set hotness tracker: the two LRU counter queues of
 // Figure 4. Of its five parameters, Rh, Nc, Na and Nn are kept as state
-// in the pset beside the BLE array (occupied and classes, updated by
-// Bumblebee.recount; Rh's denominator is availHBM), and T is the HBM
-// queue's minCount, read only when Rh is full.
+// in the pset beside the BLE array (classes, updated by
+// Bumblebee.recount; Rh's denominator is the ways not retired), and T is
+// the HBM queue's minCount, read only when Rh is full.
 type hotTable struct {
 	hbm  hotQueue // all HBM-resident pages (cHBM and mHBM)
 	dram hotQueue // recently accessed off-chip DRAM pages

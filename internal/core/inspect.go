@@ -20,7 +20,7 @@ func (b *Bumblebee) DumpSet(w io.Writer, setIdx uint64) error {
 	s := b.sets[setIdx]
 	nc, na, nn := s.localityCounts()
 	fmt.Fprintf(w, "set %d: Rh=%d/%d T=%d Nc=%d Na=%d Nn=%d SL=%d cHBMOff=%v\n",
-		setIdx, s.occupied, b.n, s.hot.hbm.minCount(), nc, na, nn, na-nn-nc, s.cHBMOff)
+		setIdx, b.n-s.classes[classFree], b.n, s.hot.hbm.minCount(), nc, na, nn, na-nn-nc, s.cHBMOff)
 	for w2 := range s.bles {
 		e := &s.bles[w2]
 		mode := "free  "
@@ -110,11 +110,13 @@ func (b *Bumblebee) LocateLine(a addr.Addr) hmm.Tier {
 // retirement quarantine (VerifyRetired) and counter-accounting sanity.
 //
 // One asymmetry is deliberate: the occupant→newPLE direction is always
-// enforced, but newPLE→occupant only in sets that have never aliased a
-// page. An aliased page shares a victim's frame without an occupant
-// claim, and its later migration or swap can legitimately leave the
-// victim's newPLE entry dangling — the documented degraded mode of
-// allocation overflow.
+// enforced, but newPLE→occupant for DRAM slots only in sets that have
+// never aliased a page. An aliased page shares a victim's frame without
+// an occupant claim, and its later migration or swap can legitimately
+// leave the victim's newPLE entry dangling — the documented degraded
+// mode of allocation overflow. Aliasing only ever targets DRAM slots, so
+// a page homed in HBM is always held by that way as its mHBM page: the
+// BLE mode alone records whether a frame is in use.
 func (b *Bumblebee) CheckInvariants() error {
 	for si, s := range b.sets {
 		anyAliased := false
@@ -122,6 +124,51 @@ func (b *Bumblebee) CheckInvariants() error {
 			if al {
 				anyAliased = true
 				break
+			}
+		}
+		// The BLE mode is the single record of whether a frame is in use:
+		// only an mHBM page occupies its frame's page space.
+		cachedSeen := make(map[int16]bool)
+		retiredCount := 0
+		for w := range s.bles {
+			e := &s.bles[w]
+			slot := int16(b.m + w)
+			want := int16(-1)
+			if e.mode == bleMHBM {
+				want = e.orig
+			}
+			if s.occupant[slot] != want {
+				return fmt.Errorf("core: set %d way %d: occupant %d, but the way holds mode %d page %d",
+					si, w, s.occupant[slot], e.mode, e.orig)
+			}
+			if s.retired[w] {
+				retiredCount++
+				if e.mode != bleFree {
+					return fmt.Errorf("core: set %d way %d: retired frame still allocated (mode=%d)", si, w, e.mode)
+				}
+			}
+			if e.mode != bleMHBM && e.shadow != -1 {
+				return fmt.Errorf("core: set %d way %d: non-mHBM frame has shadow %d", si, w, e.shadow)
+			}
+			switch e.mode {
+			case bleMHBM:
+				if e.shadow >= int16(b.m) {
+					return fmt.Errorf("core: set %d way %d: shadow %d is not a DRAM slot", si, w, e.shadow)
+				}
+			case bleCached:
+				if cachedSeen[e.orig] {
+					return fmt.Errorf("core: set %d: page %d cached twice", si, e.orig)
+				}
+				cachedSeen[e.orig] = true
+				home := s.newPLE[e.orig]
+				if home < 0 || b.geom.IsHBMSlot(uint64(home)) {
+					return fmt.Errorf("core: set %d way %d: cached page %d has non-DRAM home %d",
+						si, w, e.orig, home)
+				}
+			case bleFree:
+				if e.valid.popcount() != 0 || e.dirty.popcount() != 0 {
+					return fmt.Errorf("core: set %d way %d: free frame has stale valid/dirty bits", si, w)
+				}
 			}
 		}
 		// occupant and newPLE must be inverse of each other, except that a
@@ -150,53 +197,15 @@ func (b *Bumblebee) CheckInvariants() error {
 				}
 				continue
 			}
+			if slot >= int16(b.m) {
+				if e := &s.bles[wayOfSlot(slot, b.m)]; e.mode != bleMHBM || e.orig != int16(o) {
+					return fmt.Errorf("core: set %d: newPLE[%d]=%d but that way holds mode %d page %d",
+						si, o, slot, e.mode, e.orig)
+				}
+			}
 			if !anyAliased && s.occupant[slot] != int16(o) {
 				return fmt.Errorf("core: set %d: newPLE[%d]=%d but occupant[%d]=%d (no aliasing to excuse it)",
 					si, o, slot, slot, s.occupant[slot])
-			}
-		}
-		cachedSeen := make(map[int16]bool)
-		retiredCount := 0
-		for w := range s.bles {
-			e := &s.bles[w]
-			slot := int16(b.m + w)
-			if s.retired[w] {
-				retiredCount++
-				if e.mode != bleFree || s.occupant[slot] != -1 {
-					return fmt.Errorf("core: set %d way %d: retired frame still allocated (mode=%d occupant=%d)",
-						si, w, e.mode, s.occupant[slot])
-				}
-			}
-			if e.mode != bleMHBM && e.shadow != -1 {
-				return fmt.Errorf("core: set %d way %d: non-mHBM frame has shadow %d", si, w, e.shadow)
-			}
-			switch e.mode {
-			case bleMHBM:
-				if s.occupant[slot] != e.orig {
-					return fmt.Errorf("core: set %d way %d: mHBM page %d but occupant %d",
-						si, w, e.orig, s.occupant[slot])
-				}
-				if e.shadow >= int16(b.m) {
-					return fmt.Errorf("core: set %d way %d: shadow %d is not a DRAM slot", si, w, e.shadow)
-				}
-			case bleCached:
-				if cachedSeen[e.orig] {
-					return fmt.Errorf("core: set %d: page %d cached twice", si, e.orig)
-				}
-				cachedSeen[e.orig] = true
-				home := s.newPLE[e.orig]
-				if home < 0 || b.geom.IsHBMSlot(uint64(home)) {
-					return fmt.Errorf("core: set %d way %d: cached page %d has non-DRAM home %d",
-						si, w, e.orig, home)
-				}
-				if s.occupant[slot] != -1 {
-					return fmt.Errorf("core: set %d way %d: cached frame marked occupied by %d",
-						si, w, s.occupant[slot])
-				}
-			case bleFree:
-				if e.valid.popcount() != 0 || e.dirty.popcount() != 0 {
-					return fmt.Errorf("core: set %d way %d: free frame has stale valid/dirty bits", si, w)
-				}
 			}
 		}
 		if retiredCount != s.retiredCount {
@@ -241,17 +250,15 @@ func (b *Bumblebee) CheckInvariants() error {
 }
 
 // checkSummaries recomputes set s's summaries by scanning its BLEs and
-// reports any difference from the ones recount keeps: the occupied
-// frame count, Nc, Na and Nn, and the cached-way index in both
-// directions.
+// reports any difference from the ones recount keeps: the free way
+// count, Nc, Na and Nn, and the cached-way index in both directions.
 func (b *Bumblebee) checkSummaries(s *pset) error {
-	occupied, nc, na, nn := 0, 0, 0, 0
+	free, nc, na, nn := 0, 0, 0, 0
 	for w := range s.bles {
 		e := &s.bles[w]
-		if e.mode != bleFree || s.occupant[b.m+w] != -1 {
-			occupied++
-		}
 		switch e.mode {
+		case bleFree:
+			free++
 		case bleCached:
 			nc++
 			if got := s.cachedWay[e.orig]; got != int16(w) {
@@ -276,9 +283,9 @@ func (b *Bumblebee) checkSummaries(s *pset) error {
 		}
 	}
 	gnc, gna, gnn := s.localityCounts()
-	if s.occupied != occupied || gnc != nc || gna != na || gnn != nn {
-		return fmt.Errorf("summaries occupied=%d Nc=%d Na=%d Nn=%d, scan occupied=%d Nc=%d Na=%d Nn=%d",
-			s.occupied, gnc, gna, gnn, occupied, nc, na, nn)
+	if gfree := s.classes[classFree]; gfree != free || gnc != nc || gna != na || gnn != nn {
+		return fmt.Errorf("summaries free=%d Nc=%d Na=%d Nn=%d, scan free=%d Nc=%d Na=%d Nn=%d",
+			gfree, gnc, gna, gnn, free, nc, na, nn)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -17,6 +18,23 @@ func findWayInMode(b *Bumblebee, mode bleMode) (*pset, int) {
 			}
 		}
 	}
+	return nil, -1
+}
+
+// freeCachedWay drops the first cHBM page it finds, as an allocation
+// needing its frame would, and returns the now free way; a long hot
+// workload leaves no way free on its own.
+func freeCachedWay(t *testing.T, b *Bumblebee) (*pset, int) {
+	t.Helper()
+	for si, s := range b.sets {
+		for w := range s.bles {
+			if s.bles[w].mode == bleCached {
+				b.dropCachedWay(0, uint64(si), s, w)
+				return s, w
+			}
+		}
+	}
+	t.Fatal("workload produced no cached way")
 	return nil, -1
 }
 
@@ -53,7 +71,10 @@ func TestCheckInvariantsCatchesSkippedInvalidate(t *testing.T) {
 }
 
 // TestCheckInvariantsCatchesOccupancyDesync clears the occupant bit under
-// a live mHBM page — the PRT↔occupancy desync class.
+// a live mHBM page — the PRT↔occupancy desync class — then gives a free
+// way an occupant, the "allocated into HBM but never touched" state no
+// path produces: the BLE mode is the only record of a frame's use, so
+// CheckInvariants must report that occupant against the way itself.
 func TestCheckInvariantsCatchesOccupancyDesync(t *testing.T) {
 	b := newBB(t, testSys())
 	runWorkload(t, b, hotSeq, 60_000)
@@ -72,12 +93,27 @@ func TestCheckInvariantsCatchesOccupancyDesync(t *testing.T) {
 	if err := b.CheckInvariants(); err != nil {
 		t.Fatalf("restore failed: %v", err)
 	}
+
+	s, w = freeCachedWay(t, b)
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatalf("healthy controller reports violation: %v", err)
+	}
+	slot = int16(b.m + w)
+	s.occupant[slot] = 0
+	err := b.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("way %d: occupant 0", w)) {
+		t.Fatalf("occupied free way not caught: %v", err)
+	}
+	s.occupant[slot] = -1
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatalf("restore failed: %v", err)
+	}
 }
 
 // TestCheckInvariantsCatchesSummaryDesync skews a set's kept summaries
-// away from its BLEs — a frame count, a dropped cached-way index entry,
-// then one naming a way past the set — and requires CheckInvariants to
-// report each as an error rather than panic.
+// away from its BLEs — the free way count, a dropped cached-way index
+// entry, then one naming a way past the set — and requires
+// CheckInvariants to report each as an error rather than panic.
 func TestCheckInvariantsCatchesSummaryDesync(t *testing.T) {
 	b := newBB(t, testSys())
 	runWorkload(t, b, hotSeq, 60_000)
@@ -85,11 +121,11 @@ func TestCheckInvariantsCatchesSummaryDesync(t *testing.T) {
 	if w < 0 {
 		t.Fatal("workload produced no cached way")
 	}
-	s.occupied++
+	s.classes[classFree]++
 	if err := b.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "summaries") {
-		t.Fatalf("skewed occupied count not caught: %v", err)
+		t.Fatalf("skewed free way count not caught: %v", err)
 	}
-	s.occupied--
+	s.classes[classFree]--
 	o := s.bles[w].orig
 	s.cachedWay[o] = -1
 	if err := b.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "cached-way index") {
@@ -113,6 +149,47 @@ func TestCheckInvariantsCatchesSummaryDesync(t *testing.T) {
 	s.cachedWay[u] = -1
 	if err := b.CheckInvariants(); err != nil {
 		t.Fatalf("restore failed: %v", err)
+	}
+}
+
+// TestCheckInvariantsCatchesHBMHomeMismatch points a DRAM-homed page's
+// newPLE at an HBM way that does not hold it, one cHBM and one free, and
+// releases its DRAM slot as a move would: CheckInvariants must report
+// the home against the way, not only via the occupant table (which
+// aliasing can excuse).
+func TestCheckInvariantsCatchesHBMHomeMismatch(t *testing.T) {
+	b := newBB(t, testSys())
+	runWorkload(t, b, hotSeq, 60_000)
+	for _, mode := range []bleMode{bleCached, bleFree} {
+		s, w := findWayInMode(b, mode)
+		if mode == bleFree {
+			s, w = freeCachedWay(t, b)
+		}
+		if w < 0 {
+			t.Fatalf("workload left no way in mode %d", mode)
+		}
+		o, home := int16(-1), int16(-1)
+		for p, slot := range s.newPLE {
+			if slot >= 0 && slot < int16(b.m) && s.occupant[slot] == int16(p) &&
+				s.findCachedWay(int16(p)) < 0 && s.hot.hbm.find(int16(p)) < 0 {
+				o, home = int16(p), slot
+				break
+			}
+		}
+		if o < 0 {
+			t.Fatal("no uncached DRAM-homed page in the set")
+		}
+		s.newPLE[o] = int16(b.m + w)
+		s.occupant[home] = -1
+		err := b.CheckInvariants()
+		want := fmt.Sprintf("newPLE[%d]=%d but that way holds mode %d", o, b.m+w, mode)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("page homed in a mode-%d way not caught: %v", mode, err)
+		}
+		s.newPLE[o], s.occupant[home] = home, o
+		if err := b.CheckInvariants(); err != nil {
+			t.Fatalf("restore failed: %v", err)
+		}
 	}
 }
 

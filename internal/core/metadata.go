@@ -51,11 +51,7 @@ func Metadata(g *addr.Geometry, hotDepth int) MetadataBudget {
 
 // Metadata returns this controller's own metadata budget.
 func (b *Bumblebee) Metadata() MetadataBudget {
-	depth := b.opt.HotQueueDepth
-	if depth <= 0 {
-		depth = 8
-	}
-	return Metadata(b.geom, depth)
+	return Metadata(b.geom, b.opt.HotQueueDepth)
 }
 
 // BaselineMetadata estimates the metadata footprint of the comparison

@@ -69,23 +69,13 @@ func (b *Bumblebee) retireFrame(now uint64, frame uint64, tries int) bool {
 		return true
 	}
 	e := &s.bles[way]
-	if e.mode == bleFree && s.occupant[b.m+way] >= 0 {
-		// Allocated straight into HBM but never touched: the frame is the
-		// page's home all the same. Promote to mHBM so the migration path
-		// below re-homes it.
-		e.mode = bleMHBM
-		e.orig = s.occupant[b.m+way]
-		b.recount(s, way)
-	}
 	modeHeld := e.mode
 	switch e.mode {
 	case bleCached:
 		// The DRAM home holds everything except dirtied blocks: write
 		// those back and drop the frame. No page movement budget needed —
 		// this is the cheap half of the cache/POM blast-radius split.
-		s.hot.hbm.remove(e.orig)
-		s.hot.dram.remove(e.orig)
-		b.evictCachedWay(now, setIdx, s, way)
+		b.dropCachedWay(now, setIdx, s, way)
 		b.cnt.RetireDrops++
 	case bleMHBM:
 		// OS-visible page: it must be migrated out before the frame dies.

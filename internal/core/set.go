@@ -74,12 +74,11 @@ type pset struct {
 	zombieStale uint32
 
 	// Summaries of the BLE array, kept current by Bumblebee.recount:
-	// occupied counts frames in use in either mode (the numerator of the
-	// HBM occupied ratio Rh); classes[c] counts the ways of class c, so
-	// classes[classCached], classes[classDense] and classes[classSparse]
-	// are Equation 1's Nc, Na and Nn; cachedWay[orig] is the way caching
-	// page orig, or -1; tally[w] is what way w contributes to them.
-	occupied  int
+	// classes[c] counts the ways of class c, so classes[classCached],
+	// classes[classDense] and classes[classSparse] are Equation 1's Nc,
+	// Na and Nn, and the ways not in classFree are the numerator of the
+	// HBM occupied ratio Rh; cachedWay[orig] is the way caching page
+	// orig, or -1; tally[w] is what way w contributes to them.
 	classes   [numClasses]int
 	cachedWay []int16
 	tally     []wayTally
@@ -98,9 +97,8 @@ const (
 
 // wayTally is one way's contribution to its set's summaries.
 type wayTally struct {
-	occupied bool
-	class    wayClass
-	cached   int16 // the page the way caches (classCached), else -1
+	class  wayClass
+	cached int16 // the page the way caches (classCached), else -1
 }
 
 func newPset(m, n, blocksPerPage, hotDepth, recentAllocDepth int) *pset {
@@ -142,12 +140,11 @@ func (s *pset) findCachedWay(orig int16) int { return int(s.cachedWay[orig]) }
 
 // recount brings set s's summaries up to date with way w. It is the one
 // place they change, and it must run after every change to the way's
-// BLE mode, orig or valid bits, or to occupant[m+w]. A cHBM way's
-// class does not depend on its valid bits, so block fills into a cached
-// page need no recount.
+// BLE mode, orig or valid bits. A cHBM way's class does not depend on
+// its valid bits, so block fills into a cached page need no recount.
 func (b *Bumblebee) recount(s *pset, w int) {
 	e := &s.bles[w]
-	t := wayTally{occupied: e.mode != bleFree || s.occupant[b.m+w] != -1, class: classFree, cached: -1}
+	t := wayTally{class: classFree, cached: -1}
 	switch e.mode {
 	case bleCached:
 		t.class, t.cached = classCached, e.orig
@@ -160,12 +157,6 @@ func (b *Bumblebee) recount(s *pset, w int) {
 	old := s.tally[w]
 	if t == old {
 		return
-	}
-	if old.occupied {
-		s.occupied--
-	}
-	if t.occupied {
-		s.occupied++
 	}
 	s.classes[old.class]--
 	s.classes[t.class]++
@@ -181,14 +172,16 @@ func (b *Bumblebee) recount(s *pset, w int) {
 // wayOfSlot converts an HBM slot index to a way index given m.
 func wayOfSlot(slot int16, m int) int { return int(slot) - m }
 
-// freeHBMWay returns a way whose frame holds nothing and whose page space
-// is unoccupied, restricted to [lo, hi); -1 if none. Retired frames are
-// never free: this is the single gate through which every allocation path
-// (cacheNewPage, migrateToMHBM, allocate) obtains an HBM frame, so
-// skipping them here guarantees a retired frame is never re-allocated.
-func (s *pset) freeHBMWay(m, lo, hi int) int {
+// freeHBMWay returns a way whose frame holds nothing, restricted to
+// [lo, hi); -1 if none. The BLE mode alone says whether a frame is in
+// use: a free way's page space is never occupied (CheckInvariants
+// asserts it). Retired frames are never free: this is the single gate
+// through which every allocation path (cacheNewPage, migrateToMHBM,
+// allocate) obtains an HBM frame, so skipping them here guarantees a
+// retired frame is never re-allocated.
+func (s *pset) freeHBMWay(lo, hi int) int {
 	for w := lo; w < hi; w++ {
-		if s.bles[w].mode == bleFree && s.occupant[m+w] == -1 && !s.retired[w] {
+		if s.bles[w].mode == bleFree && !s.retired[w] {
 			return w
 		}
 	}
@@ -222,19 +215,15 @@ func (s *pset) reclaimShadow(m int) int16 {
 	return -1
 }
 
-// availHBM returns the set's effective HBM capacity: its n ways minus
-// retired frames. Full-occupancy (Rh) checks compare against this, so a
-// degraded set behaves like a smaller set rather than never reaching
-// pressure thresholds.
-func (s *pset) availHBM(n int) int { return n - s.retiredCount }
+// countFreeHBM counts free, non-retired HBM frames. A retired frame is
+// always free (CheckInvariants asserts it), so they are the free ways
+// less the retired ones.
+func (s *pset) countFreeHBM() int { return s.classes[classFree] - s.retiredCount }
 
-// countFreeHBM counts completely free, non-retired HBM frames. A retired
-// frame is never occupied (CheckInvariants asserts it), so they are the
-// effective capacity less the occupied frames.
-func (s *pset) countFreeHBM(n int) int { return s.availHBM(n) - s.occupied }
-
-// fullHBM reports whether the set's HBM occupied ratio Rh is full.
-func (s *pset) fullHBM(n int) bool { return s.occupied >= s.availHBM(n) }
+// fullHBM reports whether the set's HBM occupied ratio Rh is full. Its
+// denominator is the ways not retired, so a degraded set behaves like a
+// smaller set rather than never reaching pressure thresholds.
+func (s *pset) fullHBM() bool { return s.countFreeHBM() <= 0 }
 
 // localityCounts returns (Nc, Na, Nn): the number of cHBM pages, mHBM
 // pages with most blocks accessed, and mHBM pages without, for the

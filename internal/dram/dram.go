@@ -220,9 +220,6 @@ func (d *Device) Config() config.DRAMDevice { return d.cfg }
 // Stats returns a copy of the accumulated counters.
 func (d *Device) Stats() Stats { return d.stats }
 
-// ResetStats zeroes the counters without touching timing state.
-func (d *Device) ResetStats() { d.stats = Stats{} }
-
 // locate maps a device-local address to (channel, bank, row).
 func (d *Device) locate(a addr.Addr) (ch, bk int, row int64) {
 	if d.locFast {

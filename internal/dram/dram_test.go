@@ -156,15 +156,6 @@ func TestWriteEnergyExceedsReadEnergyHBM(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	d := newHBM(t)
-	d.Access(0, 0, 4096, true)
-	d.ResetStats()
-	if st := d.Stats(); st != (Stats{}) {
-		t.Errorf("stats after reset = %+v, want zero", st)
-	}
-}
-
 func TestMonotoneCompletionProperty(t *testing.T) {
 	d := newDDR(t)
 	var now uint64

@@ -18,9 +18,8 @@ import (
 // CSV is additionally pinned as a golden file so a behaviour change in
 // any design shows up as a reviewed diff.
 
-// fixtures is the same trace in every committed encoding, including the
-// read-only legacy .bbtr recording.
-var fixtures = []string{"fixture.txt", "fixture.bbt1", "fixture.bbt1.gz", "fixture.bbtr"}
+// fixtures is the same trace in every committed encoding.
+var fixtures = []string{"fixture.txt", "fixture.bbt1", "fixture.bbt1.gz"}
 
 func fixturePath(name string) string {
 	return filepath.Join("..", "tracecodec", "testdata", name)

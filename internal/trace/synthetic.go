@@ -168,9 +168,6 @@ func hashName(name string) uint64 {
 	return h
 }
 
-// Profile returns the generator's profile.
-func (s *Synthetic) Profile() Profile { return s.p }
-
 // Next implements Stream; the stream never ends.
 func (s *Synthetic) Next() (Access, bool) {
 	if s.sweepLeft > 0 {

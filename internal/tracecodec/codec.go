@@ -12,9 +12,9 @@
 //     bytes.
 //
 // The legacy .bbtr recording format, which older versions of bbtrace
-// wrote, is still detected and decoded on the read side (see bbtr.go),
-// so every trace the toolchain has ever written converts into the
-// formats above. Nothing writes it any more.
+// wrote, is refused: it has no checksum, so a flipped bit would decode
+// to a different, well-formed trace. Open names it in the error rather
+// than handing it to the text decoder.
 //
 // Readers are bounded-memory: they decode one record (text) or one
 // framed block (binary) at a time regardless of trace size, and the
@@ -142,12 +142,12 @@ func (g *gzipWriter) Close() error {
 // Magic bytes the sniffer distinguishes.
 const (
 	binaryMagic = "BBT1"
-	bbtrMagic   = "BBTR" // legacy recording format, read-only
+	bbtrMagic   = "BBTR" // legacy recording format, refused
 )
 
 // Open sniffs r's leading bytes and returns a Reader for whichever
 // encoding it finds: gzip (unwrapped, then sniffed again), BBT1 binary,
-// a .bbtr recording, or text. Sniffing consumes nothing the codec does
+// or text. Sniffing consumes nothing the codec does
 // not own. Open reads only magic bytes up front, so arbitrarily large
 // traces stream in bounded memory.
 func Open(r io.Reader) (Reader, error) {
@@ -180,7 +180,7 @@ func openPlain(br *bufio.Reader) (Reader, error) {
 	case string(head) == binaryMagic:
 		return NewBinaryReader(br)
 	case string(head) == bbtrMagic:
-		return newBBTRReader(br)
+		return nil, fmt.Errorf("tracecodec: legacy .bbtr recording: no longer read (it has no checksum)")
 	default:
 		return NewTextReader(br), nil
 	}

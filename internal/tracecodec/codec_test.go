@@ -2,12 +2,10 @@ package tracecodec
 
 import (
 	"bytes"
-	"encoding/binary"
+	"compress/gzip"
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -139,83 +137,40 @@ func TestConvertChainByteIdentical(t *testing.T) {
 	}
 }
 
-// bbtrRecord appends one legacy .bbtr record (see bbtr.go): the zigzag
-// address delta, the instruction gap, and the flag byte.
-func bbtrRecord(b []byte, addrDelta int64, gap uint64, write bool) []byte {
-	b = binary.AppendUvarint(b, zigzag(addrDelta))
-	b = binary.AppendUvarint(b, gap)
-	if write {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-// TestOpenDetectsBBTR: legacy .bbtr recordings are readable through the
-// same Open door, with cycles rebuilt from gaps.
+// TestOpenDetectsBBTR: the legacy .bbtr recording format is no longer
+// read. Open recognises its header, plain or behind gzip, and refuses it
+// with an error naming the format instead of decoding anything.
 func TestOpenDetectsBBTR(t *testing.T) {
-	raw := []byte(bbtrMagic + "\x01")
-	raw = bbtrRecord(raw, 0x1000, 3, false)
-	raw = bbtrRecord(raw, 0x40, 1, true)
-	raw = bbtrRecord(raw, 0x40-0x1040, 250, false)
-	got, err := decodeAll(t, raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Rec{
-		{Cycle: 3, Addr: 0x1000, Write: false},
-		{Cycle: 4, Addr: 0x1040, Write: true},
-		{Cycle: 254, Addr: 0x40, Write: false},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d recs, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("rec %d = %+v, want %+v", i, got[i], want[i])
+	// A version 1 header and one record: address delta +0x1000, gap 3.
+	rec := bbtrMagic + "\x01\x80\x40\x03\x00"
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	zw.Write([]byte(rec))
+	zw.Close()
+	for name, in := range map[string][]byte{
+		"header only": []byte(bbtrMagic),
+		"record":      []byte(rec),
+		"gzipped":     gz.Bytes(),
+	} {
+		r, err := Open(bytes.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), ".bbtr") {
+			t.Errorf("%s: Open = %v, %v; want a .bbtr error", name, r, err)
 		}
 	}
 }
 
-// TestReaderRejectsGarbage: a .bbtr header that is damaged, from a
-// future version, or missing is refused, at Open or on the first read.
+// TestReaderRejectsGarbage: binary records behind a damaged magic that
+// no codec claims, or no input at all, are refused, at Open or on the
+// first read. (The text decoder takes a non-numeric first line for a
+// header, so the damage shows on the line after it.)
 func TestReaderRejectsGarbage(t *testing.T) {
-	fixture, err := os.ReadFile(filepath.Join("testdata", "fixture.bbtr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	badMagic := append([]byte(nil), fixture...)
-	badMagic[0] = 'X' // no longer sniffed as .bbtr; the text decoder must refuse it
 	for name, in := range map[string][]byte{
-		"bad magic":   badMagic,
-		"bad version": []byte(bbtrMagic + "\x09"),
-		"no version":  []byte(bbtrMagic),
+		"bad magic":   []byte("XBT1\x01\n\x80\x40\x03\x00"),
 		"empty input": nil,
 	} {
 		if recs, err := decodeAll(t, in); err == nil {
 			t.Errorf("%s: decoded %d recs without error", name, len(recs))
 		}
-	}
-}
-
-// TestReaderTruncatedRecord: a .bbtr record torn at any byte, or one
-// whose gap does not fit the 32 bits an access carries, is an error,
-// never a shorter or silently truncated trace.
-func TestReaderTruncatedRecord(t *testing.T) {
-	full := bbtrRecord([]byte(bbtrMagic+"\x01"), 0x40, 2, false)
-	for cut := len(bbtrMagic) + 2; cut < len(full); cut++ {
-		if recs, err := decodeAll(t, full[:cut]); err == nil {
-			t.Errorf("cut at %d of %d: decoded %d recs without error", cut, len(full), len(recs))
-		}
-	}
-	for _, gap := range []uint64{math.MaxUint32 + 1, math.MaxUint64} {
-		in := bbtrRecord([]byte(bbtrMagic+"\x01"), 0x40, gap, false)
-		if _, err := decodeAll(t, in); err == nil || !strings.Contains(err.Error(), "gap") {
-			t.Errorf("gap %d: err = %v, want a gap error", gap, err)
-		}
-	}
-	ok := bbtrRecord([]byte(bbtrMagic+"\x01"), 0x40, math.MaxUint32, false)
-	if got, err := decodeAll(t, ok); err != nil || len(got) != 1 || got[0].Cycle != math.MaxUint32 {
-		t.Fatalf("largest gap: recs=%+v err=%v", got, err)
 	}
 }
 

@@ -10,9 +10,8 @@ import (
 // The committed fixture under testdata/ is one short recording of the
 // scaled "roms" workload (footprint ~85 MiB at scale 128, an order of
 // magnitude over the scaled HBM, so replaying it makes every design
-// behave differently), committed in all three writable encodings, plus
-// the legacy .bbtr recording the old writer made of it. The replay
-// golden test in internal/harness runs these exact files through every
+// behave differently), committed in all three writable encodings. The
+// replay golden test in internal/harness runs these exact files through every
 // design and pins the runs CSV; this test pins the trace bytes
 // themselves, so either layer drifting is a reviewed change.
 //
@@ -78,22 +77,12 @@ func TestFixtureFilesInSync(t *testing.T) {
 	}
 }
 
-// decodeOnlyFixtures are committed encodings of the fixture that
-// nothing writes any more: fixture.bbtr is the fixture's records written
-// by the retired .bbtr writer, with each gap the cycle delta to the
-// previous record. TestFixtureFilesInSync cannot regenerate them, so
-// this test is what pins them.
-var decodeOnlyFixtures = []string{"fixture.bbtr"}
-
 // TestFixtureFilesDecodeIdentically proves the committed files are the
 // same trace: every encoding decodes to the identical records.
 func TestFixtureFilesDecodeIdentically(t *testing.T) {
-	names := append([]string(nil), decodeOnlyFixtures...)
-	for _, ff := range fixtureFiles {
-		names = append(names, ff.name)
-	}
 	ref := fixtureRecs(t)
-	for _, name := range names {
+	for _, ff := range fixtureFiles {
+		name := ff.name
 		raw, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)

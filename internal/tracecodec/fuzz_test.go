@@ -97,26 +97,6 @@ func FuzzTraceDecodeBinary(f *testing.F) {
 	})
 }
 
-// FuzzTraceDecodeBBTR throws arbitrary bytes at Open, seeded with the
-// legacy .bbtr fixture and damaged copies of it: no panics, and whatever
-// Open accepts (in any encoding it sniffs) round-trips through BBT1.
-func FuzzTraceDecodeBBTR(f *testing.F) {
-	for _, b := range fuzzSeedsBBTR() {
-		f.Add(b)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := Open(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		recs, err := drain(r)
-		if err != nil {
-			return
-		}
-		requireRoundTrip(t, recs, Format{Kind: KindBinary})
-	})
-}
-
 // fuzzSeedsText builds the in-code seed corpus for the text decoder.
 func fuzzSeedsText() [][]byte {
 	seeds := [][]byte{
@@ -149,22 +129,6 @@ func fuzzSeedsBinary() [][]byte {
 	}
 }
 
-// fuzzSeedsBBTR builds the seed corpus for the .bbtr decoder from the
-// committed fixture: the recording itself, then torn, bit-flipped and
-// future-version copies.
-func fuzzSeedsBBTR() [][]byte {
-	valid, err := os.ReadFile(filepath.Join("testdata", "fixture.bbtr"))
-	if err != nil {
-		panic(err)
-	}
-	torn := valid[:len(valid)-2]
-	flipped := append([]byte(nil), valid...)
-	flipped[len(flipped)/2] ^= 0x40
-	badVersion := append([]byte(nil), valid...)
-	badVersion[4] = 99
-	return [][]byte{valid, torn, flipped, badVersion}
-}
-
 // encodeSeedRecs encodes a small deterministic stream for seeding.
 func encodeSeedRecs(f Format) []byte {
 	var buf bytes.Buffer
@@ -188,7 +152,6 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	for name, seeds := range map[string][][]byte{
 		"FuzzTraceDecodeText":   fuzzSeedsText(),
 		"FuzzTraceDecodeBinary": fuzzSeedsBinary(),
-		"FuzzTraceDecodeBBTR":   fuzzSeedsBBTR(),
 	} {
 		dir := filepath.Join("testdata", "fuzz", name)
 		for i, b := range seeds {
