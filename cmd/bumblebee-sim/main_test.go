@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -110,6 +112,30 @@ func TestTraceRunMatchesReplaySweep(t *testing.T) {
 	} {
 		if got := field(t, out, c.name); got != c.want {
 			t.Errorf("-trace %s = %s, ReplaySweep gives %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestDamagedTraceExitsNonzero: a damaged binary recording whose magic
+// no codec claims falls to the text decoder, which refuses its control
+// bytes on line 1. The run must fail instead of replaying an empty trace.
+func TestDamagedTraceExitsNonzero(t *testing.T) {
+	damaged := []byte("XBT1\x01\x80\x40\x03\x00")
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	zw.Write(damaged)
+	zw.Close()
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{"damaged.bbt1": damaged, "damaged.bbt1.gz": gz.Bytes()} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stdout, stderr, err := run("-design", "bumblebee", "-trace", path, "-scale", "1024")
+		if err == nil {
+			t.Errorf("%s: exit 0, want a refusal\n%s", name, stdout)
+		} else if !strings.Contains(stderr, "line 1") {
+			t.Errorf("%s: stderr does not name line 1:\n%s", name, stderr)
 		}
 	}
 }

@@ -128,6 +128,26 @@ func (g *Geometry) BlockBase(a Addr) Addr {
 	return Addr(uint64(a) - uint64(a)%g.BlockSize)
 }
 
+// FoldPage folds global page p into the flat address space's
+// DRAMPages+HBMPages pages. Only a malformed trace reaches past the end,
+// so a page in range is returned without a divide.
+func (g *Geometry) FoldPage(p uint64) uint64 {
+	if total := g.dramPages + g.hbmPages; p >= total {
+		return p % total
+	}
+	return p
+}
+
+// DRAMLocal folds a into off-chip DRAM's DRAMBytes, the whole address
+// space of a design that keeps all OS memory off-chip. An address in range
+// is returned without a divide.
+func (g *Geometry) DRAMLocal(a Addr) Addr {
+	if uint64(a) >= g.DRAMBytes {
+		return Addr(uint64(a) % g.DRAMBytes)
+	}
+	return a
+}
+
 // PageAddr returns the first address of global page p.
 func (g *Geometry) PageAddr(p uint64) Addr { return Addr(p * g.PageSize) }
 

@@ -200,3 +200,30 @@ func TestBlockDecompositionProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFoldsMatchModulo holds DRAMLocal and FoldPage to a plain modulo
+// below, at and past each bound: skipping the divide in range must not
+// change a result.
+func TestFoldsMatchModulo(t *testing.T) {
+	for _, page := range []uint64{64 * KiB, 96 * KiB} {
+		g, err := NewGeometry(page, 2*KiB, 10*GiB, 1*GiB, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages := g.DRAMPages() + g.HBMPages()
+		for _, tc := range []struct {
+			name  string
+			bound uint64
+			fold  func(uint64) uint64
+		}{
+			{"DRAMLocal", g.DRAMBytes, func(x uint64) uint64 { return uint64(g.DRAMLocal(Addr(x))) }},
+			{"FoldPage", pages, g.FoldPage},
+		} {
+			for _, x := range []uint64{0, 1, tc.bound - 1, tc.bound, tc.bound + 1, 2*tc.bound + 7, 1<<64 - 1} {
+				if got, want := tc.fold(x), x%tc.bound; got != want {
+					t.Errorf("page %d: %s(%d) = %d, want %d (bound %d)", page, tc.name, x, got, want, tc.bound)
+				}
+			}
+		}
+	}
+}

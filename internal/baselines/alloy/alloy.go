@@ -60,12 +60,6 @@ func (c *Cache) Counters() hmm.Counters {
 	return out
 }
 
-// dramLocal folds the flat address into DRAM (a cache-only design leaves
-// all OS memory off-chip).
-func (c *Cache) dramLocal(a addr.Addr) addr.Addr {
-	return addr.Addr(uint64(a) % c.dev.Geom.DRAMBytes)
-}
-
 // slot returns the direct-mapped TAD index and its HBM byte address.
 func (c *Cache) slot(lineNo uint64) (idx uint64, hbmAddr addr.Addr) {
 	idx = lineNo % uint64(len(c.lines))
@@ -83,8 +77,8 @@ func (c *Cache) Access(now uint64, a addr.Addr, write bool) uint64 {
 // served the demand line.
 func (c *Cache) access(now uint64, a addr.Addr, write bool) (uint64, telemetry.Tier) {
 	c.cnt.Requests++
-	now = c.os.Admit(now, uint64(a)/c.dev.Geom.PageSize)
-	da := c.dramLocal(a)
+	now = c.os.Admit(now, a)
+	da := c.dev.Geom.DRAMLocal(a)
 	lineNo := uint64(da) / 64
 	idx, hbmAddr := c.slot(lineNo)
 	l := &c.lines[idx]
@@ -122,7 +116,7 @@ func (c *Cache) access(now uint64, a addr.Addr, write bool) (uint64, telemetry.T
 // Writeback implements hmm.MemSystem.
 func (c *Cache) Writeback(now uint64, a addr.Addr) {
 	c.cnt.Writebacks++
-	da := c.dramLocal(a)
+	da := c.dev.Geom.DRAMLocal(a)
 	lineNo := uint64(da) / 64
 	idx, hbmAddr := c.slot(lineNo)
 	l := &c.lines[idx]

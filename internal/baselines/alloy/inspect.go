@@ -16,7 +16,7 @@ func (c *Cache) InspectGranularity() uint64 { return 64 }
 // folded DRAM line number: the home is always that DRAM line, and the
 // direct-mapped TAD may hold a cache copy.
 func (c *Cache) InspectAddr(a addr.Addr) hmm.PageInfo {
-	lineNo := uint64(c.dramLocal(a)) / 64
+	lineNo := uint64(c.dev.Geom.DRAMLocal(a)) / 64
 	idx, _ := c.slot(lineNo)
 	info := hmm.PageInfo{
 		Page:      lineNo,
@@ -33,7 +33,7 @@ func (c *Cache) InspectAddr(a addr.Addr) hmm.PageInfo {
 
 // LocateLine implements hmm.Inspector.
 func (c *Cache) LocateLine(a addr.Addr) hmm.Tier {
-	lineNo := uint64(c.dramLocal(a)) / 64
+	lineNo := uint64(c.dev.Geom.DRAMLocal(a)) / 64
 	idx, _ := c.slot(lineNo)
 	if l := &c.lines[idx]; l.valid && l.tag == lineNo {
 		return hmm.TierHBM

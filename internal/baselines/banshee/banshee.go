@@ -88,10 +88,6 @@ func (c *Cache) Counters() hmm.Counters {
 	return out
 }
 
-func (c *Cache) dramLocal(a addr.Addr) addr.Addr {
-	return addr.Addr(uint64(a) % c.dev.Geom.DRAMBytes)
-}
-
 func (c *Cache) hbmAddr(set uint64, w int, off uint64) addr.Addr {
 	return addr.Addr(set*uint64(ways)*pageBytes + uint64(w)*pageBytes + off)
 }
@@ -173,8 +169,8 @@ func (c *Cache) Access(now uint64, a addr.Addr, write bool) uint64 {
 	t0 := now
 	c.cnt.Requests++
 	c.decay()
-	now = c.os.Admit(now, uint64(a)/c.dev.Geom.PageSize)
-	da := c.dramLocal(a)
+	now = c.os.Admit(now, a)
+	da := c.dev.Geom.DRAMLocal(a)
 	page := uint64(da) / pageBytes
 	off := uint64(da) % pageBytes
 	set := page % uint64(len(c.sets))
@@ -207,7 +203,7 @@ func (c *Cache) Access(now uint64, a addr.Addr, write bool) uint64 {
 // Writeback implements hmm.MemSystem.
 func (c *Cache) Writeback(now uint64, a addr.Addr) {
 	c.cnt.Writebacks++
-	da := c.dramLocal(a)
+	da := c.dev.Geom.DRAMLocal(a)
 	page := uint64(da) / pageBytes
 	off := uint64(da) % pageBytes
 	set := page % uint64(len(c.sets))

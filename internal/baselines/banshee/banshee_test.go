@@ -57,27 +57,6 @@ func TestNoTagProbeTraffic(t *testing.T) {
 	}
 }
 
-func TestFrequencyReplacement(t *testing.T) {
-	c := newCache(t)
-	nsets := uint64(len(c.sets))
-	var now uint64
-	// Make page 0 resident and moderately hot.
-	for i := 0; i < promoteDelta+2; i++ {
-		now = c.Access(now, 0, false)
-	}
-	// A conflicting page accessed a couple of times must NOT displace it.
-	rival := addr.Addr(nsets * pageBytes * ways)
-	migBefore := c.Counters().PageMigrations
-	now = c.Access(now, rival, false)
-	now = c.Access(now, rival, false)
-	if c.Counters().PageMigrations != migBefore+1 {
-		// Set has 4 ways; rival takes a free way. Fill remaining ways
-		// first to force competition.
-		t.Skip("set not yet full; covered by TestVictimNeedsHigherFrequency")
-	}
-	_ = now
-}
-
 func TestVictimNeedsHigherFrequency(t *testing.T) {
 	c := newCache(t)
 	nsets := uint64(len(c.sets))

@@ -15,7 +15,7 @@ func (c *Cache) InspectGranularity() uint64 { return pageBytes }
 // InspectAddr implements hmm.Inspector. Banshee is a pure cache: the home
 // is always the folded DRAM page; a valid way is a whole-page HBM copy.
 func (c *Cache) InspectAddr(a addr.Addr) hmm.PageInfo {
-	page := uint64(c.dramLocal(a)) / pageBytes
+	page := uint64(c.dev.Geom.DRAMLocal(a)) / pageBytes
 	set := page % uint64(len(c.sets))
 	info := hmm.PageInfo{
 		Page:      page,
@@ -33,7 +33,7 @@ func (c *Cache) InspectAddr(a addr.Addr) hmm.PageInfo {
 // LocateLine implements hmm.Inspector: whole pages are resident, so a
 // mapping hit serves any line of the page from HBM.
 func (c *Cache) LocateLine(a addr.Addr) hmm.Tier {
-	page := uint64(c.dramLocal(a)) / pageBytes
+	page := uint64(c.dev.Geom.DRAMLocal(a)) / pageBytes
 	if c.lookup(page%uint64(len(c.sets)), page) >= 0 {
 		return hmm.TierHBM
 	}

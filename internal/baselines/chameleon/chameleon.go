@@ -105,7 +105,7 @@ func (s *System) Counters() hmm.Counters {
 // interleave across groups; member g is the group's own HBM segment.
 func (s *System) locate(a addr.Addr) (grp uint64, member uint64, off uint64) {
 	geom := s.dev.Geom
-	p := geom.PageOf(a) % (geom.DRAMPages() + geom.HBMPages())
+	p := geom.FoldPage(geom.PageOf(a))
 	off = geom.PageOffset(a)
 	if geom.IsHBMPage(p) {
 		return (p - geom.DRAMPages()) % uint64(len(s.groups)), s.g, off
@@ -133,7 +133,7 @@ func (s *System) Access(now uint64, a addr.Addr, write bool) uint64 {
 	t0 := now
 	s.cnt.Requests++
 	s.decay()
-	now = s.os.Admit(now, uint64(a)/s.dev.Geom.PageSize)
+	now = s.os.Admit(now, a)
 	grp, member, off := s.locate(a)
 	g := &s.groups[grp]
 

@@ -165,15 +165,6 @@ func (s *System) decay() {
 	}
 }
 
-// clampPage folds the flat page into the design's address space.
-func (s *System) clampPage(p uint64) uint64 {
-	total := s.geom.DRAMPages() + s.geom.HBMPages()
-	if p >= total {
-		return p % total
-	}
-	return p
-}
-
 // pomLookup resolves a page through the POM remapping table, allocating
 // it first-touch. It returns the slot holding the page.
 func (s *System) pomLookup(p uint64) (setIdx uint64, slot int32) {
@@ -215,8 +206,8 @@ func (s *System) Access(now uint64, a addr.Addr, write bool) uint64 {
 func (s *System) access(now uint64, a addr.Addr, write bool) (uint64, telemetry.Tier) {
 	s.cnt.Requests++
 	s.decay()
-	now = s.os.Admit(now, uint64(a)/pageBytes)
-	p := s.clampPage(s.geom.PageOf(a))
+	now = s.os.Admit(now, a)
+	p := s.geom.FoldPage(s.geom.PageOf(a))
 	off := s.geom.PageOffset(a)
 	off64 := off &^ 63
 	blk := off / blockBytes
@@ -413,7 +404,7 @@ func (s *System) promote(now uint64, p uint64, setIdx uint64, slot int32) {
 // Writeback implements hmm.MemSystem.
 func (s *System) Writeback(now uint64, a addr.Addr) {
 	s.cnt.Writebacks++
-	p := s.clampPage(s.geom.PageOf(a))
+	p := s.geom.FoldPage(s.geom.PageOf(a))
 	off := s.geom.PageOffset(a)
 	off64 := off &^ 63
 	blk := off / blockBytes

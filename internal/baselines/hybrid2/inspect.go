@@ -29,7 +29,7 @@ func (s *System) InspectCacheFrames() uint64 { return uint64(len(s.cacheSets)) *
 // over-fetch tracker's keyspace (cache region first, then POM region) so
 // the two statically partitioned regions cannot collide.
 func (s *System) InspectAddr(a addr.Addr) hmm.PageInfo {
-	p := s.clampPage(s.geom.PageOf(a))
+	p := s.geom.FoldPage(s.geom.PageOf(a))
 	info := hmm.PageInfo{Page: p}
 	setIdx, slot := s.pomPeek(p)
 	if slot < 0 {
@@ -56,7 +56,7 @@ func (s *System) InspectAddr(a addr.Addr) hmm.PageInfo {
 // DRAM-homed pages serve a line from HBM only when its 256 B block is
 // present in the block cache.
 func (s *System) LocateLine(a addr.Addr) hmm.Tier {
-	p := s.clampPage(s.geom.PageOf(a))
+	p := s.geom.FoldPage(s.geom.PageOf(a))
 	_, slot := s.pomPeek(p)
 	if slot < 0 {
 		return hmm.TierNone

@@ -13,9 +13,11 @@ var _ hmm.Inspector = (*System)(nil)
 func (s *System) InspectGranularity() uint64 { return s.dev.Geom.PageSize }
 
 // InspectAddr implements hmm.Inspector: every page lives at its folded
-// DRAM position, permanently.
+// DRAM position, permanently. Without HBM the OS-visible memory is only
+// the DRAM capacity.
 func (s *System) InspectAddr(a addr.Addr) hmm.PageInfo {
-	p := uint64(s.local(a)) / s.dev.Geom.PageSize
+	g := s.dev.Geom
+	p := g.PageOf(g.DRAMLocal(a))
 	return hmm.PageInfo{Page: p, Allocated: true, Home: hmm.TierDRAM, HomeFrame: p}
 }
 

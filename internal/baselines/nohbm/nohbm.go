@@ -46,19 +46,13 @@ func (s *System) Counters() hmm.Counters {
 	return c
 }
 
-// local folds the flat address into the DRAM device: without HBM the
-// OS-visible memory is only the DRAM capacity.
-func (s *System) local(a addr.Addr) addr.Addr {
-	return addr.Addr(uint64(a) % s.dev.Geom.DRAMBytes)
-}
-
 // Access implements hmm.MemSystem.
 func (s *System) Access(now uint64, a addr.Addr, write bool) uint64 {
 	s.cnt.Requests++
 	s.cnt.ServedDRAM++
 	t0 := now
-	now = s.os.Admit(now, uint64(a)/s.dev.Geom.PageSize)
-	done := s.dev.DRAM.Access(now, s.local(a), 64, write)
+	now = s.os.Admit(now, a)
+	done := s.dev.DRAM.Access(now, s.dev.Geom.DRAMLocal(a), 64, write)
 	s.dev.Tel.ObserveAccess(telemetry.TierDRAM, t0, done)
 	return done
 }
@@ -66,5 +60,5 @@ func (s *System) Access(now uint64, a addr.Addr, write bool) uint64 {
 // Writeback implements hmm.MemSystem.
 func (s *System) Writeback(now uint64, a addr.Addr) {
 	s.cnt.Writebacks++
-	s.dev.DRAM.Access(now, s.local(a), 64, true)
+	s.dev.DRAM.Access(now, s.dev.Geom.DRAMLocal(a), 64, true)
 }

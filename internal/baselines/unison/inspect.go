@@ -16,7 +16,7 @@ func (c *Cache) InspectGranularity() uint64 { return pageBytes }
 // is always the folded DRAM page; a valid way holds the fetched subset of
 // its blocks.
 func (c *Cache) InspectAddr(a addr.Addr) hmm.PageInfo {
-	page := uint64(c.dramLocal(a)) / pageBytes
+	page := uint64(c.dev.Geom.DRAMLocal(a)) / pageBytes
 	set := page % uint64(len(c.sets))
 	info := hmm.PageInfo{
 		Page:      page,
@@ -34,7 +34,7 @@ func (c *Cache) InspectAddr(a addr.Addr) hmm.PageInfo {
 // LocateLine implements hmm.Inspector: only blocks the footprint fetch
 // actually brought in are served from HBM.
 func (c *Cache) LocateLine(a addr.Addr) hmm.Tier {
-	da := uint64(c.dramLocal(a))
+	da := uint64(c.dev.Geom.DRAMLocal(a))
 	page := da / pageBytes
 	blk := (da % pageBytes) / blockBytes
 	set := page % uint64(len(c.sets))

@@ -89,10 +89,6 @@ func (c *Cache) Counters() hmm.Counters {
 	return out
 }
 
-func (c *Cache) dramLocal(a addr.Addr) addr.Addr {
-	return addr.Addr(uint64(a) % c.dev.Geom.DRAMBytes)
-}
-
 // hbmAddr returns the HBM byte address of block blk of way w in set.
 func (c *Cache) hbmAddr(set uint64, w int, blk uint64) addr.Addr {
 	return addr.Addr(set*uint64(ways)*pageBytes + uint64(w)*pageBytes + blk*blockBytes)
@@ -182,8 +178,8 @@ func (c *Cache) Access(now uint64, a addr.Addr, write bool) uint64 {
 func (c *Cache) access(now uint64, a addr.Addr, write bool) (uint64, telemetry.Tier) {
 	c.cnt.Requests++
 	c.tick++
-	now = c.os.Admit(now, uint64(a)/c.dev.Geom.PageSize)
-	da := c.dramLocal(a)
+	now = c.os.Admit(now, a)
+	da := c.dev.Geom.DRAMLocal(a)
 	page := uint64(da) / pageBytes
 	blk := (uint64(da) % pageBytes) / blockBytes
 	set := page % uint64(len(c.sets))
@@ -236,7 +232,7 @@ func (c *Cache) access(now uint64, a addr.Addr, write bool) (uint64, telemetry.T
 // Writeback implements hmm.MemSystem.
 func (c *Cache) Writeback(now uint64, a addr.Addr) {
 	c.cnt.Writebacks++
-	da := c.dramLocal(a)
+	da := c.dev.Geom.DRAMLocal(a)
 	page := uint64(da) / pageBytes
 	blk := (uint64(da) % pageBytes) / blockBytes
 	set := page % uint64(len(c.sets))

@@ -82,6 +82,27 @@ type DRAMDevice struct {
 	Power         DRAMPower
 }
 
+// CheckPowersOfTwo refuses a device whose address-decode fields are not
+// powers of two: the device model splits an address into channel, bank
+// and row by shift and mask alone. System.Validate and dram.New both
+// report it.
+func (d DRAMDevice) CheckPowersOfTwo() error {
+	for _, f := range []struct {
+		name string
+		v    uint64
+	}{
+		{"InterleaveB", d.InterleaveB},
+		{"Channels", uint64(max(d.Channels, 0))},
+		{"RowBytes", d.RowBytes},
+		{"Banks", uint64(max(d.Banks, 0))},
+	} {
+		if f.v == 0 || f.v&(f.v-1) != 0 {
+			return fmt.Errorf("device %q: %s %d is not a power of two", d.Name, f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // PeakBandwidthGBs returns the aggregate peak bandwidth in GB/s assuming a
 // double data rate bus.
 func (d DRAMDevice) PeakBandwidthGBs() float64 {
@@ -281,8 +302,8 @@ func (s System) Validate() error {
 		if d.Timing.ClockMHz == 0 {
 			return fmt.Errorf("config: device %q has zero clock", d.Name)
 		}
-		if d.InterleaveB == 0 || d.RowBytes == 0 {
-			return fmt.Errorf("config: device %q has zero interleave or row size", d.Name)
+		if err := d.CheckPowersOfTwo(); err != nil {
+			return err
 		}
 	}
 	if _, err := addr.NewGeometry(s.PageBytes, s.BlockBytes, s.DRAM.CapacityBytes, s.HBM.CapacityBytes, s.HBMWays); err != nil {

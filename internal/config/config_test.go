@@ -71,6 +71,12 @@ func TestValidateRejects(t *testing.T) {
 		{"over 16 ways", func(s *System) { s.Caches[2].Ways = 32 }, `cache "L3": 32 ways, want 1 to 16`},
 		{"zero channels", func(s *System) { s.HBM.Channels = 0 }, "channels"},
 		{"zero clock", func(s *System) { s.DRAM.Timing.ClockMHz = 0 }, "clock"},
+		// dram.New refuses the same devices with the same message.
+		{"interleave not a power of two", func(s *System) { s.HBM.InterleaveB = 384 }, `device "HBM2": InterleaveB 384 is not a power of two`},
+		{"channels not a power of two", func(s *System) { s.DRAM.Channels = 3 }, `device "DDR4-3200": Channels 3 is not a power of two`},
+		{"row size not a power of two", func(s *System) { s.DRAM.RowBytes = 6 * addr.KiB }, `device "DDR4-3200": RowBytes 6144 is not a power of two`},
+		{"banks not a power of two", func(s *System) { s.HBM.Banks = 12 }, `device "HBM2": Banks 12 is not a power of two`},
+		{"zero interleave", func(s *System) { s.DRAM.InterleaveB = 0 }, `device "DDR4-3200": InterleaveB 0 is not a power of two`},
 		{"bad ratio", func(s *System) { s.Bumblebee.FixedCacheRatio = 1.5 }, "ratio"},
 		{"alloc conflict", func(s *System) {
 			s.Bumblebee.AllocAllDRAM = true

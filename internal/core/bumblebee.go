@@ -27,8 +27,7 @@ type Bumblebee struct {
 	sets []*pset
 	cnt  hmm.Counters
 
-	pages         uint64 // pages in the flat address space
-	m, n          int    // DRAM and HBM pages per set
+	m, n          int // DRAM and HBM pages per set
 	blocksPerPage int
 	halfBlocks    int // "most blocks" threshold
 	cacheWays     int // fixed cHBM ways per set; -1 when adaptive
@@ -66,7 +65,6 @@ func NewWithDevices(sys config.System, dev *hmm.Devices) (*Bumblebee, error) {
 		geom:          g,
 		meta:          hmm.NewMeta(sys, dev, sys.Bumblebee.MetadataInHBM),
 		ft:            hmm.NewFetchTracker(g.PageSize),
-		pages:         g.DRAMPages() + g.HBMPages(),
 		m:             int(g.DRAMPagesPerSet()),
 		n:             int(g.HBMPagesPerSet()),
 		blocksPerPage: int(g.BlocksPerPage()),
@@ -146,16 +144,6 @@ func (b *Bumblebee) FrameModes() (cached, mhbm, free int) {
 	return int(st.CHBMFrames), int(st.MHBMFrames), int(st.FreeFrames + st.RetiredFrames)
 }
 
-// clampPage folds pages beyond the flat address space back into it; the
-// synthetic OS never allocates past physical memory, so this only guards
-// against malformed traces.
-func (b *Bumblebee) clampPage(p uint64) uint64 {
-	if p >= b.pages {
-		return p % b.pages
-	}
-	return p
-}
-
 // off64 returns the 64 B-aligned byte offset of a within its page.
 func (b *Bumblebee) off64(a addr.Addr) uint64 {
 	return b.geom.PageOffset(a) &^ 63
@@ -167,9 +155,8 @@ func (b *Bumblebee) Access(now uint64, a addr.Addr, write bool) uint64 {
 	tier := telemetry.TierDRAM
 	b.cnt.Requests++
 	b.drainRetirements(now)
-	pg := b.geom.PageOf(a)
-	now = b.osmem.Admit(now, pg)
-	p := b.clampPage(pg)
+	now = b.osmem.Admit(now, a)
+	p := b.geom.FoldPage(b.geom.PageOf(a))
 	setIdx := b.geom.SetOf(p)
 	s := b.sets[setIdx]
 
@@ -202,7 +189,7 @@ func (b *Bumblebee) Access(now uint64, a addr.Addr, write bool) uint64 {
 		}
 	}
 	actual := s.newPLE[orig]
-	if s.aliased[orig] && p < b.osmem.Pages {
+	if s.aliased[orig] && b.geom.PageAddr(p) < b.osmem.Limit {
 		// The page nominally fits OS-visible memory but has no frame
 		// (the design could not free one): the OS must page on every
 		// touch.
@@ -287,7 +274,7 @@ func (b *Bumblebee) Access(now uint64, a addr.Addr, write bool) uint64 {
 // whichever copy of the line is current.
 func (b *Bumblebee) Writeback(now uint64, a addr.Addr) {
 	b.cnt.Writebacks++
-	p := b.clampPage(b.geom.PageOf(a))
+	p := b.geom.FoldPage(b.geom.PageOf(a))
 	setIdx := b.geom.SetOf(p)
 	s := b.sets[setIdx]
 	orig := int16(b.geom.SlotOf(p))
@@ -319,7 +306,7 @@ func (b *Bumblebee) Writeback(now uint64, a addr.Addr) {
 // touchHBMPage updates the hot table for an access to an HBM-resident
 // page (mHBM or cHBM copy).
 func (b *Bumblebee) touchHBMPage(now uint64, setIdx uint64, s *pset, orig int16) {
-	if s.hot.hbm.touch(orig) {
+	if _, ok := s.hot.hbm.touch(orig); ok {
 		return
 	}
 	// A probation page (demoted to cHBM, entry in the DRAM queue) that is
@@ -335,8 +322,8 @@ func (b *Bumblebee) touchHBMPage(now uint64, setIdx uint64, s *pset, orig int16)
 // touchDRAMPage updates the hot table for an access to a DRAM-resident,
 // uncached page and returns the page's hotness counter.
 func (b *Bumblebee) touchDRAMPage(now uint64, setIdx uint64, s *pset, orig int16) uint32 {
-	if s.hot.dram.touch(orig) {
-		return s.hot.dram.count(orig)
+	if n, ok := s.hot.dram.touch(orig); ok {
+		return n
 	}
 	popped, didPop := s.hot.dram.push(hotEntry{orig: orig, count: 1})
 	if didPop {

@@ -36,24 +36,23 @@ func (q *hotQueue) len() int { return len(q.entries) }
 func (q *hotQueue) full() bool { return len(q.entries) >= q.cap }
 
 // touch increments orig's access counter and moves it to the MRU end; it
-// reports whether the entry was present. Counting every access (the
-// paper's "counter to record the access number") lets a page in the
-// middle of a sequential burst quickly pass the threshold T, so streams
-// can cache themselves mid-run; the movement-bandwidth budget bounds how
-// much data such bursts may move.
-func (q *hotQueue) touch(orig int16) bool {
+// returns the new count and whether the entry was present. Counting
+// every access (the paper's "counter to record the access number") lets
+// a page in the middle of a sequential burst quickly pass the threshold
+// T, so streams can cache themselves mid-run; the movement-bandwidth
+// budget bounds how much data such bursts may move.
+func (q *hotQueue) touch(orig int16) (uint32, bool) {
 	i := q.find(orig)
 	if i < 0 {
-		return false
+		return 0, false
 	}
 	q.entries[i].count++
-	if i == len(q.entries)-1 {
-		return true
-	}
 	e := q.entries[i]
-	copy(q.entries[i:], q.entries[i+1:])
-	q.entries[len(q.entries)-1] = e
-	return true
+	if i != len(q.entries)-1 {
+		copy(q.entries[i:], q.entries[i+1:])
+		q.entries[len(q.entries)-1] = e
+	}
+	return e.count, true
 }
 
 // push inserts an entry at the MRU end. If the queue is full, the LRU

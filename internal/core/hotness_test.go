@@ -7,8 +7,8 @@ func TestHotQueueTouchMovesToMRU(t *testing.T) {
 	q.push(hotEntry{orig: 1, count: 1})
 	q.push(hotEntry{orig: 2, count: 1})
 	q.push(hotEntry{orig: 3, count: 1})
-	if !q.touch(1) {
-		t.Fatal("touch of present entry returned false")
+	if n, ok := q.touch(1); !ok || n != 2 {
+		t.Fatalf("touch of present entry = %d/%v, want 2/true", n, ok)
 	}
 	if lru, _ := q.lru(); lru.orig != 2 {
 		t.Errorf("LRU after touch = %d, want 2", lru.orig)
@@ -16,8 +16,8 @@ func TestHotQueueTouchMovesToMRU(t *testing.T) {
 	if q.count(1) != 2 {
 		t.Errorf("count after touch = %d, want 2", q.count(1))
 	}
-	if q.touch(99) {
-		t.Error("touch of absent entry returned true")
+	if n, ok := q.touch(99); ok || n != 0 {
+		t.Errorf("touch of absent entry = %d/%v, want 0/false", n, ok)
 	}
 }
 

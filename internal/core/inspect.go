@@ -59,7 +59,7 @@ func (b *Bumblebee) InspectGranularity() uint64 { return b.geom.PageSize }
 // page holding a. Unlike Access it never allocates, so the result for an
 // untouched page is Allocated=false.
 func (b *Bumblebee) InspectAddr(a addr.Addr) hmm.PageInfo {
-	p := b.clampPage(b.geom.PageOf(a))
+	p := b.geom.FoldPage(b.geom.PageOf(a))
 	setIdx := b.geom.SetOf(p)
 	s := b.sets[setIdx]
 	orig := int16(b.geom.SlotOf(p))
@@ -88,7 +88,7 @@ func (b *Bumblebee) InspectAddr(a addr.Addr) hmm.PageInfo {
 // decision (mHBM slot → HBM; cached block → HBM; otherwise off-chip
 // DRAM) without side effects.
 func (b *Bumblebee) LocateLine(a addr.Addr) hmm.Tier {
-	p := b.clampPage(b.geom.PageOf(a))
+	p := b.geom.FoldPage(b.geom.PageOf(a))
 	s := b.sets[b.geom.SetOf(p)]
 	orig := int16(b.geom.SlotOf(p))
 	slot := s.newPLE[orig]

@@ -25,15 +25,15 @@ func (q *refQueue) find(o int16) int {
 	return -1
 }
 
-func (q *refQueue) touch(o int16) bool {
+func (q *refQueue) touch(o int16) (uint32, bool) {
 	i := q.find(o)
 	if i < 0 {
-		return false
+		return 0, false
 	}
 	q.entries[i].count++
 	e := q.entries[i]
 	q.entries = append(append(append([]hotEntry{}, q.entries[:i]...), q.entries[i+1:]...), e)
-	return true
+	return e.count, true
 }
 
 func (q *refQueue) push(e hotEntry) (hotEntry, bool) {
@@ -79,10 +79,10 @@ func TestHotQueueModelBased(t *testing.T) {
 			o := int16(rng.Intn(12))
 			switch rng.Intn(4) {
 			case 0:
-				g1 := q.touch(o)
-				g2 := ref.touch(o)
-				if g1 != g2 {
-					t.Fatalf("trial %d step %d: touch(%d) = %v, ref %v", trial, step, o, g1, g2)
+				n1, g1 := q.touch(o)
+				n2, g2 := ref.touch(o)
+				if g1 != g2 || n1 != n2 {
+					t.Fatalf("trial %d step %d: touch(%d) = %d/%v, ref %d/%v", trial, step, o, n1, g1, n2, g2)
 				}
 			case 1:
 				e := hotEntry{orig: o, count: uint32(rng.Intn(100))}

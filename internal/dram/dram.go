@@ -9,6 +9,7 @@ package dram
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/addr"
 	"repro/internal/config"
@@ -75,10 +76,9 @@ type Device struct {
 	nsPerCycle float64
 	burstBytes uint64
 
-	// Shift/mask address decode, valid when interleave granularity,
-	// channel count, row size and bank count are all powers of two
-	// (locFast); locate falls back to division otherwise.
-	locFast     bool
+	// Shift/mask address decode: New refuses a device whose interleave
+	// granularity, channel count, row size or bank count is not a power
+	// of two.
 	ileaveShift uint
 	ileaveMask  uint64
 	chShift     uint
@@ -100,8 +100,8 @@ type Device struct {
 
 // New builds a device model clocked against a CPU at cpuFreqMHz.
 func New(cfg config.DRAMDevice, cpuFreqMHz uint64) (*Device, error) {
-	if cfg.Channels <= 0 || cfg.Banks <= 0 {
-		return nil, fmt.Errorf("dram: %s: channels and banks must be positive", cfg.Name)
+	if err := cfg.CheckPowersOfTwo(); err != nil {
+		return nil, err
 	}
 	if cfg.Timing.ClockMHz == 0 || cpuFreqMHz == 0 {
 		return nil, fmt.Errorf("dram: %s: clocks must be positive", cfg.Name)
@@ -138,19 +138,10 @@ func New(cfg config.DRAMDevice, cpuFreqMHz uint64) (*Device, error) {
 	if d.transfer64 == 0 {
 		d.transfer64 = 1
 	}
-	if sh, ok1 := log2(cfg.InterleaveB); ok1 {
-		if chSh, ok2 := log2(uint64(cfg.Channels)); ok2 {
-			if rowSh, ok3 := log2(cfg.RowBytes); ok3 {
-				if bkSh, ok4 := log2(uint64(cfg.Banks)); ok4 {
-					d.locFast = true
-					d.ileaveShift, d.ileaveMask = sh, cfg.InterleaveB-1
-					d.chShift, d.chMask = chSh, uint64(cfg.Channels-1)
-					d.rowShift = rowSh
-					d.bankShift, d.bankMask = bkSh, uint64(cfg.Banks-1)
-				}
-			}
-		}
-	}
+	d.ileaveShift, d.ileaveMask = log2(cfg.InterleaveB), cfg.InterleaveB-1
+	d.chShift, d.chMask = log2(uint64(cfg.Channels)), uint64(cfg.Channels-1)
+	d.rowShift = log2(cfg.RowBytes)
+	d.bankShift, d.bankMask = log2(uint64(cfg.Banks)), uint64(cfg.Banks-1)
 
 	d.nsPerCycle = 1e3 / float64(cpuFreqMHz)
 	devClockNS := 1e3 / float64(cfg.Timing.ClockMHz)
@@ -186,17 +177,8 @@ func New(cfg config.DRAMDevice, cpuFreqMHz uint64) (*Device, error) {
 	return d, nil
 }
 
-// log2 returns the base-2 logarithm of n when n is a power of two.
-func log2(n uint64) (uint, bool) {
-	if n == 0 || n&(n-1) != 0 {
-		return 0, false
-	}
-	var s uint
-	for ; n > 1; n >>= 1 {
-		s++
-	}
-	return s, true
-}
+// log2 returns the base-2 logarithm of n, a power of two.
+func log2(n uint64) uint { return uint(bits.TrailingZeros64(n)) }
 
 func maxU64(a, b uint64) uint64 {
 	if a > b {
@@ -220,22 +202,14 @@ func (d *Device) Config() config.DRAMDevice { return d.cfg }
 // Stats returns a copy of the accumulated counters.
 func (d *Device) Stats() Stats { return d.stats }
 
-// locate maps a device-local address to (channel, bank, row).
+// locate maps a device-local address to (channel, bank, row). The
+// interleave chunk number's low bits pick the channel; the address within
+// the channel, with those bits removed, splits into row and bank.
 func (d *Device) locate(a addr.Addr) (ch, bk int, row int64) {
-	if d.locFast {
-		ileave := uint64(a) >> d.ileaveShift
-		local := (ileave>>d.chShift)<<d.ileaveShift | uint64(a)&d.ileaveMask
-		rowGlobal := local >> d.rowShift
-		return int(ileave & d.chMask), int(rowGlobal & d.bankMask), int64(rowGlobal >> d.bankShift)
-	}
-	ileave := uint64(a) / d.cfg.InterleaveB
-	ch = int(ileave % uint64(d.cfg.Channels))
-	// Address within the channel after removing interleaving.
-	local := (ileave/uint64(d.cfg.Channels))*d.cfg.InterleaveB + uint64(a)%d.cfg.InterleaveB
-	rowGlobal := local / d.cfg.RowBytes
-	bk = int(rowGlobal % uint64(d.cfg.Banks))
-	row = int64(rowGlobal / uint64(d.cfg.Banks))
-	return ch, bk, row
+	ileave := uint64(a) >> d.ileaveShift
+	local := (ileave>>d.chShift)<<d.ileaveShift | uint64(a)&d.ileaveMask
+	rowGlobal := local >> d.rowShift
+	return int(ileave & d.chMask), int(rowGlobal & d.bankMask), int64(rowGlobal >> d.bankShift)
 }
 
 // Access performs a read or write of length bytes starting at device-local
@@ -247,7 +221,7 @@ func (d *Device) Access(now uint64, a addr.Addr, bytes uint64, write bool) uint6
 	if bytes == 0 {
 		return now
 	}
-	if d.locFast && uint64(a)&d.ileaveMask+bytes <= d.cfg.InterleaveB {
+	if uint64(a)&d.ileaveMask+bytes <= d.cfg.InterleaveB {
 		// Fast path: the whole transfer fits in one interleave chunk.
 		return d.burst(now, a, bytes, write)
 	}
@@ -255,10 +229,7 @@ func (d *Device) Access(now uint64, a addr.Addr, bytes uint64, write bool) uint6
 	for off := uint64(0); off < bytes; {
 		cur := addr.Addr(uint64(a) + off)
 		// Chunk ends at the next interleave boundary.
-		inChunk := d.cfg.InterleaveB - uint64(cur)%d.cfg.InterleaveB
-		if rem := bytes - off; inChunk > rem {
-			inChunk = rem
-		}
+		inChunk := min(d.cfg.InterleaveB-uint64(cur)&d.ileaveMask, bytes-off)
 		end := d.burst(now, cur, inChunk, write)
 		if end > done {
 			done = end

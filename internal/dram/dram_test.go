@@ -1,6 +1,8 @@
 package dram
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -39,6 +41,55 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := New(config.Default().HBM, 0); err == nil {
 		t.Error("zero CPU clock accepted")
+	}
+}
+
+// TestNewRefusesNonPowerOfTwo checks that New refuses a device its
+// shift-and-mask decode cannot split, with the message System.Validate
+// gives.
+func TestNewRefusesNonPowerOfTwo(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		mut   func(*config.DRAMDevice)
+	}{
+		{"InterleaveB", func(d *config.DRAMDevice) { d.InterleaveB = 768 }},
+		{"Channels", func(d *config.DRAMDevice) { d.Channels = 6 }},
+		{"RowBytes", func(d *config.DRAMDevice) { d.RowBytes = 3 * addr.KiB }},
+		{"Banks", func(d *config.DRAMDevice) { d.Banks = 5 }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			cfg := config.Default().HBM
+			tc.mut(&cfg)
+			_, err := New(cfg, 3600)
+			if err == nil {
+				t.Fatal("New accepted a non-power-of-two device")
+			}
+			if !strings.Contains(err.Error(), tc.field+" ") || err.Error() != cfg.CheckPowersOfTwo().Error() {
+				t.Errorf("error %q does not name %s as System.Validate does", err, tc.field)
+			}
+		})
+	}
+}
+
+// TestLocateMatchesDivision holds the shift-and-mask decode to the
+// division form of the same channel/bank/row split on both Table I
+// devices.
+func TestLocateMatchesDivision(t *testing.T) {
+	for _, d := range []*Device{newHBM(t), newDDR(t)} {
+		cfg := d.Config()
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 10000; i++ {
+			a := rng.Uint64() % cfg.CapacityBytes
+			ileave := a / cfg.InterleaveB
+			local := ileave/uint64(cfg.Channels)*cfg.InterleaveB + a%cfg.InterleaveB
+			rowGlobal := local / cfg.RowBytes
+			wantCh, wantBk := int(ileave%uint64(cfg.Channels)), int(rowGlobal%uint64(cfg.Banks))
+			wantRow := int64(rowGlobal / uint64(cfg.Banks))
+			if ch, bk, row := d.locate(addr.Addr(a)); ch != wantCh || bk != wantBk || row != wantRow {
+				t.Fatalf("%s: locate(%#x) = (%d,%d,%d), want (%d,%d,%d)",
+					cfg.Name, a, ch, bk, row, wantCh, wantBk, wantRow)
+			}
+		}
 	}
 }
 
@@ -267,5 +318,50 @@ func TestNoRefreshWhenDisabled(t *testing.T) {
 	d.Access(1<<40, 0, 64, false)
 	if d.Stats().Refreshes != 0 {
 		t.Error("refresh ran with TREFI=0")
+	}
+}
+
+// BenchmarkDeviceAccess reports the device model's ns per Access on the
+// scale-128 Table I HBM2 and DDR4 devices, under a seeded mix of the
+// transfers the designs issue: 64 B demand reads and writes, 72 B Alloy
+// tag-and-data (TAD) transfers and 512 B chunks of page moves.
+func BenchmarkDeviceAccess(b *testing.B) {
+	sys := config.Default().Scaled(128)
+	for _, cfg := range []config.DRAMDevice{sys.HBM, sys.DRAM} {
+		b.Run(cfg.Name, func(b *testing.B) {
+			d, err := New(cfg, sys.Core.FreqMHz)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			type op struct {
+				a     addr.Addr
+				bytes uint64
+				write bool
+			}
+			ops := make([]op, 1<<16)
+			for i := range ops {
+				o := &ops[i]
+				switch r := rng.Intn(8); {
+				case r < 5:
+					o.bytes = 64
+				case r < 7:
+					o.bytes = 72
+				default:
+					o.bytes = 512
+				}
+				o.a = addr.Addr(rng.Uint64() % (cfg.CapacityBytes / o.bytes) * o.bytes)
+				o.write = rng.Intn(3) == 0
+			}
+			var now uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, o := range ops {
+					d.Access(now, o.a, o.bytes, o.write)
+					now += 8
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ops)), "ns/access")
+		})
 	}
 }

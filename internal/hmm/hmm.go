@@ -331,7 +331,10 @@ func (m *Mover) Charge(bytes uint64) {
 // to pages beyond the capacity pay PenaltyCycles (an optimistic NVMe
 // swap-in) and are then served from the aliased frame.
 type OSMem struct {
-	Pages         uint64 // OS-visible capacity in workload pages
+	// Limit is the OS-visible capacity in bytes, rounded down to whole
+	// pages: an address lies in a visible page exactly when it is below
+	// Limit, since a/P < C/P (whole quotients) is a < (C/P)*P.
+	Limit         addr.Addr
 	PenaltyCycles uint64
 	Faults        uint64
 }
@@ -340,15 +343,15 @@ type OSMem struct {
 // in pages of pageBytes, with a fault penalty of penaltyNS.
 func NewOSMem(capacityBytes, pageBytes uint64, penaltyNS float64, cpuFreqMHz uint64) *OSMem {
 	return &OSMem{
-		Pages:         capacityBytes / pageBytes,
+		Limit:         addr.Addr(capacityBytes / pageBytes * pageBytes),
 		PenaltyCycles: uint64(penaltyNS * float64(cpuFreqMHz) / 1e3),
 	}
 }
 
-// Admit charges a page fault when page lies beyond the OS-visible
+// Admit charges a page fault when a lies in a page beyond the OS-visible
 // capacity and returns the cycle at which the access may proceed.
-func (o *OSMem) Admit(now uint64, page uint64) uint64 {
-	if o == nil || page < o.Pages || o.PenaltyCycles == 0 {
+func (o *OSMem) Admit(now uint64, a addr.Addr) uint64 {
+	if o == nil || a < o.Limit || o.PenaltyCycles == 0 {
 		return now
 	}
 	o.Faults++

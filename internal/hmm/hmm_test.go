@@ -238,23 +238,39 @@ func TestMoverDefensiveBudget(t *testing.T) {
 }
 
 func TestOSMemAdmit(t *testing.T) {
-	o := NewOSMem(10*64*1024, 64*1024, 2000, 3600)
-	if got := o.Admit(100, 5); got != 100 {
-		t.Errorf("in-capacity page delayed: %d", got)
-	}
-	got := o.Admit(100, 10)
-	if got <= 100 {
-		t.Error("out-of-capacity page not delayed")
-	}
-	if got-100 != o.PenaltyCycles {
-		t.Errorf("penalty = %d, want %d", got-100, o.PenaltyCycles)
-	}
-	if o.Faults != 1 {
-		t.Errorf("faults = %d", o.Faults)
-	}
-	// 2 us at 3.6 GHz = 7200 cycles.
-	if o.PenaltyCycles != 7200 {
-		t.Errorf("penalty cycles = %d, want 7200", o.PenaltyCycles)
+	const page = 64 * 1024
+	for _, tc := range []struct {
+		name     string
+		capacity uint64
+	}{
+		{"whole pages", 10 * page},
+		// A partial last page is not OS-visible: the capacity rounds
+		// down to ten whole pages.
+		{"partial page", 10*page + page/2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := NewOSMem(tc.capacity, page, 2000, 3600)
+			if got := o.Admit(100, 0); got != 100 {
+				t.Errorf("first byte delayed: %d", got)
+			}
+			if got := o.Admit(100, 10*page-1); got != 100 {
+				t.Errorf("last byte of the last whole page delayed: %d", got)
+			}
+			if o.Faults != 0 {
+				t.Fatalf("faults = %d inside capacity", o.Faults)
+			}
+			got := o.Admit(100, 10*page)
+			if got-100 != o.PenaltyCycles {
+				t.Errorf("first byte past the last whole page: delay %d, want %d", got-100, o.PenaltyCycles)
+			}
+			if o.Faults != 1 {
+				t.Errorf("faults = %d, want 1", o.Faults)
+			}
+			// 2 us at 3.6 GHz = 7200 cycles.
+			if o.PenaltyCycles != 7200 {
+				t.Errorf("penalty cycles = %d, want 7200", o.PenaltyCycles)
+			}
+		})
 	}
 }
 

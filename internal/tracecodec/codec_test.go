@@ -161,15 +161,31 @@ func TestOpenDetectsBBTR(t *testing.T) {
 
 // TestReaderRejectsGarbage: binary records behind a damaged magic that
 // no codec claims, or no input at all, are refused, at Open or on the
-// first read. (The text decoder takes a non-numeric first line for a
-// header, so the damage shows on the line after it.)
+// first read. The text decoder takes a non-numeric first line for a
+// header only when it is printable text, so control bytes or invalid
+// UTF-8 there are refused on line 1.
 func TestReaderRejectsGarbage(t *testing.T) {
-	for name, in := range map[string][]byte{
-		"bad magic":   []byte("XBT1\x01\n\x80\x40\x03\x00"),
-		"empty input": nil,
+	damaged := []byte("XBT1\x01\x80\x40\x03\x00")
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	zw.Write(damaged)
+	zw.Close()
+	for _, tc := range []struct {
+		name, wantSub string
+		in            []byte
+	}{
+		{"bad magic", "line 1", []byte("XBT1\x01\n\x80\x40\x03\x00")},
+		{"damaged binary", "line 1", damaged},
+		{"damaged binary gzipped", "line 1", gz.Bytes()},
+		{"delete byte", "line 1", []byte("cycle, address\x7f\n1, 0x40, 0\n")},
+		{"invalid UTF-8", "line 1", []byte("cycle, \xffaddress, type\n1, 0x40, 0\n")},
+		{"empty input", "empty", nil},
 	} {
-		if recs, err := decodeAll(t, in); err == nil {
-			t.Errorf("%s: decoded %d recs without error", name, len(recs))
+		recs, err := decodeAll(t, tc.in)
+		if err == nil {
+			t.Errorf("%s: decoded %d recs without error", tc.name, len(recs))
+		} else if !strings.Contains(err.Error(), tc.wantSub) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantSub)
 		}
 	}
 }
@@ -178,7 +194,7 @@ func TestReaderRejectsGarbage(t *testing.T) {
 // type-mnemonic variants seen in the wild and normalizes them all.
 func TestTextReaderVariants(t *testing.T) {
 	in := strings.Join([]string{
-		"cycle, address, type", // zsim header
+		"cycle,\taddress,\ttype — µs", // printable header: tab and non-ASCII text pass
 		"# a comment",
 		"10, 0x40, 0",
 		"12  128  1", // whitespace-separated, decimal address

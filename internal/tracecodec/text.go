@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // zsim-style text traces: an optional "cycle, address, type" header
@@ -112,7 +113,12 @@ func (t *TextReader) Next() (Rec, bool) {
 		}
 		if t.line == 1 && !(s[0] >= '0' && s[0] <= '9') {
 			// The zsim header ("cycle, address, type") or any other
-			// single descriptive first line.
+			// single descriptive first line. Control bytes or invalid
+			// UTF-8 there are binary damage, not a description.
+			if !printable(s) {
+				t.err = fmt.Errorf("tracecodec: text: line 1: not a header or record: holds control bytes or invalid UTF-8")
+				return Rec{}, false
+			}
 			continue
 		}
 		rec, err := parseTextRec(s)
@@ -127,6 +133,17 @@ func (t *TextReader) Next() (Rec, bool) {
 
 // Err implements Reader.
 func (t *TextReader) Err() error { return t.err }
+
+// printable reports whether s is valid UTF-8 holding no control byte
+// other than tab.
+func printable(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 && c != '\t' || c == 0x7f {
+			return false
+		}
+	}
+	return utf8.ValidString(s)
+}
 
 // parseTextRec decodes one record line: three fields split on commas
 // and/or whitespace.
