@@ -249,8 +249,8 @@ func (b *Bumblebee) Access(now uint64, a addr.Addr, write bool) uint64 {
 				// Under full HBM occupancy the threshold T gates block
 				// fills too — "only blocks in a page whose hotness value
 				// is larger than T are permitted to be cached".
-				b.touchHBMPage(now, setIdx, s, orig)
-				if !s.fullHBM() || s.hot.hbm.count(orig) > s.hot.hbm.minCount() {
+				n := b.touchHBMPage(now, setIdx, s, orig)
+				if !s.fullHBM() || n > s.hot.hbm.minCount() {
 					b.cacheBlock(now, setIdx, s, w, orig, actual, blk)
 				}
 			} else {
@@ -304,19 +304,26 @@ func (b *Bumblebee) Writeback(now uint64, a addr.Addr) {
 }
 
 // touchHBMPage updates the hot table for an access to an HBM-resident
-// page (mHBM or cHBM copy).
-func (b *Bumblebee) touchHBMPage(now uint64, setIdx uint64, s *pset, orig int16) {
-	if _, ok := s.hot.hbm.touch(orig); ok {
-		return
+// page (mHBM or cHBM copy) and returns orig's counter as the HBM queue
+// holds it on return, 0 when the queue no longer holds orig.
+func (b *Bumblebee) touchHBMPage(now uint64, setIdx uint64, s *pset, orig int16) uint32 {
+	if n, ok := s.hot.hbm.touch(orig); ok {
+		return n
 	}
+	e := hotEntry{orig: orig, count: 1}
 	// A probation page (demoted to cHBM, entry in the DRAM queue) that is
 	// hit again returns to the HBM queue.
-	if e, ok := s.hot.dram.remove(orig); ok {
+	if p, ok := s.hot.dram.remove(orig); ok {
+		e = p
 		e.count++
-		b.pushHBMQueue(now, setIdx, s, e)
-		return
 	}
-	b.pushHBMQueue(now, setIdx, s, hotEntry{orig: orig, count: 1})
+	popped, didPop := s.hot.hbm.push(e)
+	if !didPop {
+		return e.count
+	}
+	b.processHBMPop(now, setIdx, s, popped)
+	// The pop's movements may have dropped orig from the queue.
+	return s.hot.hbm.count(orig)
 }
 
 // touchDRAMPage updates the hot table for an access to a DRAM-resident,

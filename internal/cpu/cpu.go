@@ -157,21 +157,26 @@ func (c *Core) Replay(ch *Chunk) {
 	cpi, mlp := c.cfg.CPIBase, float64(c.cfg.MLP)
 	missBase := float64(ch.missBase)
 	time := c.time
-	level := ch.level[:ch.n]
+	// The chunk's slice headers are read once, into locals: ring chunks
+	// sit next to each other, so a header reloaded after every call into
+	// the design would share a cache line with the chunk the producer is
+	// filling.
+	accs, level, lats := ch.acc[:ch.n], ch.level[:ch.n], ch.lats
+	evAt, evAddr := ch.evAt, ch.evAddr
 	ev := 0
-	for i, acc := range ch.acc[:ch.n] {
+	for i, acc := range accs {
 		c.res.Instructions += uint64(acc.Gap)
 		time += float64(acc.Gap) * cpi
-		for ; ev < len(ch.evAt) && int(ch.evAt[ev]) == i; ev++ {
+		for ; ev < len(evAt) && int(evAt[ev]) == i; ev++ {
 			c.res.Writebacks++
-			c.mem.Writeback(uint64(time), ch.evAddr[ev])
+			c.mem.Writeback(uint64(time), evAddr[ev])
 		}
 		// L1 hits (level 0) are covered by CPIBase.
 		switch lv := level[i]; {
 		case lv > 0:
 			// Inner-cache hits beyond L1 stall for a fraction of their
 			// latency; out-of-order execution hides the rest.
-			time += float64(ch.lats[lv]) / mlp
+			time += float64(lats[lv]) / mlp
 		case lv < 0:
 			var lat uint64
 			time, lat = c.window.issue(time, c.cfg.MLP, missBase, c.mem, acc.Addr, acc.Write)
@@ -179,7 +184,7 @@ func (c *Core) Replay(ch *Chunk) {
 			c.res.TotalMissLatency += lat
 		}
 	}
-	c.res.Accesses += uint64(ch.n)
+	c.res.Accesses += uint64(len(accs))
 	c.time = time
 }
 

@@ -108,16 +108,18 @@ func (f *Filter) Next(c *Chunk) (bool, error) {
 		return false, nil
 	}
 	c.lats, c.missBase = f.hier.Latencies(), f.hier.MissLatencyBase()
-	level := c.level[:n]
+	// The event arrays grow through locals and are stored once: see
+	// Core.Replay for why a chunk's header is not touched per access.
+	level, evAt, evAddr := c.level[:n], c.evAt, c.evAddr
 	for i, acc := range c.acc[:n] {
 		r := f.hier.Access(acc.Addr, acc.Write)
 		for _, wb := range r.Writebacks {
-			c.evAt = append(c.evAt, int32(i))
-			c.evAddr = append(c.evAddr, wb)
+			evAt = append(evAt, int32(i))
+			evAddr = append(evAddr, wb)
 		}
 		level[i] = int8(r.HitLevel)
 	}
-	c.n = n
+	c.evAt, c.evAddr, c.n = evAt, evAddr, n
 	f.n += uint64(n)
 	return true, nil
 }

@@ -12,6 +12,7 @@ import (
 	"math/bits"
 
 	"repro/internal/addr"
+	"repro/internal/cacheline"
 	"repro/internal/config"
 )
 
@@ -22,13 +23,19 @@ type bank struct {
 	openRow int64  // currently open row, or rowClosed
 }
 
+// channel is written on every burst. Different designs' channel arrays
+// come from the same allocator spans, and a fan-out sweep replays those
+// designs on different workers, so each channel starts and ends with a
+// cacheline.Pad.
 type channel struct {
+	_         cacheline.Pad
 	busUntil  uint64 // CPU cycle when the data bus frees up
 	banks     []bank
 	lastWrite bool // previous burst was a write (turnaround tracking)
 	// nextRefresh is the CPU cycle of the channel's next all-bank
 	// refresh; requests arriving during a refresh window stall behind it.
 	nextRefresh uint64
+	_           cacheline.Pad
 }
 
 // Stats aggregates the traffic and energy counters of one device.

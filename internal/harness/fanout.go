@@ -186,10 +186,12 @@ func dispatchOrder(keys []string) []int {
 // ringChunks bounds how many filtered chunks a group's producer may run
 // ahead of its slowest consumer; it is what keeps a group's memory
 // independent of trace length. Consumers replay the same chunk in
-// parallel, so the ring only needs to cover the producer's lead: on the
-// replay-all benchmark a ring of 8 ran no faster than 4 and cost 0.7 MiB
-// more peak RSS. A group holds at most one chunk per member, so a lone
-// cell filters and replays one chunk at a time.
+// parallel, so the ring only needs to cover the producer's lead. It also
+// bounds how many chunks a worker replays into one consumer in a row
+// (see pick): on the replay-all benchmark a ring of 8 ran no faster than
+// 4, with or without that affinity, and cost 0.4–0.7 MiB more peak RSS.
+// A group holds at most one chunk per member, so a lone cell filters and
+// replays one chunk at a time.
 const ringChunks = 4
 
 // chunkPool holds ring chunks across groups.
@@ -203,7 +205,10 @@ var chunkPool = sync.Pool{New: func() any { return cpu.NewChunk() }}
 // chunk into one consumer — so simulation concurrency never exceeds the
 // sweep's worker count, and the group progresses while anyone waits on
 // it. Workers stay until every member is final, so no finished group
-// keeps designs alive for cells the sweep has not reached yet.
+// keeps designs alive for cells the sweep has not reached yet. Each
+// worker stays on the consumer it replayed last while that consumer has
+// a chunk ready, so a design's state is written from one core at a time
+// instead of moving between workers every chunk.
 type group struct {
 	h       *Harness
 	members []shared
@@ -266,8 +271,10 @@ func (g *group) result(i int) (RunResult, error) {
 	for !g.ready {
 		g.cond.Wait()
 	}
+	var last *consumer // the consumer this worker replayed last
 	for g.live > 0 {
-		if task := g.pick(); task != nil {
+		if task, c := g.pick(last); task != nil {
+			last = c
 			g.mu.Unlock()
 			task()
 			g.mu.Lock()
@@ -316,34 +323,43 @@ func (g *group) start() {
 	}
 }
 
-// pick claims the next runnable task, or returns nil when every task is
-// taken or waits on another. Filtering comes first while the ring has
-// room; otherwise the consumer furthest behind replays, since it holds
-// the oldest chunk. Called with g.mu held.
-func (g *group) pick() func() {
+// pick claims the next runnable task for a worker whose last replay or
+// finish was for consumer last (nil before its first), or returns nil
+// when every task is taken or waits on another. It also returns the
+// consumer the task replays or finishes, or last for a filtering task,
+// which the worker passes back as last on its next call. Filtering comes
+// first while the ring has room. Next, the worker keeps replaying last
+// while last has a chunk ready. Otherwise the consumer furthest behind
+// goes next, since it holds the oldest chunk; that is also where a failed
+// consumer, or every consumer once the stream has failed, gets its finish
+// task. Called with g.mu held.
+func (g *group) pick(last *consumer) (func(), *consumer) {
 	if low, ok := g.low(); ok && !g.producing && !g.eof && g.produced-low < len(g.ring) {
 		g.producing = true
 		seq := g.produced
-		return func() { g.produce(seq) }
+		return func() { g.produce(seq) }, last
 	}
-	var c *consumer
-	for _, k := range g.cons {
-		if k.final || k.busy || (k.next >= g.produced && !g.eof && k.fail == nil) {
-			continue
-		}
-		if c == nil || k.next < c.next {
-			c = k
+	c := last
+	if c == nil || c.final || c.busy || c.fail != nil || g.srcErr != nil || c.next >= g.produced {
+		c = nil
+		for _, k := range g.cons {
+			if k.final || k.busy || (k.next >= g.produced && !g.eof && k.fail == nil) {
+				continue
+			}
+			if c == nil || k.next < c.next {
+				c = k
+			}
 		}
 	}
 	if c == nil {
-		return nil
+		return nil, nil
 	}
 	c.busy = true
 	if c.fail == nil && g.srcErr == nil && c.next < g.produced {
 		seq := c.next
-		return func() { g.replay(c, seq) }
+		return func() { g.replay(c, seq) }, c
 	}
-	return func() { g.finish(c) }
+	return func() { g.finish(c) }, c
 }
 
 // low is the oldest chunk a live consumer still needs; ok is false when

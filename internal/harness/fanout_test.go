@@ -440,3 +440,88 @@ func TestDispatchOrderSweep(t *testing.T) {
 		}
 	}
 }
+
+// pick's order, white-box: filtering comes first while the ring has
+// room; then the worker's last consumer while it has a chunk ready; then
+// the consumer furthest behind; and a failed consumer, the worker's own
+// or another, gets its finish task instead of a replay.
+func TestFanOutPickAffinity(t *testing.T) {
+	h := &Harness{Scale: 1024}
+	// newPicker returns a group that has filtered produced chunks and
+	// whose consumers have replayed up to next.
+	newPicker := func(produced int, next ...int) *group {
+		g := newGroup(h)
+		g.ring = make([]*cpu.Chunk, ringChunks)
+		g.produced = produced
+		for _, n := range next {
+			g.cons = append(g.cons, &consumer{next: n})
+		}
+		g.live = len(g.cons)
+		return g
+	}
+	picks := func(g *group, last *consumer, want *consumer) {
+		t.Helper()
+		task, c := g.pick(last)
+		if task == nil || c != want || !c.busy {
+			t.Fatalf("pick = (task %v, consumer %p busy %v), want a task for consumer %p",
+				task != nil, c, c != nil && c.busy, want)
+		}
+	}
+
+	// Chunks 1 and 2 are live and the ring holds 4: filtering comes
+	// first, though the worker's last consumer has a chunk ready.
+	g := newPicker(3, 1, 2, 3)
+	if task, c := g.pick(g.cons[1]); task == nil || !g.producing || c != g.cons[1] {
+		t.Fatalf("ring has room: pick = (task %v, producing %v), want the filter task", task != nil, g.producing)
+	}
+	// While that chunk is filtered, the next worker replays.
+	picks(g, nil, g.cons[0])
+
+	// The ring is full (consumer 0 still needs chunk 0): the worker keeps
+	// replaying its last consumer while it has a chunk ready, though
+	// consumer 0 is further behind; a worker without one takes consumer 0.
+	g = newPicker(4, 0, 2, 1)
+	picks(g, g.cons[1], g.cons[1])
+	picks(g, nil, g.cons[0])
+
+	// Its last consumer caught up, the worker takes the furthest-behind
+	// idle consumer.
+	g = newPicker(4, 0, 4, 1)
+	picks(g, g.cons[1], g.cons[0])
+	picks(g, g.cons[1], g.cons[2])
+	if task, _ := g.pick(g.cons[1]); task != nil {
+		t.Fatal("pick found a task with every consumer busy or caught up and the ring full")
+	}
+
+	// A failed consumer gets its finish task, never a replay, whether it
+	// was the worker's last consumer or not.
+	sys := h.System()
+	forced := errors.New("forced consumer failure")
+	for _, own := range []bool{false, true} {
+		g = newPicker(4, 4, 0, 1)
+		g.cons[1].busy = true // holds the ring full
+		bad := g.cons[2]
+		mem, err := Build(AllDesigns[0], sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad.sim = h.newSim(sys, mem, "pick", 0)
+		if bad.core, err = cpu.NewCore(sys.Core, mem); err != nil {
+			t.Fatal(err)
+		}
+		bad.fail = forced
+		last := g.cons[0]
+		if own {
+			last = bad
+		}
+		task, c := g.pick(last)
+		if task == nil || c != bad {
+			t.Fatalf("own=%v: pick chose %p, want the failed consumer %p", own, c, bad)
+		}
+		task()
+		if !bad.final || !errors.Is(bad.err, forced) || bad.next != 1 || g.live != 2 {
+			t.Errorf("own=%v: after its task the failed consumer is final=%v err=%v next=%d (live %d), want finished with its failure",
+				own, bad.final, bad.err, bad.next, g.live)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"repro/internal/addr"
+	"repro/internal/cacheline"
 	"repro/internal/config"
 	"repro/internal/dram"
 	"repro/internal/faults"
@@ -108,7 +109,14 @@ func (c Counters) OverfetchRate() float64 {
 // The OS-visible flat address space is [0, DRAM+HBM): addresses below the
 // DRAM capacity name off-chip DRAM page frames, the rest name HBM frames
 // (used only when HBM serves as mHBM).
+//
+// Devices, Meta, MetaCache, Mover, OSMem and FetchTracker are read or
+// written on every request of one design, and a fan-out sweep runs the
+// designs of a trace on several workers at once, so each starts and ends
+// with a cacheline.Pad: another design's copy next to it in memory then
+// shares no cache line with its fields.
 type Devices struct {
+	_    cacheline.Pad
 	HBM  *dram.Device
 	DRAM *dram.Device
 	Geom *addr.Geometry
@@ -123,6 +131,7 @@ type Devices struct {
 	// disabled state: designs call it unconditionally on the access path
 	// and every probe method is nil-safe at pointer-compare cost.
 	Tel *telemetry.Probe
+	_   cacheline.Pad
 }
 
 // AttachFaults installs a fault injector on the HBM access path. A nil
@@ -288,11 +297,13 @@ func (d *Devices) SwapPages(now, dramPage, hbmPage uint64) uint64 {
 // issue — and which would (wrongly) make every POM design look
 // catastrophic on streaming workloads.
 type Mover struct {
+	_             cacheline.Pad
 	nextFree      float64 // cycle at which the engine can start a new movement
 	cyclesPerByte float64
 
 	Started uint64
 	Skipped uint64
+	_       cacheline.Pad
 }
 
 // NewMover builds a movement engine with the given budget in bytes per
@@ -331,12 +342,14 @@ func (m *Mover) Charge(bytes uint64) {
 // to pages beyond the capacity pay PenaltyCycles (an optimistic NVMe
 // swap-in) and are then served from the aliased frame.
 type OSMem struct {
+	_ cacheline.Pad
 	// Limit is the OS-visible capacity in bytes, rounded down to whole
 	// pages: an address lies in a visible page exactly when it is below
 	// Limit, since a/P < C/P (whole quotients) is a < (C/P)*P.
 	Limit         addr.Addr
 	PenaltyCycles uint64
 	Faults        uint64
+	_             cacheline.Pad
 }
 
 // NewOSMem builds the capacity model: capacityBytes of OS-visible memory
@@ -376,12 +389,14 @@ func (o *OSMem) Fault(now uint64) uint64 {
 // metadata line in HBM, competing with demand traffic — the paper's
 // Meta-H ablation and the in-HBM metadata of Chameleon/Hybrid2.
 type Meta struct {
+	_          cacheline.Pad
 	InHBM      bool
 	SRAMCycles uint64
 	Dev        *Devices
 
 	Lookups uint64
 	HBMHits uint64
+	_       cacheline.Pad
 }
 
 // NewMeta builds the metadata cost model from a system config.
@@ -430,11 +445,13 @@ func (m *Meta) Update(now uint64, k uint64) uint64 {
 // KNL and Hybrid2. A hit costs the SRAM latency; a miss additionally
 // reads the metadata line from HBM.
 type MetaCache struct {
+	_     cacheline.Pad
 	meta  *Meta
 	tags  []uint64
 	valid []bool
 
 	Hits, Misses uint64
+	_            cacheline.Pad
 }
 
 // NewMetaCache builds a metadata cache with the given number of entries.
@@ -472,6 +489,7 @@ func (c *MetaCache) Lookup(now uint64, k uint64) uint64 {
 // per-frame bitmaps live in one flat arena indexed by frame instead of a
 // map — the common OnUse/OnFetch path is two loads and no hashing.
 type FetchTracker struct {
+	_            cacheline.Pad
 	wordsPerPage uint64
 	bmWords      uint64   // bitmap words per frame
 	bits         []uint64 // [frame*bmWords+w], fetched-and-unused bitmap
@@ -479,6 +497,7 @@ type FetchTracker struct {
 
 	Fetched uint64
 	Used    uint64
+	_       cacheline.Pad
 }
 
 // NewFetchTracker builds a tracker for pages of pageSize bytes.
