@@ -9,11 +9,7 @@
 // decomposition is division-based. Block sizes must divide the page size.
 package addr
 
-import (
-	"fmt"
-
-	"repro/internal/cacheline"
-)
+import "fmt"
 
 // Addr is a physical byte address.
 type Addr uint64
@@ -37,13 +33,7 @@ const (
 // Capacities that do not divide evenly into pages and sets are rounded
 // down to whole pages per set; the handful of bytes lost is irrelevant to
 // the simulation and mirrors how real controllers reserve slack.
-//
-// Every design reads its Geometry on every request, and a fan-out sweep
-// replays the designs on several workers, so the struct starts and ends
-// with a cacheline.Pad: a small object that another worker writes, such
-// as the producer's cache.Hierarchy, never shares a line with it.
 type Geometry struct {
-	_         cacheline.Pad
 	PageSize  uint64 // bytes per page (migration granularity)
 	BlockSize uint64 // bytes per block (caching granularity)
 
@@ -56,7 +46,6 @@ type Geometry struct {
 	sets           uint64
 	dramPagePerSet uint64 // m
 	hbmPagePerSet  uint64 // n
-	_              cacheline.Pad
 }
 
 // NewGeometry validates the sizes and derives the set layout. hbmWays is

@@ -28,7 +28,6 @@ import (
 	"math/bits"
 
 	"repro/internal/addr"
-	"repro/internal/cacheline"
 	"repro/internal/config"
 )
 
@@ -80,11 +79,8 @@ const (
 )
 
 // Cache is one set-associative write-back, write-allocate cache level,
-// laid out as the package documentation describes. A fan-out sweep's
-// producer writes its levels and Hierarchy on every access while other
-// workers replay designs, so both start and end with a cacheline.Pad.
+// laid out as the package documentation describes.
 type Cache struct {
-	_         cacheline.Pad
 	name      string
 	ways      int
 	lineShift uint
@@ -103,7 +99,6 @@ type Cache struct {
 	fills uint64 // BRRIP bimodal fill counter (DRRIP only)
 	psel  int    // DRRIP set-dueling selector
 	stats Stats
-	_     cacheline.Pad
 }
 
 // drripDuelMask picks the leader sets: set&mask==0 leads SRRIP, ==1 leads
@@ -304,11 +299,9 @@ func (c *Cache) lineAddr(set int, tag uint64) addr.Addr {
 // whether the request missed the LLC along with any dirty line evicted
 // from the LLC (which must be written back to memory).
 type Hierarchy struct {
-	_      cacheline.Pad
 	levels []*Cache
 	lats   []uint64
 	wbBuf  []addr.Addr
-	_      cacheline.Pad
 }
 
 // NewHierarchy builds the full hierarchy from Table I cache descriptions,

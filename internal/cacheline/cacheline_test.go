@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/addr"
-	"repro/internal/cache"
 	"repro/internal/cacheline"
 	"repro/internal/dram"
 	"repro/internal/hmm"
@@ -29,9 +27,6 @@ func TestPaddedStructsIsolated(t *testing.T) {
 		reflect.TypeOf(hmm.Mover{}),
 		reflect.TypeOf(hmm.OSMem{}),
 		reflect.TypeOf(hmm.FetchTracker{}),
-		reflect.TypeOf(addr.Geometry{}),
-		reflect.TypeOf(cache.Hierarchy{}),
-		reflect.TypeOf(cache.Cache{}),
 		channels.Type.Elem(),
 	} {
 		fields := 0

@@ -304,8 +304,10 @@ func (b *Bumblebee) Writeback(now uint64, a addr.Addr) {
 }
 
 // touchHBMPage updates the hot table for an access to an HBM-resident
-// page (mHBM or cHBM copy) and returns orig's counter as the HBM queue
-// holds it on return, 0 when the queue no longer holds orig.
+// page (mHBM or cHBM copy) and returns the page's hotness counter. The
+// HBM queue names each resident page at most once (CheckInvariants), so
+// when orig is missing from it the queue has room and the push pops
+// nothing: the pushed count is orig's count in the queue.
 func (b *Bumblebee) touchHBMPage(now uint64, setIdx uint64, s *pset, orig int16) uint32 {
 	if n, ok := s.hot.hbm.touch(orig); ok {
 		return n
@@ -317,13 +319,8 @@ func (b *Bumblebee) touchHBMPage(now uint64, setIdx uint64, s *pset, orig int16)
 		e = p
 		e.count++
 	}
-	popped, didPop := s.hot.hbm.push(e)
-	if !didPop {
-		return e.count
-	}
-	b.processHBMPop(now, setIdx, s, popped)
-	// The pop's movements may have dropped orig from the queue.
-	return s.hot.hbm.count(orig)
+	b.pushHBMQueue(now, setIdx, s, e)
+	return e.count
 }
 
 // touchDRAMPage updates the hot table for an access to a DRAM-resident,

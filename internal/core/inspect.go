@@ -215,8 +215,14 @@ func (b *Bumblebee) CheckInvariants() error {
 		if err := b.checkSummaries(s); err != nil {
 			return fmt.Errorf("core: set %d: %w", si, err)
 		}
-		// Every HBM hot-queue entry must name an HBM-resident page.
-		for _, e := range s.hot.hbm.entries {
+		// Every HBM hot-queue entry must name an HBM-resident page, each
+		// page once. The queue then holds at most one entry per HBM way,
+		// so a resident page missing from it always finds room there:
+		// touchHBMPage's push never pops.
+		for i, e := range s.hot.hbm.entries {
+			if s.hot.hbm.find(e.orig) != i {
+				return fmt.Errorf("core: set %d: page %d has two hot HBM entries", si, e.orig)
+			}
 			slot := s.newPLE[e.orig]
 			resident := (slot >= int16(b.m) && s.occupant[slot] == e.orig) ||
 				s.findCachedWay(e.orig) >= 0

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/addr"
 	"repro/internal/hmm"
 )
 
@@ -233,5 +234,87 @@ func TestInspectAgreesWithLocate(t *testing.T) {
 		if info.HasCache && info.Home != hmm.TierDRAM {
 			t.Fatalf("page %d: cache copy on a non-DRAM-homed page", p)
 		}
+	}
+}
+
+// TestCheckInvariantsCatchesDuplicateHotEntry gives a page a second HBM
+// hot-queue entry. touchHBMPage relies on every resident page having at
+// most one, so that a resident page missing from the queue finds room.
+func TestCheckInvariantsCatchesDuplicateHotEntry(t *testing.T) {
+	b := newBB(t, testSys())
+	runWorkload(t, b, hotSeq, 60_000)
+	for _, s := range b.sets {
+		q := &s.hot.hbm
+		if q.len() == 0 || q.full() {
+			continue
+		}
+		saved := append([]hotEntry(nil), q.entries...)
+		q.push(q.entries[0])
+		err := b.CheckInvariants()
+		if err == nil || !strings.Contains(err.Error(), "two hot HBM entries") {
+			t.Fatalf("duplicate hot HBM entry not caught: %v", err)
+		}
+		q.entries = append(q.entries[:0], saved...)
+		if err := b.CheckInvariants(); err != nil {
+			t.Fatalf("restore failed: %v", err)
+		}
+		return
+	}
+	t.Fatal("workload left no set with a partly full HBM queue")
+}
+
+// roomChecked runs a controller and, after every operation, requires
+// each HBM-resident page missing from its set's HBM queue to find room
+// there, counting how often one is missing.
+type roomChecked struct {
+	t       *testing.T
+	b       *Bumblebee
+	missing int
+}
+
+func (m *roomChecked) Access(now uint64, a addr.Addr, write bool) uint64 {
+	done := m.b.Access(now, a, write)
+	m.check()
+	return done
+}
+
+func (m *roomChecked) Writeback(now uint64, a addr.Addr) {
+	m.b.Writeback(now, a)
+	m.check()
+}
+
+func (m *roomChecked) check() {
+	m.t.Helper()
+	for si, s := range m.b.sets {
+		for w := range s.bles {
+			e := &s.bles[w]
+			if e.mode == bleFree || s.hot.hbm.find(e.orig) >= 0 {
+				continue
+			}
+			m.missing++
+			if s.hot.hbm.full() {
+				m.t.Fatalf("set %d: resident page %d is missing from a full HBM queue", si, e.orig)
+			}
+		}
+	}
+}
+
+// TestTouchHBMPageNeverPops pins why touchHBMPage returns the count it
+// pushed: with one, two and eight HBM ways per set, after every
+// operation of a workload that fills every set, each HBM-resident page
+// missing from its set's HBM queue would find room there. With one way
+// no page goes missing in this workload, so the count is over all three.
+func TestTouchHBMPageNeverPops(t *testing.T) {
+	missing := 0
+	for _, ways := range []uint64{1, 2, 8} {
+		sys := testSys()
+		sys.HBMWays = ways
+		m := &roomChecked{t: t, b: newBB(t, sys)}
+		fillEverySet(sys, m, 20_000)
+		checkInvariants(t, m.b)
+		missing += m.missing
+	}
+	if missing == 0 {
+		t.Error("no resident page was ever missing from its HBM queue")
 	}
 }

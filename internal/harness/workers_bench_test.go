@@ -15,7 +15,9 @@ import (
 
 // BenchmarkReplaySweepWorkers runs replay-all's shape — one recorded mcf
 // trace replayed on every design at the scale-128 geometry — at Parallel
-// 1 and 2, alternating, and reports what the second worker costs:
+// 1 and 2, and reports what the second worker costs. Odd iterations run
+// the two settings in the other order, so neither always inherits the
+// other's heap and caches (run an even -benchtime to balance them):
 // cpu-ratio is the two-worker runs' user CPU over the one-worker runs'
 // (1.0 when the second worker adds no work), and ns/access-Nw is each
 // setting's wall time per simulated access (trace accesses × designs).
@@ -48,8 +50,12 @@ func BenchmarkReplaySweepWorkers(b *testing.B) {
 	var user, wall [2]time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for k, parallel := range []int{1, 2} {
-			h := &Harness{Scale: 128, Parallel: parallel}
+		order := []int{0, 1}
+		if i%2 == 1 {
+			order = []int{1, 0}
+		}
+		for _, k := range order {
+			h := &Harness{Scale: 128, Parallel: k + 1}
 			u0, t0 := userCPU(b), time.Now()
 			if _, err := h.ReplaySweep(AllDesigns, "mcf", open); err != nil {
 				b.Fatal(err)
