@@ -50,7 +50,7 @@ func BenchmarkTable2Workloads(b *testing.B) {
 func BenchmarkFig1AccessHistogram(b *testing.B) {
 	h := benchHarness()
 	for i := 0; i < b.N; i++ {
-		res, err := h.Fig1()
+		res, err := h.Fig1(nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -213,7 +213,7 @@ func main() {
 		return nil
 	})
 	run("fig1", func() error {
-		res, err := h.Fig1()
+		res, err := h.Fig1(nil)
 		if err != nil {
 			return err
 		}
@@ -353,9 +353,8 @@ func main() {
 	// The check sweep's output is deterministic at any -parallel value;
 	// the process exits nonzero when any cell reports a violation.
 	run("check", func() error {
-		s := check.DefaultSuite(h.System(), int(*accesses))
-		s.Parallel = of.Parallel
-		s.Timeout = of.CellTimeout
+		s := check.Suite{Sys: h.System(), OpsPerCell: int(*accesses),
+			Parallel: of.Parallel, Timeout: of.CellTimeout}
 		res, err := s.Run()
 		if err != nil {
 			return err

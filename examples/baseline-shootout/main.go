@@ -1,11 +1,11 @@
 // Baseline-shootout: runs one workload on all six memory designs
 // side by side — Bumblebee against Hybrid2, Chameleon, Banshee, Alloy
 // Cache and Unison Cache — plus the no-HBM baseline used for
-// normalization, printing the Figure 8 metrics for each. Each design is
-// built with harness.Build and run with Harness.Run, the single-run path
-// of bumblebee-sim, so every row equals the matching bumblebee-sim run.
-// Like the Figure 8 sweep, Run seeds each design's trace from its own
-// name, so the designs replay different draws of the same profile.
+// normalization, printing the Figure 8 metrics for each. The designs
+// run as one Harness.Matrix sweep, the list mode of bumblebee-sim, so
+// every row equals the matching bumblebee-sim run. Like the Figure 8
+// sweep, the trace is seeded from the benchmark's name alone, so every
+// design replays the same accesses.
 //
 //	go run ./examples/baseline-shootout               # default: mcf
 //	go run ./examples/baseline-shootout -bench roms   # any Table II name
@@ -38,30 +38,22 @@ func main() {
 	h := harness.New()
 	h.Scale = *scale
 	h.Accesses = *accesses
-	scaled := b.Scale(h.Scale)
-	sys := h.System()
-	run := func(d config.Design) harness.RunResult {
-		mem, err := harness.Build(d, sys)
-		if err != nil {
-			log.Fatal(err)
-		}
-		r, err := h.Run(sys, mem, scaled)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return r
+	designs := []string{string(config.DesignNoHBM)}
+	for _, d := range harness.Fig8Designs {
+		designs = append(designs, string(d))
 	}
-
-	base := run(config.DesignNoHBM)
+	runs, err := h.Matrix(h.System(), designs, []string{*bench})
+	if err != nil {
+		log.Fatal(err)
+	}
+	base := runs[0][0]
 
 	fmt.Printf("benchmark %s (%s MPKI class, %.1f GB footprint), normalized to no-HBM\n\n",
 		b.Profile.Name, b.Class, b.PaperGB)
 	fmt.Printf("%-11s %8s %10s %10s %10s %9s %8s\n",
 		"design", "IPC", "HBM-serve", "HBM-traf", "DRAM-traf", "energy", "faults")
-
-	designs := append([]config.Design{config.DesignNoHBM}, harness.Fig8Designs...)
-	for _, d := range designs {
-		r := run(d)
+	for _, row := range runs {
+		r := row[0]
 		fmt.Printf("%-11s %7.2fx %9.1f%% %9.2fx %9.2fx %8.2fx %8d\n",
 			r.Design,
 			r.CPU.IPC()/base.CPU.IPC(),

@@ -29,7 +29,7 @@ func main() {
 	h.Scale = *scale
 	h.Accesses = *accesses
 
-	benches := harness.Fig1Benchmarks
+	var benches []string // nil: the paper's mcf, wrf and xz
 	if *bench != "" {
 		if _, err := trace.ByName(*bench); err != nil {
 			log.Fatalf("unknown benchmark %q; known: %s", *bench, strings.Join(trace.Names(), ", "))
@@ -37,12 +37,7 @@ func main() {
 		benches = []string{*bench}
 	}
 
-	// Temporarily narrow the harness's Figure 1 benchmark set.
-	old := harness.Fig1Benchmarks
-	harness.Fig1Benchmarks = benches
-	defer func() { harness.Fig1Benchmarks = old }()
-
-	res, err := h.Fig1()
+	res, err := h.Fig1(benches)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,25 +9,17 @@ import (
 	"log"
 
 	"repro/internal/addr"
-	"repro/internal/cache"
-	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/cpu"
-	"repro/internal/energy"
+	"repro/internal/harness"
 	"repro/internal/trace"
 )
 
 func main() {
 	// 1. Start from the paper's Table I configuration, scaled down 256x
-	//    (HBM 4 MiB, DRAM 40 MiB) so the example finishes in a second.
-	sys := config.Default().Scaled(256)
-	for i := range sys.Caches {
-		sys.Caches[i].SizeBytes /= 256
-		min := uint64(sys.Caches[i].Ways) * sys.Caches[i].LineBytes * 4
-		if sys.Caches[i].SizeBytes < min {
-			sys.Caches[i].SizeBytes = min
-		}
-	}
+	//    (HBM 4 MiB, DRAM 40 MiB, LLC 32 KiB) so the example finishes in
+	//    a second, and run one million memory references per workload.
+	h := &harness.Harness{Scale: 256, Accesses: 1_000_000}
+	sys := h.System()
 
 	// 2. Build the Bumblebee controller (the paper's HMMC).
 	bb, err := core.New(sys)
@@ -37,13 +29,10 @@ func main() {
 	fmt.Printf("Bumblebee on %d remapping sets, metadata budget: %s\n\n",
 		bb.Devices().Geom.Sets(), bb.Metadata())
 
-	// 3. Build the SRAM cache hierarchy and a workload: 8 MiB footprint,
-	//    strong temporal locality, moderate spatial locality.
-	hier, err := cache.NewHierarchy(sys.Caches)
-	if err != nil {
-		log.Fatal(err)
-	}
-	gen, err := trace.NewSynthetic(trace.Profile{
+	// 3. Run a workload through the SRAM cache hierarchy into Bumblebee:
+	//    8 MiB footprint, strong temporal locality, moderate spatial
+	//    locality.
+	res, err := h.Run(sys, bb, trace.Benchmark{Profile: trace.Profile{
 		Name:           "quickstart",
 		FootprintBytes: 8 * addr.MiB,
 		AvgGap:         6,
@@ -51,30 +40,20 @@ func main() {
 		HotFraction:    0.1,
 		HotProbability: 0.8,
 		WriteFraction:  0.3,
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// 4. Run one million memory references.
-	res, err := cpu.Run(sys.Core, hier, bb, &trace.Limit{S: gen, N: 1_000_000})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// 5. Read the results.
-	cnt := bb.Counters()
-	hbm := bb.Devices().HBM.Stats()
-	ddr := bb.Devices().DRAM.Stats()
-	e := energy.FromStats(hbm, ddr)
-
+	// 4. Read the results.
+	cpu, cnt := res.CPU, res.Counters
 	fmt.Printf("instructions: %d   cycles: %d   IPC: %.3f   MPKI: %.1f\n",
-		res.Instructions, res.Cycles, res.IPC(), res.MPKI())
+		cpu.Instructions, cpu.Cycles, cpu.IPC(), cpu.MPKI())
 	fmt.Printf("LLC misses served by HBM: %.1f%%  (mHBM+cHBM hits)\n", cnt.HBMServeRate()*100)
 	fmt.Printf("block fills: %d   page migrations: %d   mode switches: %d   evictions: %d\n",
 		cnt.BlockFills, cnt.PageMigrations, cnt.ModeSwitches, cnt.Evictions)
 	fmt.Printf("HBM traffic: %.1f MB   DRAM traffic: %.1f MB\n",
-		float64(hbm.TotalBytes())/1e6, float64(ddr.TotalBytes())/1e6)
-	fmt.Printf("memory dynamic energy: %.3f mJ\n", e.TotalMJ())
+		float64(res.HBMBytes)/1e6, float64(res.DRAMBytes)/1e6)
+	fmt.Printf("memory dynamic energy: %.3f mJ\n", res.Energy.TotalMJ())
 	fmt.Printf("over-fetch (fetched but never used): %.1f%%\n", cnt.OverfetchRate()*100)
 }

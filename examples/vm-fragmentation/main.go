@@ -13,23 +13,15 @@ import (
 	"log"
 
 	"repro/internal/addr"
-	"repro/internal/cache"
-	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/cpu"
+	"repro/internal/harness"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
 func main() {
-	sys := config.Default().Scaled(256)
-	for i := range sys.Caches {
-		sys.Caches[i].SizeBytes /= 256
-		min := uint64(sys.Caches[i].Ways) * sys.Caches[i].LineBytes * 4
-		if sys.Caches[i].SizeBytes < min {
-			sys.Caches[i].SizeBytes = min
-		}
-	}
+	h := &harness.Harness{Scale: 256, Accesses: 1_000_000}
+	sys := h.System()
 	phys := sys.DRAM.CapacityBytes + sys.HBM.CapacityBytes
 
 	profile := trace.Profile{
@@ -50,10 +42,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		hier, err := cache.NewHierarchy(sys.Caches)
-		if err != nil {
-			log.Fatal(err)
-		}
 		gen, err := trace.NewSynthetic(profile)
 		if err != nil {
 			log.Fatal(err)
@@ -62,14 +50,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		stream := &vm.Stream{S: &trace.Limit{S: gen, N: 1_000_000}, M: mapper}
-		res, err := cpu.Run(sys.Core, hier, bb, stream)
+		res, err := h.RunStream(sys, bb, profile.Name, &vm.Stream{S: gen, M: mapper})
 		if err != nil {
 			log.Fatal(err)
 		}
-		c := bb.Counters()
+		c := res.Counters
 		fmt.Printf("%-11s %5.3f   %9.1f%%   %10d  %8d  %9d\n",
-			pc.name, res.IPC(), c.HBMServeRate()*100,
+			pc.name, res.CPU.IPC(), c.HBMServeRate()*100,
 			c.PageMigrations, c.ModeSwitches, c.Evictions)
 	}
 	fmt.Println("\nA fragmented OS free list scatters virtually-adjacent hot pages")

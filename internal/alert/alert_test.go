@@ -210,7 +210,7 @@ func TestMonitorMatchesEvaluate(t *testing.T) {
 	}
 	live := m.Firing()
 	posthoc := Evaluate(in, Defaults())
-	sortStable(posthoc)
+	Sort(posthoc)
 	if !reflect.DeepEqual(live, posthoc) {
 		t.Fatalf("live firing set:\n%+v\npost-hoc:\n%+v", live, posthoc)
 	}

@@ -58,19 +58,7 @@ func (m *Monitor) Firing() []Alert {
 		out = append(out, a)
 	}
 	m.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		if a.Design != b.Design {
-			return a.Design < b.Design
-		}
-		if a.Bench != b.Bench {
-			return a.Bench < b.Bench
-		}
-		return a.Detail < b.Detail
-	})
+	Sort(out)
 	return out
 }
 
@@ -181,8 +169,8 @@ func (c *CellMon) eval(lat []LatencySample) {
 	c.m.mu.Unlock()
 	c.cur = next
 
-	sortStable(fired)
-	sortStable(resolved)
+	Sort(fired)
+	Sort(resolved)
 	for _, a := range fired {
 		if c.m.Log != nil {
 			c.m.Log.Warn("alert firing", "rule", a.Rule, "severity", string(a.Severity),
@@ -199,9 +187,10 @@ func (c *CellMon) eval(lat []LatencySample) {
 	}
 }
 
-// sortStable orders alerts by (rule, design, bench, detail) so
-// transition callbacks arrive deterministically within one feed.
-func sortStable(as []Alert) {
+// Sort orders alerts by (rule, design, bench, detail): the order of
+// transition callbacks within one feed, of Firing, and of post-hoc
+// reports.
+func Sort(as []Alert) {
 	sort.Slice(as, func(i, j int) bool {
 		a, b := as[i], as[j]
 		if a.Rule != b.Rule {

@@ -252,12 +252,7 @@ func TestHierarchyLLCFilter(t *testing.T) {
 // each run starts at a random line of a 256 MiB footprint and walks 1 to
 // 16 lines, a third of them writes. It reports ns per access.
 func BenchmarkHierarchyAccess(b *testing.B) {
-	const scale = 128
-	levels := config.Default().Caches
-	for i := range levels {
-		levels[i].SizeBytes = max(levels[i].SizeBytes/scale, uint64(levels[i].Ways)*levels[i].LineBytes*4)
-	}
-	h, err := NewHierarchy(levels)
+	h, err := NewHierarchy(config.Default().Scaled(128).Caches)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // Page homes are bounded by the geometry and cache copies by the cache
 // region, so the cell runs clean.
 func TestHybrid2CapacityBoundPerRegion(t *testing.T) {
-	s := DefaultSuite((&harness.Harness{Scale: 1024}).System(), 20000)
+	s := Suite{Sys: (&harness.Harness{Scale: 1024}).System(), OpsPerCell: 20000}
 	r, err := s.RunCell(Cell{Design: config.DesignHybrid2, Family: FamilyScan})
 	if err != nil {
 		t.Fatal(err)

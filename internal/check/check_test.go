@@ -7,6 +7,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/hmm"
 	"repro/internal/runner"
 )
@@ -23,12 +24,12 @@ func quickSys(t testing.TB) config.System {
 // TestQuickSuite is the tier-1 differential oracle: every design times
 // every workload family, faults off and on, must report zero violations.
 func TestQuickSuite(t *testing.T) {
-	s := DefaultSuite(quickSys(t), 2000)
+	s := Suite{Sys: quickSys(t), OpsPerCell: 2000}
 	results, err := s.Run()
 	if err != nil {
 		t.Fatalf("suite: %v", err)
 	}
-	if want := len(s.Designs) * len(s.Families) * 2; len(results) != want {
+	if want := len(harness.AllDesigns) * len(Families) * 2; len(results) != want {
 		t.Fatalf("got %d cells, want %d", len(results), want)
 	}
 	for _, r := range Violations(results) {
@@ -41,7 +42,7 @@ func TestQuickSuite(t *testing.T) {
 // identical result — the property the deep mode's -parallel diff relies
 // on.
 func TestSuiteDeterministic(t *testing.T) {
-	s := DefaultSuite(quickSys(t), 800)
+	s := Suite{Sys: quickSys(t), OpsPerCell: 800}
 	cell := Cell{Design: config.DesignBumblebee, Family: FamilyAlias, Faults: true}
 	a, err := s.RunCell(cell)
 	if err != nil {

@@ -31,44 +31,27 @@ type Result struct {
 	Repro     string
 }
 
-// Suite sweeps designs x families x fault modes through the lockstep
-// checker, in parallel, with per-cell deterministic seeds so any
-// -parallel value produces identical results.
+// faultRate is the frame failures per 1M HBM accesses of the faulted
+// cells: high enough that every short cell retires frames.
+const faultRate = 200
+
+// Suite sweeps every design (harness.AllDesigns) x every family x
+// faults off and on through the lockstep checker, in parallel, with
+// per-cell deterministic seeds so any -parallel value produces
+// identical results.
 type Suite struct {
 	Sys        config.System
-	Designs    []config.Design
-	Families   []Family
 	OpsPerCell int
-	Every      int           // full-audit period; 0 = checker default
-	WithFaults bool          // also run every design x family with faults on
-	FaultRate  float64       // frame failures per 1M HBM accesses when faulting
 	Parallel   int           // worker count; <= 0 = all CPUs
 	Timeout    time.Duration // per-cell timeout; 0 = none
-}
-
-// DefaultSuite is the full matrix at the given scale: every design, every
-// family, faults off and on.
-func DefaultSuite(sys config.System, opsPerCell int) Suite {
-	return Suite{
-		Sys:        sys,
-		Designs:    harness.AllDesigns,
-		Families:   Families,
-		OpsPerCell: opsPerCell,
-		WithFaults: true,
-		FaultRate:  200,
-	}
 }
 
 // Cells expands the matrix in deterministic order.
 func (s Suite) Cells() []Cell {
 	var cells []Cell
-	modes := []bool{false}
-	if s.WithFaults {
-		modes = append(modes, true)
-	}
-	for _, fault := range modes {
-		for _, d := range s.Designs {
-			for _, f := range s.Families {
+	for _, fault := range []bool{false, true} {
+		for _, d := range harness.AllDesigns {
+			for _, f := range Families {
 				cells = append(cells, Cell{Design: d, Family: f, Faults: fault})
 			}
 		}
@@ -94,7 +77,7 @@ func (s Suite) factory(c Cell, seed uint64) Factory {
 	return func() (hmm.MemSystem, error) {
 		sys := s.Sys
 		if c.Faults {
-			sys.Faults = harness.FaultsAtRate(s.FaultRate)
+			sys.Faults = harness.FaultsAtRate(faultRate)
 		}
 		mem, err := harness.Build(c.Design, sys)
 		if err != nil {
@@ -120,9 +103,8 @@ func (s Suite) RunCell(c Cell) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	cfg := Config{Every: s.Every}
-	if v := RunOps(mem, ops, cfg); v != nil {
-		shrunk, sv := Shrink(mk, ops, cfg)
+	if v := RunOps(mem, ops, Config{}); v != nil {
+		shrunk, sv := Shrink(mk, ops, Config{})
 		if sv == nil { // flaky shrink would mean nondeterminism; keep original
 			sv = v
 			shrunk = ops[:v.OpIndex+1]

@@ -147,8 +147,7 @@ type BumblebeeOptions struct {
 // capacity scale; the injector draws from a seeded generator so the fault
 // schedule is a pure function of the (design, workload, seed) cell.
 type Faults struct {
-	Enabled bool   // master switch; false leaves every HBM access untouched
-	Seed    uint64 // extra seed folded into the per-cell seed (0 = cell seed only)
+	Enabled bool // master switch; false leaves every HBM access untouched
 
 	// Transient errors: expected ECC events per million HBM accesses.
 	// A DetectFrac share is detect-and-retry (the access is re-issued
@@ -353,14 +352,25 @@ func (s System) Geometry() (*addr.Geometry, error) {
 	return addr.NewGeometry(s.PageBytes, s.BlockBytes, s.DRAM.CapacityBytes, s.HBM.CapacityBytes, s.HBMWays)
 }
 
-// Scaled returns a copy of the system with both memory capacities divided
-// by factor. Simulations in tests and benches use scaled-down memories so
-// that footprints stress the hierarchy in reasonable wall time; the
-// DRAM:HBM ratio, timings and energies are unchanged so normalized results
-// keep their shape.
+// Scaled returns a copy of the system shrunk by factor: the Table I
+// scaling rule every scaled simulation runs. Both memory capacities and
+// every cache level divide by factor, so the LLC:HBM:DRAM ratios hold;
+// a cache level stops at four lines per way, which keeps the L1D and L2
+// valid caches (at factor 128 a 1 KiB L1D and a 2 KiB L2). Timings and
+// energies are unchanged so normalized results keep their shape. A
+// factor of 1 or less returns the system as it is. The copy owns its
+// Caches slice.
 func (s System) Scaled(factor uint64) System {
+	if factor <= 1 {
+		return s
+	}
 	out := s
-	out.HBM.CapacityBytes = s.HBM.CapacityBytes / factor
-	out.DRAM.CapacityBytes = s.DRAM.CapacityBytes / factor
+	out.HBM.CapacityBytes /= factor
+	out.DRAM.CapacityBytes /= factor
+	out.Caches = make([]CacheLevel, len(s.Caches))
+	for i, c := range s.Caches {
+		c.SizeBytes = max(c.SizeBytes/factor, uint64(c.Ways)*c.LineBytes*4)
+		out.Caches[i] = c
+	}
 	return out
 }

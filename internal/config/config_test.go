@@ -1,6 +1,7 @@
 package config
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -102,13 +103,36 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestScaledKeepsRatio pins the Table I scaling rule: memories and
+// every cache level shrink by the factor, a cache level stops at four
+// lines per way, factors of 1 or less change nothing, and the input's
+// Caches is left alone.
 func TestScaledKeepsRatio(t *testing.T) {
-	s := Default().Scaled(64)
+	in := Default()
+	s := in.Scaled(256)
 	if err := s.Validate(); err != nil {
 		t.Fatalf("scaled config invalid: %v", err)
 	}
+	if !reflect.DeepEqual(in, Default()) {
+		t.Errorf("Scaled modified its input's Caches: %+v", in.Caches)
+	}
 	if s.DRAM.CapacityBytes/s.HBM.CapacityBytes != 10 {
 		t.Errorf("scaled DRAM:HBM = %d:%d, want 10:1", s.DRAM.CapacityBytes, s.HBM.CapacityBytes)
+	}
+	llc, full := s.Caches[len(s.Caches)-1], in.Caches[len(in.Caches)-1]
+	if llc.SizeBytes*in.HBM.CapacityBytes != full.SizeBytes*s.HBM.CapacityBytes {
+		t.Errorf("scaled LLC:HBM = %d:%d, want Table I's %d:%d",
+			llc.SizeBytes, s.HBM.CapacityBytes, full.SizeBytes, in.HBM.CapacityBytes)
+	}
+	for _, c := range s.Caches[:2] {
+		if floor := uint64(c.Ways) * c.LineBytes * 4; c.SizeBytes != floor {
+			t.Errorf("scaled %s = %d B, want the four-lines-per-way floor %d B", c.Name, c.SizeBytes, floor)
+		}
+	}
+	for _, f := range []uint64{0, 1} {
+		if got := Default().Scaled(f); !reflect.DeepEqual(got, Default()) {
+			t.Errorf("Scaled(%d) changed the system: %+v", f, got)
+		}
 	}
 }
 

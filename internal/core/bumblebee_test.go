@@ -11,8 +11,9 @@ import (
 	"repro/internal/trace"
 )
 
-// testSys returns a small system (HBM 4 MiB, DRAM 40 MiB) that keeps
-// tests fast while preserving every capacity ratio of Table I.
+// testSys returns a small system (HBM 4 MiB, DRAM 40 MiB, LLC 32 KiB)
+// that keeps tests fast while preserving the LLC:HBM:DRAM ratios of
+// Table I.
 func testSys() config.System {
 	return config.Default().Scaled(256)
 }

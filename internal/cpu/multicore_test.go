@@ -154,10 +154,7 @@ func (m *logMem) Writeback(now uint64, a addr.Addr) {
 // Table I's at 1/32 the size, so dirty lines leave every level.
 func TestRunMultiOneCoreMatchesRun(t *testing.T) {
 	sys := config.Default()
-	caches := slices.Clone(sys.Caches)
-	for i := range caches {
-		caches[i].SizeBytes /= 32
-	}
+	caches := sys.Scaled(32).Caches
 	llcFit := trace.Profile{Name: "llc-fit", FootprintBytes: 192 * addr.KiB, AvgGap: 4,
 		RunMean: 2, HotFraction: 0.5, HotProbability: 0.5, WriteFraction: 0.3}
 	allWrites := memHeavy

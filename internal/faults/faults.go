@@ -61,16 +61,16 @@ type Injector struct {
 	ras RAS
 }
 
-// New builds an injector over hbmFrames page frames, seeded by folding the
-// config seed into the caller's per-cell seed. A nil return means the
-// config disables injection entirely — callers skip the hook.
+// New builds an injector over hbmFrames page frames, seeded from the
+// caller's per-cell seed. A nil return means the config disables
+// injection entirely — callers skip the hook.
 func New(cfg config.Faults, hbmFrames uint64, cellSeed uint64) *Injector {
 	if !cfg.Enabled {
 		return nil
 	}
 	i := &Injector{
 		cfg:        cfg,
-		state:      mix(cellSeed, cfg.Seed),
+		state:      mix(cellSeed, 0),
 		frames:     hbmFrames,
 		capN:       uint64(cfg.MaxRetiredFrac * float64(hbmFrames)),
 		retired:    make(map[uint64]bool),
@@ -151,9 +151,6 @@ func (i *Injector) fail(now, frame uint64) {
 	i.ras.FramesRetired++
 	i.Probe.Event(now, telemetry.EvFault, frame, 0, 1)
 }
-
-// IsRetired reports whether frame has permanently failed.
-func (i *Injector) IsRetired(frame uint64) bool { return i.retired[frame] }
 
 // RetiredFrames returns every retired frame in ascending order.
 func (i *Injector) RetiredFrames() []uint64 {

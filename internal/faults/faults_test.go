@@ -2,6 +2,7 @@ package faults
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/config"
@@ -84,8 +85,9 @@ func TestRetirementCapAndDrain(t *testing.T) {
 	if len(drained) != 25 {
 		t.Errorf("drained %d, want 25", len(drained))
 	}
+	retired := inj.RetiredFrames()
 	for _, fr := range drained {
-		if !inj.IsRetired(fr) {
+		if _, ok := slices.BinarySearch(retired, fr); !ok {
 			t.Errorf("drained frame %d not marked retired", fr)
 		}
 	}
@@ -129,8 +131,8 @@ func TestRetiredServesCounted(t *testing.T) {
 	f.FrameFailPer1M = 1e6
 	inj := New(f, 4, 9)
 	inj.Before(0, 2) // retires frame 2
-	if !inj.IsRetired(2) {
-		t.Fatal("frame 2 not retired at rate 1")
+	if got := inj.RetiredFrames(); !slices.Equal(got, []uint64{2}) {
+		t.Fatalf("retired frames %v, want [2] at rate 1", got)
 	}
 	before := inj.Counters().RetiredServes
 	inj.Before(0, 2)

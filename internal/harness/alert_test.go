@@ -53,14 +53,6 @@ func alertKeys(alerts []alert.Alert) []string {
 	return out
 }
 
-func flagKeys(flags []report.Flag) []string {
-	out := make([]string, len(flags))
-	for i, f := range flags {
-		out[i] = f.Rule + "|" + f.Design + "|" + f.Bench + "|" + f.Detail
-	}
-	return out
-}
-
 func TestLiveAlertsMatchPostHoc(t *testing.T) {
 	rules := alertRules()
 	mon := alert.NewMonitor(rules)
@@ -108,7 +100,7 @@ func TestLiveAlertsMatchPostHoc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	posthoc := flagKeys(report.AnalyzeRules(run, rules))
+	posthoc := alertKeys(report.AnalyzeRules(run, rules))
 
 	// All three views sort by (rule, design, bench, detail) under the
 	// default-ordered rule set, so they must be elementwise identical.

@@ -114,20 +114,24 @@ type Fig1Result struct {
 	Shares    []float64 // one share per Fig1Buckets entry
 }
 
-// Fig1 reproduces Figure 1. Each (benchmark, line-size) cell owns its
-// cache model, hierarchy and generator, so the 3×6 matrix fans out across
+// Fig1 reproduces Figure 1 on the Table II benchmarks names; nil means
+// the paper's Fig1Benchmarks. Each (benchmark, line-size) cell owns its
+// cache model, hierarchy and generator, so the matrix fans out across
 // the harness worker pool with no shared state.
-func (h *Harness) Fig1() ([]Fig1Result, error) {
+func (h *Harness) Fig1(names []string) ([]Fig1Result, error) {
+	if len(names) == 0 {
+		names = Fig1Benchmarks
+	}
 	sys := h.System()
 	// Fig1 cells run a bespoke cache model, not Harness.Run, so they
 	// report their own completions to the sweep tracker.
-	cells := grid(Fig1Benchmarks, Fig1LineSizes, func(ni, li int) cell {
-		name, label := Fig1Benchmarks[ni], sizeLabel(Fig1LineSizes[li])
+	cells := grid(names, Fig1LineSizes, func(ni, li int) cell {
+		name, label := names[ni], sizeLabel(Fig1LineSizes[li])
 		return cell{ID: cellID("fig1", name, label), Seed: runner.Seed("fig1", name, label)}
 	})
 	out, err := sweepCells(h, cells, nil,
 		func(i int) (Fig1Result, error) {
-			name, ls := Fig1Benchmarks[i/len(Fig1LineSizes)], Fig1LineSizes[i%len(Fig1LineSizes)]
+			name, ls := names[i/len(Fig1LineSizes)], Fig1LineSizes[i%len(Fig1LineSizes)]
 			b, err := trace.ByName(name)
 			if err != nil {
 				return Fig1Result{}, err

@@ -143,29 +143,13 @@ func (h *Harness) workers() int {
 	return runner.DefaultWorkers()
 }
 
-// System returns the scaled Table I configuration: memory capacities and
-// the LLC shrink by Scale (preserving the LLC:HBM:DRAM ratios); the L1
-// and L2 shrink too, but no lower than four lines per way. At Scale 128
-// that leaves a 1 KiB L1D and a 2 KiB L2, which filter little: over
-// 500 000 accesses of each Table II benchmark the L1D hits 0.0-3.9% of
-// accesses and the L2 12-21% of its lookups (dirty L1 evictions
-// included).
+// System returns the Table I configuration scaled by h.Scale (see
+// config.System.Scaled). At Scale 128 the 1 KiB L1D and 2 KiB L2 filter
+// little: over 500 000 accesses of each Table II benchmark the L1D hits
+// 0.0-3.9% of accesses and the L2 12-21% of its lookups (dirty L1
+// evictions included).
 func (h *Harness) System() config.System {
-	sys := config.Default()
-	if h.Scale <= 1 {
-		return sys
-	}
-	sys.HBM.CapacityBytes /= h.Scale
-	sys.DRAM.CapacityBytes /= h.Scale
-	for i := range sys.Caches {
-		sz := sys.Caches[i].SizeBytes / h.Scale
-		min := uint64(sys.Caches[i].Ways) * sys.Caches[i].LineBytes * 4
-		if sz < min {
-			sz = min
-		}
-		sys.Caches[i].SizeBytes = sz
-	}
-	return sys
+	return config.Default().Scaled(h.Scale)
 }
 
 // Benchmarks returns the Table II set scaled to the harness.
@@ -296,13 +280,13 @@ type sim struct {
 func (h *Harness) newSim(sys config.System, mem hmm.MemSystem, bench string, seed uint64) *sim {
 	s := &sim{h: h, sys: sys, mem: mem, bench: bench, seed: seed}
 	// Fault injection follows the trace's pairing rule: the injector is
-	// seeded from runner.Seed("faults", benchmark) plus the configured
-	// fault seed, never from the design or the scheduling. Designs
-	// compared on one benchmark therefore see the same fault schedule,
-	// defined as the same seed drawn over each design's own HBM page
-	// space (dev.Geom.HBMPages(): Hybrid2's covers only its POM region,
-	// so its frames are not the other designs'). faults.New returns nil
-	// when injection is disabled, leaving the device paths untouched.
+	// seeded from runner.Seed("faults", benchmark) alone, never from the
+	// design or the scheduling. Designs compared on one benchmark
+	// therefore see the same fault schedule, defined as the same seed
+	// drawn over each design's own HBM page space (dev.Geom.HBMPages():
+	// Hybrid2's covers only its POM region, so its frames are not the
+	// other designs'). faults.New returns nil when injection is
+	// disabled, leaving the device paths untouched.
 	if sys.Faults.Enabled {
 		dev := mem.Devices()
 		dev.AttachFaults(faults.New(sys.Faults, dev.Geom.HBMPages(),

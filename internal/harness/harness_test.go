@@ -138,7 +138,7 @@ func TestFig6Configs(t *testing.T) {
 func TestFig1SmallRun(t *testing.T) {
 	h := tiny()
 	h.Accesses = 20000
-	res, err := h.Fig1()
+	res, err := h.Fig1(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestFig1LocalityShape(t *testing.T) {
 	// The paper's Figure 1 point: for wrf (weak spatial), large lines
 	// have a smaller high-reuse share than small lines.
 	h := &Harness{Scale: 256, Accesses: 150000}
-	res, err := h.Fig1()
+	res, err := h.Fig1(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,45 +213,40 @@ func NewDevicesWithGeometry(sys config.System, geom *addr.Geometry) (*Devices, e
 	return &Devices{HBM: hbm, DRAM: ddr, Geom: geom}, nil
 }
 
-// HBMPageBase returns the device-local base address of HBM page frame i
-// (0 <= i < Geom.HBMPages()).
-func (d *Devices) HBMPageBase(i uint64) addr.Addr {
-	return addr.Addr(i * d.Geom.PageSize)
-}
-
-// DRAMPageBase returns the device-local base address of DRAM page frame i.
-func (d *Devices) DRAMPageBase(i uint64) addr.Addr {
-	return addr.Addr(i * d.Geom.PageSize)
+// frameAddr returns the device-local address of byte offset off in page
+// frame page; HBM and DRAM frames share the geometry's page size.
+func (d *Devices) frameAddr(page, off uint64) addr.Addr {
+	return addr.Addr(page*d.Geom.PageSize + off)
 }
 
 // ReadHBM reads bytes from HBM page frame page at byte offset off.
 func (d *Devices) ReadHBM(now, page, off, bytes uint64) uint64 {
-	return d.HBMAccess(now, d.HBMPageBase(page)+addr.Addr(off), bytes, false)
+	return d.HBMAccess(now, d.frameAddr(page, off), bytes, false)
 }
 
 // WriteHBM writes bytes to HBM page frame page at byte offset off.
 func (d *Devices) WriteHBM(now, page, off, bytes uint64) uint64 {
-	return d.HBMAccess(now, d.HBMPageBase(page)+addr.Addr(off), bytes, true)
+	return d.HBMAccess(now, d.frameAddr(page, off), bytes, true)
 }
 
 // ReadDRAM reads bytes from DRAM page frame page at byte offset off.
 func (d *Devices) ReadDRAM(now, page, off, bytes uint64) uint64 {
-	return d.DRAM.Access(now, d.DRAMPageBase(page)+addr.Addr(off), bytes, false)
+	return d.DRAM.Access(now, d.frameAddr(page, off), bytes, false)
 }
 
 // WriteDRAM writes bytes to DRAM page frame page at byte offset off.
 func (d *Devices) WriteDRAM(now, page, off, bytes uint64) uint64 {
-	return d.DRAM.Access(now, d.DRAMPageBase(page)+addr.Addr(off), bytes, true)
+	return d.DRAM.Access(now, d.frameAddr(page, off), bytes, true)
 }
 
 // AccessHBM reads or writes bytes in HBM page frame page.
 func (d *Devices) AccessHBM(now, page, off, bytes uint64, write bool) uint64 {
-	return d.HBMAccess(now, d.HBMPageBase(page)+addr.Addr(off), bytes, write)
+	return d.HBMAccess(now, d.frameAddr(page, off), bytes, write)
 }
 
 // AccessDRAM reads or writes bytes in DRAM page frame page.
 func (d *Devices) AccessDRAM(now, page, off, bytes uint64, write bool) uint64 {
-	return d.DRAM.Access(now, d.DRAMPageBase(page)+addr.Addr(off), bytes, write)
+	return d.DRAM.Access(now, d.frameAddr(page, off), bytes, write)
 }
 
 // CopyDRAMToHBM moves bytes from a DRAM frame region to an HBM frame

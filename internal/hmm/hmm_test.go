@@ -28,17 +28,6 @@ func TestNewDevicesRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestPageBases(t *testing.T) {
-	d := newDev(t)
-	ps := d.Geom.PageSize
-	if got := d.HBMPageBase(3); got != addr.Addr(3*ps) {
-		t.Errorf("HBMPageBase(3) = %d", got)
-	}
-	if got := d.DRAMPageBase(7); got != addr.Addr(7*ps) {
-		t.Errorf("DRAMPageBase(7) = %d", got)
-	}
-}
-
 func TestCopyChargesBothDevices(t *testing.T) {
 	d := newDev(t)
 	size := d.Geom.PageSize

@@ -14,14 +14,6 @@ import (
 // engine the live sweep monitor and bbserve jobs run, so a flag in a
 // report is the same object as a firing gauge on /metrics.
 
-// Flag is one triggered anomaly rule.
-type Flag struct {
-	Rule   string // rule identifier, e.g. "mode-switch-thrashing"
-	Design string
-	Bench  string // "" when the rule aggregates over benches
-	Detail string // the numbers that triggered it
-}
-
 // AlertInput lowers a loaded run directory into the engine's input
 // shape: runs.csv rows become run samples, the timeline's stateful
 // epochs become per-cell series (grouped in sorted cell order), and
@@ -74,32 +66,11 @@ func AlertInput(run *Run) alert.Input {
 	return in
 }
 
-// flagsFromAlerts maps engine alerts onto report flags and applies the
-// historical (rule, design, bench, detail) order.
-func flagsFromAlerts(alerts []alert.Alert) []Flag {
-	var flags []Flag
-	for _, a := range alerts {
-		flags = append(flags, Flag{Rule: a.Rule, Design: a.Design, Bench: a.Bench, Detail: a.Detail})
-	}
-	sort.Slice(flags, func(i, j int) bool {
-		a, b := flags[i], flags[j]
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		if a.Design != b.Design {
-			return a.Design < b.Design
-		}
-		if a.Bench != b.Bench {
-			return a.Bench < b.Bench
-		}
-		return a.Detail < b.Detail
-	})
-	return flags
-}
-
 // AnalyzeRules evaluates a rule set over one loaded run directory and
-// returns the triggered flags sorted by (rule, design, bench) —
+// returns the firing alerts sorted by (rule, design, bench, detail) —
 // deterministic report input.
-func AnalyzeRules(run *Run, rs alert.RuleSet) []Flag {
-	return flagsFromAlerts(alert.Evaluate(AlertInput(run), rs))
+func AnalyzeRules(run *Run, rs alert.RuleSet) []alert.Alert {
+	alerts := alert.Evaluate(AlertInput(run), rs)
+	alert.Sort(alerts)
+	return alerts
 }

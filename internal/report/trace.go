@@ -81,12 +81,6 @@ func LoadServiceTrace(path string) ([]TraceSpan, error) {
 	return spans, nil
 }
 
-// TraceFlag is one triggered anomaly rule over a span tree.
-type TraceFlag struct {
-	Rule   string
-	Detail string
-}
-
 // SpanSamples lowers a span tree into the alert engine's input shape.
 func SpanSamples(spans []TraceSpan) []alert.Span {
 	out := make([]alert.Span, len(spans))
@@ -110,14 +104,9 @@ func SpanSamples(spans []TraceSpan) []alert.Span {
 //     "cache-hit slower than miss" smell).
 //   - aborted/error spans: the tree records a drain abort or failure.
 //
-// Flags keep the engine's rule order.
-func AnalyzeTraceRules(spans []TraceSpan, rs alert.RuleSet) []TraceFlag {
-	alerts := alert.Evaluate(alert.Input{Spans: SpanSamples(spans)}, rs)
-	var flags []TraceFlag
-	for _, a := range alerts {
-		flags = append(flags, TraceFlag{Rule: a.Rule, Detail: a.Detail})
-	}
-	return flags
+// Alerts keep the engine's rule order.
+func AnalyzeTraceRules(spans []TraceSpan, rs alert.RuleSet) []alert.Alert {
+	return alert.Evaluate(alert.Input{Spans: SpanSamples(spans)}, rs)
 }
 
 // CriticalPath walks from the root span downward, at each level
