@@ -17,14 +17,14 @@ func (c *Cache) InspectGranularity() uint64 { return 64 }
 // direct-mapped TAD may hold a cache copy.
 func (c *Cache) InspectAddr(a addr.Addr) hmm.PageInfo {
 	lineNo := uint64(c.dev.Geom.DRAMLocal(a)) / 64
-	idx, _ := c.slot(lineNo)
+	idx, _, want := c.slot(lineNo)
 	info := hmm.PageInfo{
 		Page:      lineNo,
 		Allocated: true,
 		Home:      hmm.TierDRAM,
 		HomeFrame: lineNo,
 	}
-	if l := &c.lines[idx]; l.valid && l.tag == lineNo {
+	if holds(c.tads[idx], want) {
 		info.HasCache = true
 		info.CacheFrame = idx
 	}
@@ -34,29 +34,25 @@ func (c *Cache) InspectAddr(a addr.Addr) hmm.PageInfo {
 // LocateLine implements hmm.Inspector.
 func (c *Cache) LocateLine(a addr.Addr) hmm.Tier {
 	lineNo := uint64(c.dev.Geom.DRAMLocal(a)) / 64
-	idx, _ := c.slot(lineNo)
-	if l := &c.lines[idx]; l.valid && l.tag == lineNo {
+	idx, _, want := c.slot(lineNo)
+	if holds(c.tads[idx], want) {
 		return hmm.TierHBM
 	}
 	return hmm.TierDRAM
 }
 
 // CheckInvariants implements hmm.Inspector: every valid TAD must hold a
-// line that direct-maps to it and exists in DRAM.
+// line that exists in DRAM. A quotient tag direct-maps to its TAD by
+// construction.
 func (c *Cache) CheckInvariants() error {
 	dramLines := c.dev.Geom.DRAMBytes / 64
-	for idx := range c.lines {
-		l := &c.lines[idx]
-		if !l.valid {
+	for idx, t := range c.tads {
+		if t&tadValid == 0 {
 			continue
 		}
-		if l.tag%uint64(len(c.lines)) != uint64(idx) {
-			return fmt.Errorf("alloy: TAD %d holds line %d which maps to TAD %d",
-				idx, l.tag, l.tag%uint64(len(c.lines)))
-		}
-		if l.tag >= dramLines {
+		if l := c.lineOf(uint64(idx), t); l >= dramLines {
 			return fmt.Errorf("alloy: TAD %d holds line %d beyond DRAM (%d lines)",
-				idx, l.tag, dramLines)
+				idx, l, dramLines)
 		}
 	}
 	cnt := c.Counters()

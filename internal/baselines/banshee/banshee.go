@@ -33,11 +33,11 @@ type way struct {
 
 // Cache is the Banshee design.
 type Cache struct {
-	dev   *hmm.Devices
-	cnt   hmm.Counters
-	os    *hmm.OSMem
-	mover *hmm.Mover
-	sets  [][]way
+	dev    *hmm.Devices
+	cnt    hmm.Counters
+	os     *hmm.OSMem
+	mover  *hmm.Mover
+	frames []way // [set*ways+way]
 
 	// freq tracks access counters of non-resident candidate pages
 	// (Banshee samples these; we count exactly).
@@ -54,16 +54,12 @@ func New(sys config.System) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	pages := dev.Geom.HBMBytes / pageBytes
-	nsets := pages / ways
+	nsets := dev.Geom.HBMBytes / pageBytes / ways
 	c := &Cache{
-		dev:  dev,
-		os:   hmm.NewOSMem(dev.Geom.DRAMBytes, dev.Geom.PageSize, sys.PageFaultNS, sys.Core.FreqMHz),
-		sets: make([][]way, nsets),
-		freq: make(map[uint64]uint32),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]way, ways)
+		dev:    dev,
+		os:     hmm.NewOSMem(dev.Geom.DRAMBytes, dev.Geom.PageSize, sys.PageFaultNS, sys.Core.FreqMHz),
+		frames: make([]way, nsets*ways),
+		freq:   make(map[uint64]uint32),
 	}
 	c.sram = uint64(sys.SRAMMetaNS * float64(sys.Core.FreqMHz) / 1e3)
 	if c.sram == 0 {
@@ -92,9 +88,16 @@ func (c *Cache) hbmAddr(set uint64, w int, off uint64) addr.Addr {
 	return addr.Addr(set*uint64(ways)*pageBytes + uint64(w)*pageBytes + off)
 }
 
+// sets returns the number of sets.
+func (c *Cache) sets() uint64 { return uint64(len(c.frames)) / ways }
+
+// row returns the ways of set.
+func (c *Cache) row(set uint64) []way { return c.frames[set*ways : (set+1)*ways] }
+
 func (c *Cache) lookup(set, page uint64) int {
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == page {
+	r := c.row(set)
+	for i := range r {
+		if r[i].valid && r[i].tag == page {
 			return i
 		}
 	}
@@ -113,10 +116,8 @@ func (c *Cache) decay() {
 			c.freq[k] = v / 2
 		}
 	}
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			c.sets[si][wi].count /= 2
-		}
+	for i := range c.frames {
+		c.frames[i].count /= 2
 	}
 }
 
@@ -125,8 +126,9 @@ func (c *Cache) decay() {
 func (c *Cache) maybePromote(now uint64, set, page uint64) {
 	f := c.freq[page]
 	vi, min := -1, uint32(0)
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
+	r := c.row(set)
+	for i := range r {
+		w := &r[i]
 		if !w.valid {
 			vi, min = i, 0
 			break
@@ -144,7 +146,7 @@ func (c *Cache) maybePromote(now uint64, set, page uint64) {
 	if !c.mover.TryStart(now, 2*pageBytes) {
 		return // movement engine saturated
 	}
-	v := &c.sets[set][vi]
+	v := &r[vi]
 	if v.valid {
 		if v.dirty {
 			rd := c.dev.HBMAccess(now, c.hbmAddr(set, vi, 0), pageBytes, false)
@@ -173,13 +175,13 @@ func (c *Cache) Access(now uint64, a addr.Addr, write bool) uint64 {
 	da := c.dev.Geom.DRAMLocal(a)
 	page := uint64(da) / pageBytes
 	off := uint64(da) % pageBytes
-	set := page % uint64(len(c.sets))
+	set := page % c.sets()
 
 	// Mapping lives in SRAM: no tag-probe traffic.
 	start := now + c.sram
 
 	if wi := c.lookup(set, page); wi >= 0 {
-		w := &c.sets[set][wi]
+		w := &c.row(set)[wi]
 		w.count++
 		word := off / 64
 		if w.used[word/64]&(1<<(word%64)) == 0 {
@@ -206,9 +208,9 @@ func (c *Cache) Writeback(now uint64, a addr.Addr) {
 	da := c.dev.Geom.DRAMLocal(a)
 	page := uint64(da) / pageBytes
 	off := uint64(da) % pageBytes
-	set := page % uint64(len(c.sets))
+	set := page % c.sets()
 	if wi := c.lookup(set, page); wi >= 0 {
-		c.sets[set][wi].dirty = true
+		c.row(set)[wi].dirty = true
 		c.dev.HBMAccess(now, c.hbmAddr(set, wi, off&^63), 64, true)
 		return
 	}

@@ -59,7 +59,7 @@ func TestNoTagProbeTraffic(t *testing.T) {
 
 func TestVictimNeedsHigherFrequency(t *testing.T) {
 	c := newCache(t)
-	nsets := uint64(len(c.sets))
+	nsets := c.sets()
 	var now uint64
 	// Fill all 4 ways of set 0 with hot pages (counter ~12).
 	for w := uint64(0); w < ways; w++ {
@@ -112,7 +112,7 @@ func TestWritebackRouting(t *testing.T) {
 
 func TestDirtyEvictionWritesWholePage(t *testing.T) {
 	c := newCache(t)
-	nsets := uint64(len(c.sets))
+	nsets := c.sets()
 	var now uint64
 	for i := 0; i < promoteDelta+2; i++ {
 		now = c.Access(now, 0, true)

@@ -16,7 +16,7 @@ func (c *Cache) InspectGranularity() uint64 { return pageBytes }
 // is always the folded DRAM page; a valid way is a whole-page HBM copy.
 func (c *Cache) InspectAddr(a addr.Addr) hmm.PageInfo {
 	page := uint64(c.dev.Geom.DRAMLocal(a)) / pageBytes
-	set := page % uint64(len(c.sets))
+	set := page % c.sets()
 	info := hmm.PageInfo{
 		Page:      page,
 		Allocated: true,
@@ -34,7 +34,7 @@ func (c *Cache) InspectAddr(a addr.Addr) hmm.PageInfo {
 // mapping hit serves any line of the page from HBM.
 func (c *Cache) LocateLine(a addr.Addr) hmm.Tier {
 	page := uint64(c.dev.Geom.DRAMLocal(a)) / pageBytes
-	if c.lookup(page%uint64(len(c.sets)), page) >= 0 {
+	if c.lookup(page%c.sets(), page) >= 0 {
 		return hmm.TierHBM
 	}
 	return hmm.TierDRAM
@@ -45,16 +45,17 @@ func (c *Cache) LocateLine(a addr.Addr) hmm.Tier {
 // indexes to its set.
 func (c *Cache) CheckInvariants() error {
 	dramPages := c.dev.Geom.DRAMBytes / pageBytes
-	for si := range c.sets {
+	for si := uint64(0); si < c.sets(); si++ {
 		seen := make(map[uint64]bool, ways)
-		for wi := range c.sets[si] {
-			w := &c.sets[si][wi]
+		r := c.row(si)
+		for wi := range r {
+			w := &r[wi]
 			if !w.valid {
 				continue
 			}
-			if w.tag%uint64(len(c.sets)) != uint64(si) {
+			if w.tag%c.sets() != si {
 				return fmt.Errorf("banshee: set %d way %d holds page %d which maps to set %d",
-					si, wi, w.tag, w.tag%uint64(len(c.sets)))
+					si, wi, w.tag, w.tag%c.sets())
 			}
 			if w.tag >= dramPages {
 				return fmt.Errorf("banshee: set %d way %d holds page %d beyond DRAM (%d pages)",

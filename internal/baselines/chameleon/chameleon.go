@@ -19,28 +19,26 @@ import (
 // occupant, economizing migration bandwidth like Chameleon's lazy policy.
 const swapDelta = 4
 
-// group is one remapping group. Members 0..G-1 are the DRAM segments,
-// member G is the group's native HBM segment. loc is the data-location
-// permutation: loc[m] is the slot holding member m's data (values 0..G-1
-// name DRAM slots, G names the HBM segment), so repeated swaps stay
-// consistent. hbmOwner caches the member whose loc is G.
-type group struct {
-	loc      []uint16
-	hbmOwner uint16
-	counts   []uint32
-}
-
-// System is the Chameleon POM design.
+// System is the Chameleon POM design. Each remapping group has G+1
+// members: 0..G-1 are its DRAM segments and member G is its native HBM
+// segment. Per-member state sits in flat arrays indexed grp*(G+1)+m.
+// loc is the data-location permutation: loc[grp*(G+1)+m] is the slot
+// holding member m's data (values 0..G-1 name DRAM slots, G names the
+// HBM segment), so repeated swaps stay consistent. counts holds each
+// member's access counter, and hbmOwner[grp] caches the member whose
+// loc is G.
 type System struct {
-	dev    *hmm.Devices
-	cnt    hmm.Counters
-	meta   *hmm.Meta
-	mcache *hmm.MetaCache
-	os     *hmm.OSMem
-	mover  *hmm.Mover
-	groups []group
-	g      uint64 // DRAM segments per group
-	ticks  uint64
+	dev      *hmm.Devices
+	cnt      hmm.Counters
+	meta     *hmm.Meta
+	mcache   *hmm.MetaCache
+	os       *hmm.OSMem
+	mover    *hmm.Mover
+	loc      []uint16
+	counts   []uint32
+	hbmOwner []uint16
+	g        uint64 // DRAM segments per group
+	ticks    uint64
 }
 
 var _ hmm.MemSystem = (*System)(nil)
@@ -61,24 +59,26 @@ func New(sys config.System) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	groups := geom.HBMPages()
 	s := &System{
-		dev:    dev,
-		g:      geom.DRAMPages() / geom.HBMPages(),
-		groups: make([]group, geom.HBMPages()),
+		dev:      dev,
+		g:        geom.DRAMPages() / groups,
+		hbmOwner: make([]uint16, groups),
 	}
-	for i := range s.groups {
-		loc := make([]uint16, s.g+1)
-		for m := range loc {
-			loc[m] = uint16(m)
-		}
-		s.groups[i] = group{loc: loc, hbmOwner: uint16(s.g), counts: make([]uint32, s.g+1)}
+	s.loc = make([]uint16, groups*(s.g+1))
+	s.counts = make([]uint32, len(s.loc))
+	for i := range s.loc {
+		s.loc[i] = uint16(uint64(i) % (s.g + 1))
+	}
+	for i := range s.hbmOwner {
+		s.hbmOwner[i] = uint16(s.g)
 	}
 	s.os = hmm.NewOSMem(geom.DRAMBytes+geom.HBMBytes, geom.PageSize, sys.PageFaultNS, sys.Core.FreqMHz)
 	dramBPC := sys.DRAM.PeakBandwidthGBs() * 1e9 / (float64(sys.Core.FreqMHz) * 1e6)
 	s.mover = hmm.NewMover(0.5 * dramBPC)
 	s.meta = hmm.NewMeta(sys, dev, true)
-	// 512 KB SRAM metadata cache at ~8 B per entry.
-	s.mcache, err = hmm.NewMetaCache(s.meta, 64*1024)
+	// 512 KB SRAM metadata cache at ~8 B per entry, keyed by group.
+	s.mcache, err = hmm.NewMetaCache(s.meta, 64*1024, groups)
 	if err != nil {
 		return nil, err
 	}
@@ -107,26 +107,28 @@ func (s *System) locate(a addr.Addr) (grp uint64, member uint64, off uint64) {
 	geom := s.dev.Geom
 	p := geom.FoldPage(geom.PageOf(a))
 	off = geom.PageOffset(a)
+	groups := uint64(len(s.hbmOwner))
 	if geom.IsHBMPage(p) {
-		return (p - geom.DRAMPages()) % uint64(len(s.groups)), s.g, off
+		return (p - geom.DRAMPages()) % groups, s.g, off
 	}
-	return p % uint64(len(s.groups)), p / uint64(len(s.groups)) % s.g, off
+	return p % groups, p / groups % s.g, off
 }
+
+// memberIdx returns the index of member m of group grp in loc and counts.
+func (s *System) memberIdx(grp, m uint64) uint64 { return grp*(s.g+1) + m }
 
 func (s *System) decay() {
 	s.ticks++
 	if s.ticks%(1<<14) != 0 {
 		return
 	}
-	for gi := range s.groups {
-		for m := range s.groups[gi].counts {
-			s.groups[gi].counts[m] /= 2
-		}
+	for i := range s.counts {
+		s.counts[i] /= 2
 	}
 }
 
 // dramSeg returns the DRAM device frame index of member m in group grp.
-func (s *System) dramSeg(grp, m uint64) uint64 { return m*uint64(len(s.groups)) + grp }
+func (s *System) dramSeg(grp, m uint64) uint64 { return m*uint64(len(s.hbmOwner)) + grp }
 
 // Access implements hmm.MemSystem.
 func (s *System) Access(now uint64, a addr.Addr, write bool) uint64 {
@@ -135,19 +137,19 @@ func (s *System) Access(now uint64, a addr.Addr, write bool) uint64 {
 	s.decay()
 	now = s.os.Admit(now, a)
 	grp, member, off := s.locate(a)
-	g := &s.groups[grp]
+	mi := s.memberIdx(grp, member)
 
 	// Remap lookup through the SRAM metadata cache over in-HBM metadata.
 	metaDone := s.mcache.Lookup(now, grp)
 
-	g.counts[member]++
+	s.counts[mi]++
 	off64 := off &^ 63
 
 	var done uint64
 	// Chameleon's HBM segments are OS-visible POM space, so an HBM serve
 	// is an mHBM serve in the telemetry taxonomy.
 	tier := telemetry.TierDRAM
-	if loc := g.loc[member]; loc == uint16(s.g) {
+	if loc := s.loc[mi]; loc == uint16(s.g) {
 		done = s.dev.AccessHBM(metaDone, grp, off64, 64, write)
 		s.cnt.ServedHBM++
 		tier = telemetry.TierMHBM
@@ -165,9 +167,10 @@ func (s *System) Access(now uint64, a addr.Addr, write bool) uint64 {
 // maybeSwap swaps the accessed DRAM segment into HBM when its counter
 // overtakes the occupant's by the hysteresis.
 func (s *System) maybeSwap(now uint64, grp, member uint64) {
-	g := &s.groups[grp]
-	occupant := uint64(g.hbmOwner)
-	if g.counts[member] <= g.counts[occupant]+swapDelta {
+	mi := s.memberIdx(grp, member)
+	occupant := uint64(s.hbmOwner[grp])
+	oi := s.memberIdx(grp, occupant)
+	if s.counts[mi] <= s.counts[oi]+swapDelta {
 		return
 	}
 	if !s.mover.TryStart(now, 2*s.dev.Geom.PageSize) {
@@ -175,11 +178,11 @@ func (s *System) maybeSwap(now uint64, grp, member uint64) {
 	}
 	// Swap data: the member's segment moves to HBM, the occupant's data
 	// moves to the member's current DRAM slot.
-	memberSlot := g.loc[member]
+	memberSlot := s.loc[mi]
 	s.dev.SwapPages(now, s.dramSeg(grp, uint64(memberSlot)), grp)
-	g.loc[occupant] = memberSlot
-	g.loc[member] = uint16(s.g)
-	g.hbmOwner = uint16(member)
+	s.loc[oi] = memberSlot
+	s.loc[mi] = uint16(s.g)
+	s.hbmOwner[grp] = uint16(member)
 	s.cnt.PageSwaps++
 	s.dev.Tel.Event(now, telemetry.EvRemap, grp, member, occupant)
 	s.cnt.FetchedBytes += s.dev.Geom.PageSize
@@ -191,9 +194,8 @@ func (s *System) maybeSwap(now uint64, grp, member uint64) {
 func (s *System) Writeback(now uint64, a addr.Addr) {
 	s.cnt.Writebacks++
 	grp, member, off := s.locate(a)
-	g := &s.groups[grp]
 	off64 := off &^ 63
-	if loc := g.loc[member]; loc == uint16(s.g) {
+	if loc := s.loc[s.memberIdx(grp, member)]; loc == uint16(s.g) {
 		s.dev.WriteHBM(now, grp, off64, 64)
 	} else {
 		s.dev.WriteDRAM(now, s.dramSeg(grp, uint64(loc)), off64, 64)

@@ -53,7 +53,7 @@ func TestHotSegmentSwapsIn(t *testing.T) {
 
 func TestSecondSwapKeepsPermutationConsistent(t *testing.T) {
 	s := newSys(t)
-	g := uint64(len(s.groups))
+	g := uint64(len(s.hbmOwner))
 	a := addr.Addr(0)                       // member 0 of group 0
 	b := addr.Addr(g * s.dev.Geom.PageSize) // member 1 of group 0
 	var now uint64
@@ -68,16 +68,16 @@ func TestSecondSwapKeepsPermutationConsistent(t *testing.T) {
 		t.Fatalf("swaps = %d, want >= 2", s.Counters().PageSwaps)
 	}
 	// The permutation must remain a bijection.
-	grp := &s.groups[0]
+	loc0 := s.loc[:s.g+1]
 	seen := make(map[uint16]bool)
-	for m, loc := range grp.loc {
+	for m, loc := range loc0 {
 		if seen[loc] {
 			t.Fatalf("location %d assigned twice (member %d)", loc, m)
 		}
 		seen[loc] = true
 	}
 	// b must now be the HBM owner.
-	if grp.loc[1] != uint16(s.g) {
+	if loc0[1] != uint16(s.g) {
 		t.Errorf("member 1 not in HBM after displacing member 0")
 	}
 	// Serving b hits HBM.

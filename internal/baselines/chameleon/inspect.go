@@ -18,12 +18,11 @@ func (s *System) InspectGranularity() uint64 { return segmentBytes }
 // = group) or in one of its G DRAM slots.
 func (s *System) InspectAddr(a addr.Addr) hmm.PageInfo {
 	grp, member, _ := s.locate(a)
-	g := &s.groups[grp]
 	info := hmm.PageInfo{
-		Page:      grp*(s.g+1) + member,
+		Page:      s.memberIdx(grp, member),
 		Allocated: true,
 	}
-	if loc := g.loc[member]; loc == uint16(s.g) {
+	if loc := s.loc[info.Page]; loc == uint16(s.g) {
 		info.Home = hmm.TierHBM
 		info.HomeFrame = grp
 	} else {
@@ -37,7 +36,7 @@ func (s *System) InspectAddr(a addr.Addr) hmm.PageInfo {
 // serve tier is the segment's current slot.
 func (s *System) LocateLine(a addr.Addr) hmm.Tier {
 	grp, member, _ := s.locate(a)
-	if s.groups[grp].loc[member] == uint16(s.g) {
+	if s.loc[s.memberIdx(grp, member)] == uint16(s.g) {
 		return hmm.TierHBM
 	}
 	return hmm.TierDRAM
@@ -47,14 +46,12 @@ func (s *System) LocateLine(a addr.Addr) hmm.Tier {
 // a permutation of its G+1 slots with exactly one member in the HBM slot,
 // and that member must be the cached hbmOwner.
 func (s *System) CheckInvariants() error {
-	for gi := range s.groups {
-		g := &s.groups[gi]
-		if len(g.loc) != int(s.g)+1 {
-			return fmt.Errorf("chameleon: group %d has %d members, want %d", gi, len(g.loc), s.g+1)
-		}
-		seen := make([]bool, s.g+1)
+	width := s.g + 1
+	seen := make([]bool, width)
+	for gi, owner := range s.hbmOwner {
+		clear(seen)
 		hbmMember := -1
-		for m, loc := range g.loc {
+		for m, loc := range s.loc[uint64(gi)*width : uint64(gi+1)*width] {
 			if uint64(loc) > s.g {
 				return fmt.Errorf("chameleon: group %d member %d maps to slot %d beyond group", gi, m, loc)
 			}
@@ -72,9 +69,9 @@ func (s *System) CheckInvariants() error {
 		if hbmMember < 0 {
 			return fmt.Errorf("chameleon: group %d has no HBM occupant", gi)
 		}
-		if uint16(hbmMember) != g.hbmOwner {
+		if uint16(hbmMember) != owner {
 			return fmt.Errorf("chameleon: group %d hbmOwner=%d but member %d occupies HBM",
-				gi, g.hbmOwner, hbmMember)
+				gi, owner, hbmMember)
 		}
 	}
 	c := s.Counters()

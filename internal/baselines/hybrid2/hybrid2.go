@@ -12,6 +12,7 @@ package hybrid2
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/addr"
 	"repro/internal/config"
@@ -32,17 +33,10 @@ const (
 
 type cacheWay struct {
 	tag     uint64 // global page number cached here
-	valid   bool
 	lruTick uint64
+	valid   bool
 	present uint8 // per-256B-block bits
 	dirty   uint8
-}
-
-// pomSet is one remapping set of the POM region: newPLE/occupant pairs
-// exactly like a PRT restricted to this design's 2 KB pages.
-type pomSet struct {
-	newPLE   []int32
-	occupant []int32
 }
 
 // System is the Hybrid2 design.
@@ -52,10 +46,15 @@ type System struct {
 	geom *addr.Geometry // 2 KB pages over DRAM + POM region
 
 	cacheBytes uint64
-	cacheSets  [][]cacheWay
+	ways       []cacheWay // block-cache ways, [set*cacheWays+way]
 	tick       uint64
 
-	pom []pomSet
+	// The POM region's remapping table: newPLE/occupant pairs exactly
+	// like a PRT restricted to this design's 2 KB pages, m+n slots per
+	// set, indexed set*(m+n)+slot.
+	slots    uint64
+	newPLE   []int16
+	occupant []int16
 
 	meta   *hmm.Meta
 	mcache *hmm.MetaCache
@@ -78,6 +77,9 @@ func New(sys config.System) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hybrid2: %w", err)
 	}
+	if slots := geom.PagesPerSet(); slots > math.MaxInt16 {
+		return nil, fmt.Errorf("hybrid2: %d pages per set exceeds PLE range %d", slots, math.MaxInt16)
+	}
 	dev, err := hmm.NewDevicesWithGeometry(sys, geom)
 	if err != nil {
 		return nil, err
@@ -92,22 +94,17 @@ func New(sys config.System) (*System, error) {
 	}
 	dramBPC := sys.DRAM.PeakBandwidthGBs() * 1e9 / (float64(sys.Core.FreqMHz) * 1e6)
 	s.mover = hmm.NewMover(0.5 * dramBPC)
-	nCacheSets := cacheBytes / pageBytes / cacheWays
-	s.cacheSets = make([][]cacheWay, nCacheSets)
-	for i := range s.cacheSets {
-		s.cacheSets[i] = make([]cacheWay, cacheWays)
-	}
-	s.pom = make([]pomSet, geom.Sets())
-	m, n := int(geom.DRAMPagesPerSet()), int(geom.HBMPagesPerSet())
-	for i := range s.pom {
-		s.pom[i] = pomSet{newPLE: make([]int32, m+n), occupant: make([]int32, m+n)}
-		for j := range s.pom[i].newPLE {
-			s.pom[i].newPLE[j] = -1
-			s.pom[i].occupant[j] = -1
-		}
+	s.ways = make([]cacheWay, cacheBytes/pageBytes/cacheWays*cacheWays)
+	s.slots = geom.PagesPerSet()
+	s.newPLE = make([]int16, geom.Sets()*s.slots)
+	s.occupant = make([]int16, len(s.newPLE))
+	for i := range s.newPLE {
+		s.newPLE[i] = -1
+		s.occupant[i] = -1
 	}
 	s.meta = hmm.NewMeta(sys, dev, true)
-	s.mcache, err = hmm.NewMetaCache(s.meta, 64*1024) // ~512 KB SRAM
+	// ~512 KB SRAM, keyed by page.
+	s.mcache, err = hmm.NewMetaCache(s.meta, 64*1024, geom.DRAMPages()+geom.HBMPages())
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +146,21 @@ func (s *System) pomFrameAddr(f uint64, off uint64) addr.Addr {
 // ftKeyCache and ftKeyPOM keep over-fetch tracking keys distinct between
 // the two regions.
 func (s *System) ftKeyCache(set uint64, wi int) uint64 { return set*cacheWays + uint64(wi) }
-func (s *System) ftKeyPOM(f uint64) uint64             { return uint64(len(s.cacheSets))*cacheWays + f }
+func (s *System) ftKeyPOM(f uint64) uint64             { return uint64(len(s.ways)) + f }
+
+// cacheSets returns the number of block-cache sets.
+func (s *System) cacheSets() uint64 { return uint64(len(s.ways)) / cacheWays }
+
+// cacheSet returns the ways of block-cache set cset.
+func (s *System) cacheSet(cset uint64) []cacheWay {
+	return s.ways[cset*cacheWays : (cset+1)*cacheWays]
+}
+
+// pomRow returns the newPLE and occupant entries of remapping set set.
+func (s *System) pomRow(set uint64) (newPLE, occupant []int16) {
+	lo, hi := set*s.slots, (set+1)*s.slots
+	return s.newPLE[lo:hi], s.occupant[lo:hi]
+}
 
 func (s *System) decay() {
 	s.ticks++
@@ -167,31 +178,31 @@ func (s *System) decay() {
 
 // pomLookup resolves a page through the POM remapping table, allocating
 // it first-touch. It returns the slot holding the page.
-func (s *System) pomLookup(p uint64) (setIdx uint64, slot int32) {
+func (s *System) pomLookup(p uint64) (setIdx uint64, slot int16) {
 	setIdx = s.geom.SetOf(p)
-	ps := &s.pom[setIdx]
-	orig := int32(s.geom.SlotOf(p))
-	if ps.newPLE[orig] == -1 {
+	newPLE, occupant := s.pomRow(setIdx)
+	orig := int16(s.geom.SlotOf(p))
+	if newPLE[orig] == -1 {
 		// First touch: allocate at the original position if free, else
 		// any free slot, else alias.
 		target := orig
-		if ps.occupant[target] != -1 {
+		if occupant[target] != -1 {
 			target = -1
-			for i := range ps.occupant {
-				if ps.occupant[i] == -1 {
-					target = int32(i)
+			for i := range occupant {
+				if occupant[i] == -1 {
+					target = int16(i)
 					break
 				}
 			}
 		}
 		if target == -1 {
-			ps.newPLE[orig] = orig % int32(s.geom.DRAMPagesPerSet())
-			return setIdx, ps.newPLE[orig]
+			newPLE[orig] = orig % int16(s.geom.DRAMPagesPerSet())
+			return setIdx, newPLE[orig]
 		}
-		ps.newPLE[orig] = target
-		ps.occupant[target] = orig
+		newPLE[orig] = target
+		occupant[target] = orig
 	}
-	return setIdx, ps.newPLE[orig]
+	return setIdx, newPLE[orig]
 }
 
 // Access implements hmm.MemSystem.
@@ -226,10 +237,10 @@ func (s *System) access(now uint64, a addr.Addr, write bool) (uint64, telemetry.
 
 	// DRAM-homed page: probe the block cache.
 	dframe := s.geom.DRAMFrameOfSlot(setIdx, uint64(slot))
-	cset := p % uint64(len(s.cacheSets))
+	cset := p % s.cacheSets()
 	wi := s.cacheLookup(cset, p)
-	if wi >= 0 && s.cacheSets[cset][wi].present&(1<<blk) != 0 {
-		w := &s.cacheSets[cset][wi]
+	if wi >= 0 && s.cacheSet(cset)[wi].present&(1<<blk) != 0 {
+		w := &s.cacheSet(cset)[wi]
 		s.tick++
 		w.lruTick = s.tick
 		done := s.dev.HBMAccess(metaDone, s.cacheFrameAddr(cset, wi, blk)+addr.Addr(off64%blockBytes), 64, write)
@@ -254,8 +265,9 @@ func (s *System) access(now uint64, a addr.Addr, write bool) (uint64, telemetry.
 }
 
 func (s *System) cacheLookup(cset uint64, p uint64) int {
-	for i := range s.cacheSets[cset] {
-		if s.cacheSets[cset][i].valid && s.cacheSets[cset][i].tag == p {
+	ways := s.cacheSet(cset)
+	for i := range ways {
+		if ways[i].valid && ways[i].tag == p {
 			return i
 		}
 	}
@@ -269,9 +281,9 @@ func (s *System) fillBlock(now uint64, cset uint64, wi int, p, dframe, blk uint6
 		wi = s.cacheVictim(cset)
 		s.evictCacheWay(now, cset, wi)
 		s.tick++
-		s.cacheSets[cset][wi] = cacheWay{tag: p, valid: true, lruTick: s.tick}
+		s.cacheSet(cset)[wi] = cacheWay{tag: p, valid: true, lruTick: s.tick}
 	}
-	w := &s.cacheSets[cset][wi]
+	w := &s.cacheSet(cset)[wi]
 	rd := s.dev.AccessDRAM(now, dframe, blk*blockBytes, blockBytes, false)
 	s.dev.HBMAccess(rd, s.cacheFrameAddr(cset, wi, blk), blockBytes, true)
 	w.present |= 1 << blk
@@ -281,8 +293,9 @@ func (s *System) fillBlock(now uint64, cset uint64, wi int, p, dframe, blk uint6
 
 func (s *System) cacheVictim(cset uint64) int {
 	v, min := 0, uint64(0)
-	for i := range s.cacheSets[cset] {
-		w := &s.cacheSets[cset][i]
+	ways := s.cacheSet(cset)
+	for i := range ways {
+		w := &ways[i]
 		if !w.valid {
 			return i
 		}
@@ -295,7 +308,7 @@ func (s *System) cacheVictim(cset uint64) int {
 
 // evictCacheWay writes dirty cached blocks back to the page's DRAM home.
 func (s *System) evictCacheWay(now uint64, cset uint64, wi int) {
-	w := &s.cacheSets[cset][wi]
+	w := &s.cacheSet(cset)[wi]
 	if !w.valid {
 		return
 	}
@@ -320,14 +333,14 @@ func (s *System) evictCacheWay(now uint64, cset uint64, wi int) {
 // POM spaces are separate, a full POM set first swaps a victim out to
 // off-chip DRAM, and blocks already in the cache are copied inside HBM —
 // the data movement Bumblebee's multiplexed space avoids.
-func (s *System) promote(now uint64, p uint64, setIdx uint64, slot int32) {
-	ps := &s.pom[setIdx]
-	m := int32(s.geom.DRAMPagesPerSet())
-	n := int32(s.geom.HBMPagesPerSet())
+func (s *System) promote(now uint64, p uint64, setIdx uint64, slot int16) {
+	newPLE, occupant := s.pomRow(setIdx)
+	m := int16(s.geom.DRAMPagesPerSet())
+	n := int16(s.geom.HBMPagesPerSet())
 	// Find a free POM slot.
-	target := int32(-1)
+	target := int16(-1)
 	for i := m; i < m+n; i++ {
-		if ps.occupant[i] == -1 {
+		if occupant[i] == -1 {
 			target = i
 			break
 		}
@@ -335,14 +348,14 @@ func (s *System) promote(now uint64, p uint64, setIdx uint64, slot int32) {
 	if target == -1 {
 		// Evict a pseudo-random victim POM page back to its original
 		// DRAM slot (which must be free: it vacated it when promoted).
-		victimSlot := m + int32(p%uint64(n))
-		victimOrig := ps.occupant[victimSlot]
+		victimSlot := m + int16(p%uint64(n))
+		victimOrig := occupant[victimSlot]
 		if victimOrig < 0 {
 			return
 		}
-		victimHome := int32(-1)
-		for i := int32(0); i < m; i++ {
-			if ps.occupant[i] == -1 {
+		victimHome := int16(-1)
+		for i := int16(0); i < m; i++ {
+			if occupant[i] == -1 {
 				victimHome = i
 				break
 			}
@@ -353,25 +366,25 @@ func (s *System) promote(now uint64, p uint64, setIdx uint64, slot int32) {
 		vf := s.geom.HBMFrameOfSlot(setIdx, uint64(victimSlot))
 		rd := s.dev.HBMAccess(now, s.pomFrameAddr(vf, 0), pageBytes, false)
 		s.dev.AccessDRAM(rd, s.geom.DRAMFrameOfSlot(setIdx, uint64(victimHome)), 0, pageBytes, true)
-		ps.newPLE[victimOrig] = victimHome
-		ps.occupant[victimHome] = victimOrig
-		ps.occupant[victimSlot] = -1
+		newPLE[victimOrig] = victimHome
+		occupant[victimHome] = victimOrig
+		occupant[victimSlot] = -1
 		s.ft.OnEvict(s.ftKeyPOM(vf))
 		s.cnt.Evictions++
-		s.dev.Tel.Event(now, telemetry.EvEviction, setIdx, uint64(uint32(victimOrig)), 1)
+		s.dev.Tel.Event(now, telemetry.EvEviction, setIdx, uint64(victimOrig), 1)
 		target = victimSlot
 	}
 
-	orig := int32(s.geom.SlotOf(p))
+	orig := int16(s.geom.SlotOf(p))
 	dframe := s.geom.DRAMFrameOfSlot(setIdx, uint64(slot))
 	f := s.geom.HBMFrameOfSlot(setIdx, uint64(target))
 
 	// Move the page: cached blocks travel HBM->HBM, the rest DRAM->HBM.
-	cset := p % uint64(len(s.cacheSets))
+	cset := p % s.cacheSets()
 	wi := s.cacheLookup(cset, p)
 	var present uint8
 	if wi >= 0 {
-		present = s.cacheSets[cset][wi].present
+		present = s.cacheSet(cset)[wi].present
 	}
 	for blk := uint64(0); blk < uint64(blocksPer); blk++ {
 		if present&(1<<blk) != 0 {
@@ -384,19 +397,19 @@ func (s *System) promote(now uint64, p uint64, setIdx uint64, slot int32) {
 	}
 	if wi >= 0 {
 		// Invalidate the cache copy without writeback: POM is now home.
-		w := &s.cacheSets[cset][wi]
+		w := &s.cacheSet(cset)[wi]
 		w.valid = false
 		w.present, w.dirty = 0, 0
 		s.ft.OnEvict(s.ftKeyCache(cset, wi))
 	}
-	ps.newPLE[orig] = target
-	ps.occupant[target] = orig
-	ps.occupant[slot] = -1
+	newPLE[orig] = target
+	occupant[target] = orig
+	occupant[slot] = -1
 	s.ft.OnFetch(s.ftKeyPOM(f), 0, pageBytes)
 	s.cnt.PageMigrations++
 	s.cnt.ModeSwitches++
-	s.dev.Tel.Event(now, telemetry.EvMigration, setIdx, uint64(uint32(orig)), f)
-	s.dev.Tel.Event(now, telemetry.EvModeSwitch, setIdx, uint64(uint32(orig)), 1)
+	s.dev.Tel.Event(now, telemetry.EvMigration, setIdx, uint64(orig), f)
+	s.dev.Tel.Event(now, telemetry.EvModeSwitch, setIdx, uint64(orig), 1)
 	delete(s.heat, p)
 	s.meta.Update(now, p)
 }
@@ -414,9 +427,9 @@ func (s *System) Writeback(now uint64, a addr.Addr) {
 		s.dev.HBMAccess(now, s.pomFrameAddr(f, off64), 64, true)
 		return
 	}
-	cset := p % uint64(len(s.cacheSets))
-	if wi := s.cacheLookup(cset, p); wi >= 0 && s.cacheSets[cset][wi].present&(1<<blk) != 0 {
-		s.cacheSets[cset][wi].dirty |= 1 << blk
+	cset := p % s.cacheSets()
+	if wi := s.cacheLookup(cset, p); wi >= 0 && s.cacheSet(cset)[wi].present&(1<<blk) != 0 {
+		s.cacheSet(cset)[wi].dirty |= 1 << blk
 		s.dev.HBMAccess(now, s.cacheFrameAddr(cset, wi, blk), 64, true)
 		return
 	}

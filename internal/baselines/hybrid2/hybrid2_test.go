@@ -1,6 +1,7 @@
 package hybrid2
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/addr"
@@ -112,7 +113,7 @@ func TestCacheEvictionWritesDirty(t *testing.T) {
 	dramW := s.Devices().DRAM.Stats().WriteBytes
 	// Conflict-fill the cache set of page 0 with other pages mapping to
 	// the same cache set.
-	stride := uint64(len(s.cacheSets)) * pageBytes
+	stride := s.cacheSets() * pageBytes
 	for i := uint64(1); i <= cacheWays; i++ {
 		now = s.Access(now, addr.Addr(i*stride), false)
 	}
@@ -147,12 +148,12 @@ func TestPOMRemapBijection(t *testing.T) {
 			now = s.Access(now, base+addr.Addr(uint64(i%blocksPer)*blockBytes), false)
 		}
 	}
-	for si := range s.pom {
-		ps := &s.pom[si]
-		for slot, o := range ps.occupant {
-			if o >= 0 && ps.newPLE[o] != int32(slot) {
+	for si := uint64(0); si < s.geom.Sets(); si++ {
+		newPLE, occupant := s.pomRow(si)
+		for slot, o := range occupant {
+			if o >= 0 && newPLE[o] != int16(slot) {
 				t.Fatalf("set %d: occupant[%d]=%d but newPLE[%d]=%d",
-					si, slot, o, o, ps.newPLE[o])
+					si, slot, o, o, newPLE[o])
 			}
 		}
 	}
@@ -161,5 +162,15 @@ func TestPOMRemapBijection(t *testing.T) {
 func TestName(t *testing.T) {
 	if newSys(t).Name() != "hybrid2" {
 		t.Error("bad name")
+	}
+}
+
+// TestNewRefusesWideSets pins the geometry the int16 remapping table
+// cannot index: more than 32767 page slots in one remapping set.
+func TestNewRefusesWideSets(t *testing.T) {
+	sys := config.Default().Scaled(2048)
+	sys.DRAM.CapacityBytes = 2 * addr.GiB
+	if _, err := New(sys); err == nil || !strings.Contains(err.Error(), "exceeds PLE range") {
+		t.Fatalf("a 2 GiB DRAM over 30 remapping sets gave err=%v, want a PLE range refusal", err)
 	}
 }

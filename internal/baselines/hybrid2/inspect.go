@@ -12,9 +12,10 @@ var _ hmm.Inspector = (*System)(nil)
 // pomPeek resolves a page through the POM remapping table WITHOUT the
 // first-touch allocation pomLookup performs; slot is -1 when the page has
 // never been touched. Inspection must not perturb the simulated state.
-func (s *System) pomPeek(p uint64) (setIdx uint64, slot int32) {
+func (s *System) pomPeek(p uint64) (setIdx uint64, slot int16) {
 	setIdx = s.geom.SetOf(p)
-	return setIdx, s.pom[setIdx].newPLE[s.geom.SlotOf(p)]
+	newPLE, _ := s.pomRow(setIdx)
+	return setIdx, newPLE[s.geom.SlotOf(p)]
 }
 
 // InspectGranularity implements hmm.Inspector.
@@ -23,7 +24,7 @@ func (s *System) InspectGranularity() uint64 { return pageBytes }
 // InspectCacheFrames returns the number of block-cache frames. They sit
 // outside the POM geometry, so the lockstep checker (internal/check)
 // bounds cache copies by this count and page homes by the geometry.
-func (s *System) InspectCacheFrames() uint64 { return uint64(len(s.cacheSets)) * cacheWays }
+func (s *System) InspectCacheFrames() uint64 { return uint64(len(s.ways)) }
 
 // InspectAddr implements hmm.Inspector. HBM frame identities reuse the
 // over-fetch tracker's keyspace (cache region first, then POM region) so
@@ -43,8 +44,9 @@ func (s *System) InspectAddr(a addr.Addr) hmm.PageInfo {
 	}
 	info.Home = hmm.TierDRAM
 	info.HomeFrame = s.geom.DRAMFrameOfSlot(setIdx, uint64(slot))
-	info.Aliased = s.pom[setIdx].occupant[slot] != int32(s.geom.SlotOf(p))
-	cset := p % uint64(len(s.cacheSets))
+	_, occupant := s.pomRow(setIdx)
+	info.Aliased = occupant[slot] != int16(s.geom.SlotOf(p))
+	cset := p % s.cacheSets()
 	if wi := s.cacheLookup(cset, p); wi >= 0 {
 		info.HasCache = true
 		info.CacheFrame = s.ftKeyCache(cset, wi)
@@ -65,8 +67,8 @@ func (s *System) LocateLine(a addr.Addr) hmm.Tier {
 		return hmm.TierHBM
 	}
 	blk := s.geom.PageOffset(a) / blockBytes
-	cset := p % uint64(len(s.cacheSets))
-	if wi := s.cacheLookup(cset, p); wi >= 0 && s.cacheSets[cset][wi].present&(1<<blk) != 0 {
+	cset := p % s.cacheSets()
+	if wi := s.cacheLookup(cset, p); wi >= 0 && s.cacheSet(cset)[wi].present&(1<<blk) != 0 {
 		return hmm.TierHBM
 	}
 	return hmm.TierDRAM
@@ -78,40 +80,40 @@ func (s *System) LocateLine(a addr.Addr) hmm.Tier {
 // promotion of that page legitimately clears the victim's occupancy — the
 // documented degraded mode, same as Bumblebee's allocation overflow.
 func (s *System) CheckInvariants() error {
-	m := int32(s.geom.DRAMPagesPerSet())
-	n := int32(s.geom.HBMPagesPerSet())
-	for si := range s.pom {
-		ps := &s.pom[si]
-		seen := make(map[int32]bool)
-		for slot, o := range ps.occupant {
+	slots := int16(s.slots)
+	for si := uint64(0); si < s.geom.Sets(); si++ {
+		newPLE, occupant := s.pomRow(si)
+		seen := make(map[int16]bool)
+		for slot, o := range occupant {
 			if o < 0 {
 				continue
 			}
-			if ps.newPLE[o] != int32(slot) {
+			if newPLE[o] != int16(slot) {
 				return fmt.Errorf("hybrid2: set %d: occupant[%d]=%d but newPLE[%d]=%d",
-					si, slot, o, o, ps.newPLE[o])
+					si, slot, o, o, newPLE[o])
 			}
 			if seen[o] {
 				return fmt.Errorf("hybrid2: set %d: page %d occupies two slots", si, o)
 			}
 			seen[o] = true
 		}
-		for o, slot := range ps.newPLE {
-			if slot >= m+n {
+		for o, slot := range newPLE {
+			if slot >= slots {
 				return fmt.Errorf("hybrid2: set %d: newPLE[%d]=%d beyond set", si, o, slot)
 			}
 		}
 	}
-	for cset := range s.cacheSets {
+	for cset := uint64(0); cset < s.cacheSets(); cset++ {
 		seen := make(map[uint64]bool, cacheWays)
-		for wi := range s.cacheSets[cset] {
-			w := &s.cacheSets[cset][wi]
+		ways := s.cacheSet(cset)
+		for wi := range ways {
+			w := &ways[wi]
 			if !w.valid {
 				continue
 			}
-			if w.tag%uint64(len(s.cacheSets)) != uint64(cset) {
+			if w.tag%s.cacheSets() != cset {
 				return fmt.Errorf("hybrid2: cache set %d way %d holds page %d which maps to set %d",
-					cset, wi, w.tag, w.tag%uint64(len(s.cacheSets)))
+					cset, wi, w.tag, w.tag%s.cacheSets())
 			}
 			if seen[w.tag] {
 				return fmt.Errorf("hybrid2: page %d cached twice in set %d", w.tag, cset)

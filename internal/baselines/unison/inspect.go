@@ -17,7 +17,7 @@ func (c *Cache) InspectGranularity() uint64 { return pageBytes }
 // its blocks.
 func (c *Cache) InspectAddr(a addr.Addr) hmm.PageInfo {
 	page := uint64(c.dev.Geom.DRAMLocal(a)) / pageBytes
-	set := page % uint64(len(c.sets))
+	set := page % c.sets()
 	info := hmm.PageInfo{
 		Page:      page,
 		Allocated: true,
@@ -37,9 +37,9 @@ func (c *Cache) LocateLine(a addr.Addr) hmm.Tier {
 	da := uint64(c.dev.Geom.DRAMLocal(a))
 	page := da / pageBytes
 	blk := (da % pageBytes) / blockBytes
-	set := page % uint64(len(c.sets))
+	set := page % c.sets()
 	if wi := c.lookup(set, page); wi >= 0 {
-		w := &c.sets[set][wi]
+		w := &c.row(set)[wi]
 		if w.get(&w.present, blk) {
 			return hmm.TierHBM
 		}
@@ -52,16 +52,17 @@ func (c *Cache) LocateLine(a addr.Addr) hmm.Tier {
 // fetched).
 func (c *Cache) CheckInvariants() error {
 	dramPages := c.dev.Geom.DRAMBytes / pageBytes
-	for si := range c.sets {
+	for si := uint64(0); si < c.sets(); si++ {
 		seen := make(map[uint64]bool, ways)
-		for wi := range c.sets[si] {
-			w := &c.sets[si][wi]
+		r := c.row(si)
+		for wi := range r {
+			w := &r[wi]
 			if !w.valid {
 				continue
 			}
-			if w.tag%uint64(len(c.sets)) != uint64(si) {
+			if w.tag%c.sets() != si {
 				return fmt.Errorf("unison: set %d way %d holds page %d which maps to set %d",
-					si, wi, w.tag, w.tag%uint64(len(c.sets)))
+					si, wi, w.tag, w.tag%c.sets())
 			}
 			if w.tag >= dramPages {
 				return fmt.Errorf("unison: set %d way %d holds page %d beyond DRAM (%d pages)",

@@ -42,11 +42,11 @@ func (w *way) set(v *[blocksPer / 64]uint64, i uint64) {
 
 // Cache is the Unison Cache design.
 type Cache struct {
-	dev  *hmm.Devices
-	cnt  hmm.Counters
-	os   *hmm.OSMem
-	sets [][]way
-	tick uint64
+	dev    *hmm.Devices
+	cnt    hmm.Counters
+	os     *hmm.OSMem
+	frames []way // [set*ways+way]
+	tick   uint64
 
 	// footprint history: DRAM page -> touched bitmap of its last
 	// residency, driving the next fill's fetch set.
@@ -61,18 +61,13 @@ func New(sys config.System) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	pages := dev.Geom.HBMBytes / pageBytes
-	nsets := pages / ways
-	c := &Cache{
+	nsets := dev.Geom.HBMBytes / pageBytes / ways
+	return &Cache{
 		dev:     dev,
 		os:      hmm.NewOSMem(dev.Geom.DRAMBytes, dev.Geom.PageSize, sys.PageFaultNS, sys.Core.FreqMHz),
-		sets:    make([][]way, nsets),
+		frames:  make([]way, nsets*ways),
 		history: make(map[uint64][blocksPer / 64]uint64),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]way, ways)
-	}
-	return c, nil
+	}, nil
 }
 
 // Name implements hmm.MemSystem.
@@ -94,9 +89,16 @@ func (c *Cache) hbmAddr(set uint64, w int, blk uint64) addr.Addr {
 	return addr.Addr(set*uint64(ways)*pageBytes + uint64(w)*pageBytes + blk*blockBytes)
 }
 
+// sets returns the number of sets.
+func (c *Cache) sets() uint64 { return uint64(len(c.frames)) / ways }
+
+// row returns the ways of set.
+func (c *Cache) row(set uint64) []way { return c.frames[set*ways : (set+1)*ways] }
+
 func (c *Cache) lookup(set uint64, page uint64) int {
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == page {
+	r := c.row(set)
+	for i := range r {
+		if r[i].valid && r[i].tag == page {
 			return i
 		}
 	}
@@ -104,13 +106,14 @@ func (c *Cache) lookup(set uint64, page uint64) int {
 }
 
 func (c *Cache) victim(set uint64) int {
-	v, min := 0, c.sets[set][0].lruTick
-	for i := range c.sets[set] {
-		if !c.sets[set][i].valid {
+	r := c.row(set)
+	v, min := 0, r[0].lruTick
+	for i := range r {
+		if !r[i].valid {
 			return i
 		}
-		if c.sets[set][i].lruTick < min {
-			v, min = i, c.sets[set][i].lruTick
+		if r[i].lruTick < min {
+			v, min = i, r[i].lruTick
 		}
 	}
 	return v
@@ -118,7 +121,7 @@ func (c *Cache) victim(set uint64) int {
 
 // evict writes a victim's dirty blocks back and records its footprint.
 func (c *Cache) evict(now uint64, set uint64, wi int) {
-	w := &c.sets[set][wi]
+	w := &c.row(set)[wi]
 	if !w.valid {
 		return
 	}
@@ -138,7 +141,7 @@ func (c *Cache) evict(now uint64, set uint64, wi int) {
 // page's touched set from its last residency) plus the demand block; a
 // first-time page fetches only the demand block and grows on touch.
 func (c *Cache) fill(now uint64, set uint64, wi int, page uint64, demand uint64) {
-	w := &c.sets[set][wi]
+	w := &c.row(set)[wi]
 	*w = way{tag: page, valid: true, lruTick: c.tick}
 	foot, seen := c.history[page]
 	if !seen {
@@ -182,14 +185,14 @@ func (c *Cache) access(now uint64, a addr.Addr, write bool) (uint64, telemetry.T
 	da := c.dev.Geom.DRAMLocal(a)
 	page := uint64(da) / pageBytes
 	blk := (uint64(da) % pageBytes) / blockBytes
-	set := page % uint64(len(c.sets))
+	set := page % c.sets()
 
 	// Embedded tags: the lookup itself is an HBM read.
 	tagDone := c.dev.HBMAccess(now, c.hbmAddr(set, 0, 0), 64, false)
 
 	wi := c.lookup(set, page)
 	if wi >= 0 {
-		w := &c.sets[set][wi]
+		w := &c.row(set)[wi]
 		w.lruTick = c.tick
 		if w.get(&w.present, blk) {
 			if !w.get(&w.touched, blk) {
@@ -220,7 +223,7 @@ func (c *Cache) access(now uint64, a addr.Addr, write bool) (uint64, telemetry.T
 	vi := c.victim(set)
 	c.evict(done, set, vi)
 	c.fill(done, set, vi, page, blk)
-	w := &c.sets[set][vi]
+	w := &c.row(set)[vi]
 	w.set(&w.touched, blk)
 	c.cnt.UsedBytes += blockBytes
 	if write {
@@ -235,12 +238,13 @@ func (c *Cache) Writeback(now uint64, a addr.Addr) {
 	da := c.dev.Geom.DRAMLocal(a)
 	page := uint64(da) / pageBytes
 	blk := (uint64(da) % pageBytes) / blockBytes
-	set := page % uint64(len(c.sets))
-	if wi := c.lookup(set, page); wi >= 0 && c.sets[set][wi].get(&c.sets[set][wi].present, blk) {
-		w := &c.sets[set][wi]
-		c.dev.HBMAccess(now, c.hbmAddr(set, wi, blk), blockBytes, true)
-		w.set(&w.dirty, blk)
-		return
+	set := page % c.sets()
+	if wi := c.lookup(set, page); wi >= 0 {
+		if w := &c.row(set)[wi]; w.get(&w.present, blk) {
+			c.dev.HBMAccess(now, c.hbmAddr(set, wi, blk), blockBytes, true)
+			w.set(&w.dirty, blk)
+			return
+		}
 	}
 	c.dev.DRAM.Access(now, addr.Addr(page*pageBytes+blk*blockBytes), blockBytes, true)
 }

@@ -48,7 +48,7 @@ func TestFootprintPredictionOnRefill(t *testing.T) {
 		now = c.Access(now, addr.Addr(blk*blockBytes), false)
 	}
 	// Evict page 0 by filling its set with conflicting pages.
-	nsets := uint64(len(c.sets))
+	nsets := c.sets()
 	for i := uint64(1); i <= ways; i++ {
 		now = c.Access(now, addr.Addr(i*nsets*pageBytes), false)
 	}
@@ -82,7 +82,7 @@ func TestEvictWritesDirtyBlocks(t *testing.T) {
 	c := newCache(t)
 	now := c.Access(0, 0, true) // dirty block 0 of page 0
 	wrBefore := c.Devices().DRAM.Stats().WriteBytes
-	nsets := uint64(len(c.sets))
+	nsets := c.sets()
 	for i := uint64(1); i <= ways; i++ {
 		now = c.Access(now, addr.Addr(i*nsets*pageBytes), false)
 	}

@@ -529,3 +529,23 @@ func TestMetaHSlowsRequests(t *testing.T) {
 		t.Errorf("Meta-H latency %f not above SRAM %f", hbm, sram)
 	}
 }
+
+// TestMetadataBudgetString pins the budget's rendering at the
+// quickstart's scale of 256, where every part is under 1 KiB, and at
+// Table I, where each part is tens to hundreds of KiB.
+func TestMetadataBudgetString(t *testing.T) {
+	b, err := New(config.Default().Scaled(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := b.Metadata().String(), "1.6KB total (704B PRT, 584B BLE array, 384B hotness tracker)"; got != want {
+		t.Errorf("scale 256: %q, want %q", got, want)
+	}
+	full, err := New(config.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := full.Metadata().String(), "418.0KB total (176.0KB PRT, 146.0KB BLE array, 96.0KB hotness tracker)"; got != want {
+		t.Errorf("Table I: %q, want %q", got, want)
+	}
+}

@@ -19,10 +19,20 @@ type MetadataBudget struct {
 // TotalBytes returns the total metadata footprint.
 func (m MetadataBudget) TotalBytes() uint64 { return m.PRTBytes + m.BLEBytes + m.HotnessBytes }
 
-// String renders the budget like the paper quotes it.
+// String renders the budget like the paper quotes it, in KB with one
+// decimal. A part under 1 KiB, as at scaled sizes, is given in bytes.
 func (m MetadataBudget) String() string {
-	return fmt.Sprintf("%dKB total (%dKB PRT, %dKB BLE array, %dKB hotness tracker)",
-		m.TotalBytes()/addr.KiB, m.PRTBytes/addr.KiB, m.BLEBytes/addr.KiB, m.HotnessBytes/addr.KiB)
+	return fmt.Sprintf("%s total (%s PRT, %s BLE array, %s hotness tracker)",
+		kbString(m.TotalBytes()), kbString(m.PRTBytes), kbString(m.BLEBytes), kbString(m.HotnessBytes))
+}
+
+// kbString renders n bytes as whole bytes under 1 KiB and as KiB with
+// one decimal from there up.
+func kbString(n uint64) string {
+	if n < addr.KiB {
+		return fmt.Sprintf("%dB", n)
+	}
+	return fmt.Sprintf("%.1fKB", float64(n)/addr.KiB)
 }
 
 // counterBits is the width of one hot-table access counter.

@@ -440,37 +440,37 @@ func (m *Meta) Update(now uint64, k uint64) uint64 {
 // KNL and Hybrid2. A hit costs the SRAM latency; a miss additionally
 // reads the metadata line from HBM.
 type MetaCache struct {
-	_     cacheline.Pad
-	meta  *Meta
-	tags  []uint64
-	valid []bool
+	_    cacheline.Pad
+	meta *Meta
+	tags []uint64 // key+1 of the entry held in each slot; 0 is empty
 
 	Hits, Misses uint64
 	_            cacheline.Pad
 }
 
-// NewMetaCache builds a metadata cache with the given number of entries.
-func NewMetaCache(meta *Meta, entries int) (*MetaCache, error) {
-	if entries <= 0 {
-		return nil, fmt.Errorf("hmm: metadata cache needs positive entries")
+// NewMetaCache builds a metadata cache with the given number of entries
+// for a design whose keys are all below keys. It allocates only the
+// min(entries, keys) slots those keys can reach: a key below both maps
+// to its own slot either way, so no lookup's outcome changes.
+func NewMetaCache(meta *Meta, entries int, keys uint64) (*MetaCache, error) {
+	if entries <= 0 || keys == 0 {
+		return nil, fmt.Errorf("hmm: metadata cache needs positive entries and keys, got %d and %d", entries, keys)
 	}
 	return &MetaCache{
-		meta:  meta,
-		tags:  make([]uint64, entries),
-		valid: make([]bool, entries),
+		meta: meta,
+		tags: make([]uint64, min(uint64(entries), keys)),
 	}, nil
 }
 
 // Lookup resolves metadata key k through the cache.
 func (c *MetaCache) Lookup(now uint64, k uint64) uint64 {
 	idx := k % uint64(len(c.tags))
-	if c.valid[idx] && c.tags[idx] == k {
+	if c.tags[idx] == k+1 {
 		c.Hits++
 		return now + c.meta.SRAMCycles
 	}
 	c.Misses++
-	c.tags[idx] = k
-	c.valid[idx] = true
+	c.tags[idx] = k + 1
 	// Miss: SRAM probe plus the in-HBM metadata line read.
 	page, off := c.meta.metaLine(k)
 	c.meta.Lookups++

@@ -1,6 +1,7 @@
 package hmm
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/addr"
@@ -94,7 +95,7 @@ func TestMetaUpdatePosted(t *testing.T) {
 func TestMetaCacheHitAvoidsHBM(t *testing.T) {
 	d := newDev(t)
 	meta := NewMeta(scaledSys(), d, true)
-	mc, err := NewMetaCache(meta, 128)
+	mc, err := NewMetaCache(meta, 128, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +119,55 @@ func TestMetaCacheHitAvoidsHBM(t *testing.T) {
 func TestNewMetaCacheRejectsZero(t *testing.T) {
 	d := newDev(t)
 	meta := NewMeta(scaledSys(), d, false)
-	if _, err := NewMetaCache(meta, 0); err == nil {
+	if _, err := NewMetaCache(meta, 0, 1); err == nil {
 		t.Error("zero-entry metadata cache accepted")
+	}
+	if _, err := NewMetaCache(meta, 1, 0); err == nil {
+		t.Error("metadata cache over an empty key space accepted")
+	}
+}
+
+// TestMetaCacheSizedToKeysMatchesFull runs a metadata cache sized to its
+// key space in lockstep with a full 64 Ki-entry one, each over its own
+// devices, on random keys below the space with key 0 and the last key
+// always among them. Every returned cycle, every hit and miss count and
+// the HBM traffic must agree.
+func TestMetaCacheSizedToKeysMatchesFull(t *testing.T) {
+	const entries = 64 * 1024
+	rng := rand.New(rand.NewSource(5))
+	for _, keys := range []uint64{1, 2, 7, 2048, 44800, entries - 1, entries, entries + 1, 3 * entries} {
+		newCache := func(keys uint64) (*MetaCache, *Devices) {
+			d := newDev(t)
+			mc, err := NewMetaCache(NewMeta(scaledSys(), d, true), entries, keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return mc, d
+		}
+		sized, sizedDev := newCache(keys)
+		full, fullDev := newCache(1 << 40)
+		if want := min(keys, entries); uint64(len(sized.tags)) != want {
+			t.Errorf("keys %d: %d slots, want %d", keys, len(sized.tags), want)
+		}
+		var now uint64
+		for i := 0; i < 20000; i++ {
+			k := rng.Uint64() % keys
+			switch i % 5 {
+			case 0:
+				k = 0
+			case 1:
+				k = keys - 1
+			}
+			got, want := sized.Lookup(now, k), full.Lookup(now, k)
+			if got != want || sized.Hits != full.Hits || sized.Misses != full.Misses {
+				t.Fatalf("keys %d op %d key %d: cycle %d hits %d misses %d, full cache %d, %d, %d",
+					keys, i, k, got, sized.Hits, sized.Misses, want, full.Hits, full.Misses)
+			}
+			now = got
+		}
+		if sizedDev.HBM.Stats() != fullDev.HBM.Stats() {
+			t.Errorf("keys %d: HBM stats %+v, full cache %+v", keys, sizedDev.HBM.Stats(), fullDev.HBM.Stats())
+		}
 	}
 }
 
